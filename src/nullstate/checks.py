@@ -9,15 +9,13 @@ injection), which must surface as named check failures rather than crashes.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics as asym
-from . import pde
+from . import findiff, pde
 from .errors import DomainError
 from .exponents import (
     delta_minus,
@@ -34,27 +32,8 @@ from .green import OneIntervalGreen, TwoIntervalGreen
 from .heat_kernel import HeatKernel, bound_ratio_scan
 from .jacobi import JacobiBasis, gauss_jacobi_rule, log_beta
 
-THREAD_ENV = "NULLSTATE_THREADS"
-
 KAPPA_GRID = (0.5, 2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0, 20.0 / 3.0, 7.9)
 SUPPORTED_CORRUPTIONS = ("lambda0", "alpha", "beta")
-
-
-def worker_count() -> int:
-    """Thread-count override for grid sweeps, from the environment."""
-    raw = os.environ.get(THREAD_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = worker_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -82,7 +61,7 @@ class Report:
     checks: list
     wall_time: float = 0.0
     seed: int | None = None
-    schema: int = 1
+    schema: int = 2
 
     @property
     def passed(self) -> bool:
@@ -431,12 +410,11 @@ def suite_pde(
     M = F.arity or 2
     weights = pde.WeightAssignment.one_leg(kappa, M)
 
-    def sweep_one(config):
-        reports = pde.system_residuals(F, config, weights)
-        return max(r.relative for r in reports)
-
     configs = [_random_config(rng, M) for _ in range(n_configs)]
-    worst = max(_map(sweep_one, configs))
+    worst = max(
+        max(r.relative for r in pde.system_residuals(F, config, weights))
+        for config in configs
+    )
     checks.append(_leq("system_residuals_sweep", worst, 1e-6,
                        detail=f"{candidate} over {n_configs} configurations"))
 
@@ -452,8 +430,9 @@ def suite_pde(
     step = 1e-3 * cfg3.min_gap
     worst_stencil = 0.0
     for k in (1, 2, 3):
-        fd1 = pde.partial1(probe, cfg3.array, k, step)
-        fd2 = pde.partial2(probe, cfg3.array, k, step)
+        along = lambda t: probe(cfg3.replace(k, t).array)
+        fd1 = findiff.d1(along, cfg3.x(k), step)
+        fd2 = findiff.d2(along, cfg3.x(k), step)
         ex1 = probe.grad(cfg3.array, k)
         ex2 = probe.second(cfg3.array, k)
         worst_stencil = max(

@@ -2,8 +2,7 @@
 
 Every command is deterministic given its flags; defaults, tolerances, and the
 seed are echoed in each report.  Exit codes: 0 all checks pass, 1 a named
-check failed, 2 usage or domain error.  The environment variable
-NULLSTATE_THREADS caps worker threads used by grid sweeps.
+check failed, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -172,7 +171,6 @@ def cmd_verify(args) -> int:
         "configs": args.configs,
         "t_list": list(t_list),
         "corrupt": corrupt,
-        "threads": checks.worker_count(),
     }
     report = checks.build_report("verify", params, results, started, seed=args.seed)
     _print_report(report, args.format, args.output)

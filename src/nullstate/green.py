@@ -10,7 +10,7 @@ series and factored forms are kept as independent evaluation routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class OneIntervalGreen:
             elif method == "fd":
                 # step balances stencil truncation against 1/h^2 roundoff growth
                 h = min(5e-3 * delta, (eta - delta) / 8.0)
-                u1 = findiff.d1_extrapolated(lambda s: self.value(s, eta), delta, h)
-                u2 = findiff.d2_extrapolated(lambda s: self.value(s, eta), delta, h)
+                _, u1, u2 = findiff.extrapolated(lambda s: self.value(s, eta), delta, h)
             else:
                 raise DomainError(f"unknown method {method!r}")
             res = self.euler_apply(u1, u2, delta)
@@ -310,9 +309,7 @@ class TwoIntervalGreen:
         def g_of_eta(e):
             return self.value(rho, epsilon, sigma, e, n_terms=n_terms)
 
-        g0 = g_of_sigma(sigma)
-        g1 = findiff.d1_extrapolated(g_of_sigma, sigma, sigma_step)
-        g2 = findiff.d2_extrapolated(g_of_sigma, sigma, sigma_step)
+        g0, g1, g2 = findiff.extrapolated(g_of_sigma, sigma, sigma_step)
         deta = findiff.d1_extrapolated(g_of_eta, eta, eta_step)
         terms = self.sigma_operator_terms(g0, g1, g2, sigma)
         terms.append(-eta * deta / (sigma * (1.0 - sigma)))

@@ -8,12 +8,14 @@ solution produces exactly the catastrophic cancellation the residual measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import findiff
 from .errors import DomainError, PreconditionError
 from .exponents import check_kappa, leg_weight
 
@@ -111,10 +113,9 @@ class ResidualReport:
 class CandidateFunction:
     """An evaluable scalar field on strictly increasing configurations.
 
-    func maps a coordinate array to a float and must be pure (it is called
-    concurrently from grid sweeps).  grad/second, when provided, are exact
-    partial derivatives used only as stencil-validation oracles.  growth is an
-    optional (C, p) certificate of the product power-law bound.
+    func maps a coordinate array to a float and must be pure.  grad/second,
+    when provided, are exact partial derivatives used only as
+    stencil-validation oracles.
     """
 
     name: str
@@ -122,7 +123,6 @@ class CandidateFunction:
     arity: Optional[int] = None
     grad: Optional[Callable[[np.ndarray, int], float]] = None
     second: Optional[Callable[[np.ndarray, int], float]] = None
-    growth: Optional[tuple] = None
 
     def __call__(self, coords) -> float:
         xs = np.asarray(coords, dtype=float)
@@ -144,34 +144,22 @@ def _stencil_step(config: PointConfig, step: float | None) -> float:
     return h
 
 
-def partial1(F, coords: np.ndarray, k: int, h: float) -> float:
-    """Fourth-order first derivative in the k-th coordinate (1-based)."""
-    i = k - 1
+def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
+    """F and all its first and second partials at config, from 1 + 4M calls of F.
 
-    def at(offset):
-        xs = coords.copy()
-        xs[i] += offset
-        return F(xs)
-
-    return (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
-
-
-def partial2(F, coords: np.ndarray, k: int, h: float) -> float:
-    i = k - 1
-
-    def at(offset):
-        xs = coords.copy()
-        xs[i] += offset
-        return F(xs)
-
-    return (-at(2 * h) + 16.0 * at(h) - 30.0 * at(0.0) + 16.0 * at(-h) - at(-2 * h)) / (
-        12.0 * h * h
-    )
-
-
-def _all_partials(F, config: PointConfig, h: float) -> np.ndarray:
+    The samples are F(x), F(x +- h e_k) and F(x +- 2h e_k); every equation of
+    the system reads its partials from them.
+    """
     xs = config.array
-    return np.array([partial1(F, xs, k, h) for k in range(1, config.M + 1)])
+
+    def at(i, t):
+        ys = xs.copy()
+        ys[i] = t
+        return F(ys)
+
+    fval = F(xs)
+    wings = [findiff.wings(functools.partial(at, i), xs[i], h) for i in range(config.M)]
+    return fval, [findiff.first(w, h) for w in wings], [findiff.second(fval, w, h) for w in wings]
 
 
 # -- residuals ----------------------------------------------------------------
@@ -192,22 +180,24 @@ def null_state_residual(
     With h = theta_1 this is the unmodified equation and j = iota is allowed;
     otherwise the system provides no equation centered on the anomalous point.
     """
-    M, kappa = config.M, weights.kappa
+    M = config.M
     if not 1 <= j <= M:
         raise DomainError(f"j must lie in 1..{M}, got {j!r}")
     if j == weights.iota and not weights.homogeneous:
         raise PreconditionError("no null-state equation is centered on the anomalous index")
     h = _stencil_step(config, step)
-    xs = config.array
+    return _null_state(config, weights, j, h, _stencil(F, config, h))
+
+
+def _null_state(config, weights, j, h, stencil) -> ResidualReport:
+    fval, grads, seconds = stencil
     xj = config.x(j)
-    fval = F(xs)
-    terms = [kappa / 4.0 * partial2(F, xs, j, h)]
-    for k in range(1, M + 1):
+    terms = [weights.kappa / 4.0 * seconds[j - 1]]
+    for k in range(1, config.M + 1):
         if k == j:
             continue
-        dk = partial1(F, xs, k, h)
         dx = config.x(k) - xj
-        terms.append(dk / dx)
+        terms.append(grads[k - 1] / dx)
         terms.append(-weights.weight(k) * fval / dx**2)
     residual = math.fsum(terms)
     scale = max(abs(t) for t in terms)
@@ -221,13 +211,15 @@ def ward_residuals(
     step: float | None = None,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
     """Residuals of the translation, dilation, and special-conformal identities."""
-    M = config.M
-    if weights.iota > M:
-        raise DomainError(f"iota={weights.iota} outside 1..{M}")
+    if weights.iota > config.M:
+        raise DomainError(f"iota={weights.iota} outside 1..{config.M}")
     h = _stencil_step(config, step)
-    xs = config.array
-    fval = F(xs)
-    grads = _all_partials(F, config, h)
+    return _ward(config, weights, h, _stencil(F, config, h))
+
+
+def _ward(config, weights, h, stencil) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
+    M = config.M
+    fval, grads, _ = stencil
 
     t1 = list(grads)
     w1 = math.fsum(t1)
@@ -261,13 +253,20 @@ def system_residuals(
     weights: WeightAssignment,
     step: float | None = None,
 ) -> list[ResidualReport]:
-    """All available null-state equations plus the three Ward identities."""
+    """All available null-state equations plus the three Ward identities.
+
+    Every equation reads from one shared set of 1 + 4M samples of F.
+    """
+    h = _stencil_step(config, step)
+    if weights.iota > config.M:
+        raise DomainError(f"iota={weights.iota} outside 1..{config.M}")
+    stencil = _stencil(F, config, h)
     reports = []
     for j in range(1, config.M + 1):
         if j == weights.iota and not weights.homogeneous:
             continue
-        reports.append(null_state_residual(F, config, weights, j, step=step))
-    reports.extend(ward_residuals(F, config, weights, step=step))
+        reports.append(_null_state(config, weights, j, h, stencil))
+    reports.extend(_ward(config, weights, h, stencil))
     return reports
 
 
@@ -304,10 +303,7 @@ def builtin_n1(kappa: float) -> CandidateFunction:
         s = xs[1] - xs[0]
         return p * (p - 1.0) * s ** (p - 2.0)
 
-    growth = (1.0, 2.0 * th1) if th1 > 0.0 else None
-    return CandidateFunction(
-        name="n1", func=func, arity=2, grad=grad, second=second, growth=growth
-    )
+    return CandidateFunction(name="n1", func=func, arity=2, grad=grad, second=second)
 
 
 def builtin_power_product(mu: dict, M: int, name: str = "power") -> CandidateFunction:
@@ -378,7 +374,6 @@ def resolve_candidate(name: str, kappa: float, M: int | None = None) -> Candidat
             func=lambda xs: 1.0,
             grad=lambda xs, k: 0.0,
             second=lambda xs, k: 0.0,
-            growth=(1.0, 0.0),
         )
     if name.startswith("power:"):
         if M is None:

@@ -5,8 +5,10 @@ criterion.  Total runtime is a few seconds.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,11 +230,15 @@ def test_criterion_6_asymptotics_suite():
 
 
 def run_cli(*argv):
+    # the child imports the same nullstate package as this test, installed or not
+    src = str(Path(ns.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "nullstate.cli", *argv],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout
 

@@ -74,7 +74,7 @@ def test_verify_json_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["passed"] is True
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert json.loads(json.dumps(payload)) == payload
 
 

@@ -108,6 +108,23 @@ def test_adjoint_residual_homogeneous(green):
     assert worst <= 1e-4
 
 
+def test_adjoint_residual_sample_count(green, monkeypatch):
+    # nine samples in sigma give g0 and both refined sigma derivatives; the
+    # eta derivative takes its four wing samples at steps h and h/2
+    value = green.value
+    points = []
+
+    def counted(rho, epsilon, sigma, eta, n_terms=None):
+        points.append((sigma, eta))
+        return value(rho, epsilon, sigma, eta, n_terms=n_terms)
+
+    monkeypatch.setattr(green, "value", counted)
+    green.adjoint_residual(0.4, 0.5, 0.5, 1.25)
+    assert len(points) == 17
+    assert sum(eta == 1.25 for _, eta in points) == 9
+    assert sum(sigma == 0.5 and eta != 1.25 for sigma, eta in points) == 8
+
+
 def test_adjoint_requires_homogeneous_region(green):
     with pytest.raises(PreconditionError):
         green.adjoint_residual(0.4, 1.0, 0.5, 0.8)

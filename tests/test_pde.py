@@ -20,7 +20,7 @@ from nullstate import (
     two_point_ward_solvable,
     ward_residuals,
 )
-from nullstate import pde
+from nullstate import findiff
 from conftest import KAPPA_GRID, KAPPA_MODERATE
 
 
@@ -139,7 +139,6 @@ def test_builtin_n1_normalization():
     th1 = leg_weight(1, kappa)
     s = 1.7
     assert s ** (2 * th1) * F(np.array([0.0, s])) == pytest.approx(1.0, rel=1e-14)
-    assert F.growth == (1.0, 2.0 * th1)
 
 
 def test_power_product_trivial():
@@ -152,10 +151,40 @@ def test_power_product_derivatives(rng):
     cfg = PointConfig.of(-0.7, 0.4, 1.9)
     step = 1e-3 * cfg.min_gap
     for k in (1, 2, 3):
-        fd1 = pde.partial1(F, cfg.array, k, step)
-        fd2 = pde.partial2(F, cfg.array, k, step)
+        along = lambda t: F(cfg.replace(k, t).array)
+        fd1 = findiff.d1(along, cfg.x(k), step)
+        fd2 = findiff.d2(along, cfg.x(k), step)
         assert abs(fd1 - F.grad(cfg.array, k)) <= 1e-9 * max(1.0, abs(F.grad(cfg.array, k)))
         assert abs(fd2 - F.second(cfg.array, k)) <= 1e-8 * max(1.0, abs(F.second(cfg.array, k)))
+
+
+@pytest.mark.parametrize("M", (2, 5, 8))
+def test_system_residuals_sample_once(M):
+    # one shared stencil per configuration: F(x), F(x +- h e_k), F(x +- 2h e_k)
+    base = builtin_power_product({(i, i + 1): 0.5 for i in range(1, M)}, M)
+    calls = []
+
+    def func(xs):
+        calls.append(1)
+        return base.func(xs)
+
+    F = CandidateFunction(name="counted", func=func, arity=M)
+    cfg = PointConfig(tuple(0.2 + 1.3 * np.arange(M)))
+    reports = system_residuals(F, cfg, WeightAssignment.one_leg(4.0, M))
+    assert len(reports) == M + 3
+    assert len(calls) == 1 + 4 * M
+
+
+def test_system_residuals_match_standalone_reports():
+    # the shared stencil feeds every equation exactly as a standalone call
+    # would; iota = 3 is anomalous, so its null-state equation is skipped
+    mu = {(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i in range(1, 6) for j in range(i + 1, 6)}
+    F = builtin_power_product(mu, 5)
+    cfg = PointConfig.of(-1.2, -0.3, 0.5, 1.9, 2.4)
+    w = WeightAssignment(kappa=10.0 / 3.0, iota=3, h=1.7)
+    want = [null_state_residual(F, cfg, w, j) for j in (1, 2, 4, 5)]
+    want += list(ward_residuals(F, cfg, w))
+    assert system_residuals(F, cfg, w) == want
 
 
 def test_power_spec_parsing():
