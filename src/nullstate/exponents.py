@@ -92,18 +92,6 @@ def gap(d: float, kappa: float) -> float:
     return kpz(d, kappa).gap
 
 
-def delta_plus_leg_closed(s: int, kappa: float) -> float:
-    """Closed form delta_plus(theta_s) = 2s/kappa."""
-    check_kappa(kappa)
-    return 2.0 * s / kappa
-
-
-def delta_minus_leg_closed(s: int, kappa: float) -> float:
-    """Closed form delta_minus(theta_s) = 1 - (2s+4)/kappa."""
-    check_kappa(kappa)
-    return 1.0 - (2.0 * s + 4.0) / kappa
-
-
 def kpz_leg_identity_residual(s: int, kappa: float) -> tuple[float, float]:
     """Residuals of the fusion identity delta_pm(theta_s) = -theta_1 - theta_s + theta_{s+-1}.
 

@@ -3,7 +3,8 @@
 The fourth-order five-point formulas are written once, as functions of the
 samples, so a caller that needs several derivatives at one point samples it
 once: `wings` gives the four off-centre samples, `first` and `second` combine
-them (with the centre value for `second`).
+them (with the centre value for `second`).  The Richardson-refined forms
+take the step-h/2 stencil's outer samples, x -+ h, from the step-h wings.
 """
 
 from __future__ import annotations
@@ -42,15 +43,22 @@ def richardson(coarse: float, fine: float, order: int, refine: float = 2.0) -> f
     return (factor * fine - coarse) / (factor - 1.0)
 
 
+def _halved(f, x: float, h: float, coarse) -> tuple[float, float, float, float]:
+    """Wing samples at step h/2; its outer points x -+ h are taken from the step-h wings."""
+    return coarse[1], f(x - h / 2.0), f(x + h / 2.0), coarse[2]
+
+
 def d1_extrapolated(f, x: float, h: float) -> float:
-    """Richardson-refined fourth-order first derivative (effective order six)."""
-    return richardson(d1(f, x, h), d1(f, x, h / 2.0), order=4)
+    """Richardson-refined fourth-order first derivative (effective order six), from six samples."""
+    coarse = wings(f, x, h)
+    return richardson(first(coarse, h), first(_halved(f, x, h, coarse), h / 2.0), order=4)
 
 
 def extrapolated(f, x: float, h: float) -> tuple[float, float, float]:
-    """(f(x), d1, d2), both derivatives Richardson-refined, from nine samples of f."""
+    """(f(x), d1, d2), both derivatives Richardson-refined, from seven samples of f."""
     f0 = f(x)
-    coarse, fine = wings(f, x, h), wings(f, x, h / 2.0)
+    coarse = wings(f, x, h)
+    fine = _halved(f, x, h, coarse)
     return (
         f0,
         richardson(first(coarse, h), first(fine, h / 2.0), order=4),

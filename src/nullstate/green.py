@@ -95,12 +95,13 @@ class OneIntervalGreen:
         worst = 0.0
         for delta in deltas:
             if method == "analytic":
+                u0 = self.value(delta, eta)
                 u1 = self.slope(delta, eta)
                 u2 = -(4.0 / self.kappa) * (g - 1.0) * delta ** (g - 2.0) * eta ** (1.0 - g)
             elif method == "fd":
                 # step balances stencil truncation against 1/h^2 roundoff growth
                 h = min(5e-3 * delta, (eta - delta) / 8.0)
-                _, u1, u2 = findiff.extrapolated(lambda s: self.value(s, eta), delta, h)
+                u0, u1, u2 = findiff.extrapolated(lambda s: self.value(s, eta), delta, h)
             else:
                 raise DomainError(f"unknown method {method!r}")
             res = self.euler_apply(u1, u2, delta)
@@ -108,7 +109,7 @@ class OneIntervalGreen:
             scale = max(
                 abs(self.kappa / 4.0 * u2),
                 abs((self.kappa * dm / 2.0 + 1.0) * u1 / delta),
-                self.kappa / 4.0 * abs(self.value(delta, eta)) / delta**2,
+                self.kappa / 4.0 * abs(u0) / delta**2,
                 1e-300,
             )
             worst = max(worst, abs(res) / scale)
@@ -165,7 +166,6 @@ class AdjointResidual:
     relative: float
     sigma_step: float
     eta_step: float
-    reliable: bool = True
 
 
 @dataclass
@@ -243,16 +243,12 @@ class TwoIntervalGreen:
         if n_terms is None:
             n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
         basis = self.kernel.basis
+        table = basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, 2.0 * sigma - 1.0])
         ratio = epsilon / eta
         total = 0.0
-        for n in range(n_terms):
+        for n, (p_rho, p_sigma) in enumerate(table.tolist()):
             lam = eigenvalue(n, self.h, self.kappa)
-            total += (
-                ratio**lam
-                * basis.eval(n, 2.0 * rho - 1.0)
-                * basis.eval(n, 2.0 * sigma - 1.0)
-                / basis.shifted_norm_sq(n)
-            )
+            total += ratio**lam * p_rho * p_sigma / basis.shifted_norm_sq(n)
         return -self._prefactor(rho, sigma) * eta * total
 
     @staticmethod
@@ -292,16 +288,14 @@ class TwoIntervalGreen:
         """
         if eta <= epsilon:
             raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
-        dist = min(sigma, 1.0 - sigma)
         if sigma_step is None:
-            sigma_step = min(1e-3, dist / 10.0)
+            sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
         if eta_step is None:
             eta_step = 1e-3 * eta
         eta_lo = eta - 2.0 * eta_step
         if eta_lo <= epsilon:
             raise PreconditionError("eta stencil would cross the source at eta = epsilon")
         n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta_lo))
-        reliable = dist > 1e-4 and sigma - 2.0 * sigma_step > 0.0 and sigma + 2.0 * sigma_step < 1.0
 
         def g_of_sigma(s):
             return self.value(rho, epsilon, s, eta, n_terms=n_terms)
@@ -321,7 +315,6 @@ class TwoIntervalGreen:
             relative=abs(residual) / scale,
             sigma_step=sigma_step,
             eta_step=eta_step,
-            reliable=reliable,
         )
 
     # -- reproducing limit -----------------------------------------------------

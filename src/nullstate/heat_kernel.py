@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .jacobi import JacobiBasis, QuadratureRule, gauss_jacobi_rule
+from .jacobi import JacobiBasis, QuadratureRule
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_N_MAX = 2000
@@ -56,10 +56,8 @@ class HeatKernel:
             )
         self.basis = JacobiBasis(alpha, beta)
         self.policy = policy or TruncationPolicy()
-        self._p_one: list[float] = [1.0]    # P_n^(a,b)(1)
-        self._p_mone: list[float] = [1.0]   # |P_n^(a,b)(-1)|
-        self._nrm: list[float] = [self.basis.shifted_norm_sq(0)]
-        self._coef: list[float] = [1.0 / self._nrm[0]]  # Pbar_n^2 / nrm_n
+        self._nrm: list[float] = []
+        self._coef: list[float] = []  # Pbar_n^2 / nrm_n
 
     @property
     def alpha(self) -> float:
@@ -74,13 +72,10 @@ class HeatKernel:
         return n * (n + self.alpha + self.beta + 1.0)
 
     def _ensure(self, n: int) -> None:
-        a, b = self.alpha, self.beta
         while len(self._coef) <= n:
-            m = len(self._p_one)
-            self._p_one.append(self._p_one[-1] * (m + a) / m)
-            self._p_mone.append(self._p_mone[-1] * (m + b) / m)
+            m = len(self._coef)
             self._nrm.append(self.basis.shifted_norm_sq(m))
-            pbar = max(self._p_one[-1], self._p_mone[-1])
+            pbar = self.basis.endpoint_max(m)
             self._coef.append(pbar * pbar / self._nrm[-1])
 
     def term_bound(self, n: int, t: float) -> float:
@@ -103,6 +98,13 @@ class HeatKernel:
             norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
         return math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
 
+    def _tail_bound(self, n_terms: int, t: float) -> float:
+        """Certified bound on sum_{n >= n_terms} B_n; inf where no geometric tail holds."""
+        ratio = self._tail_ratio_bound(n_terms, t)
+        if ratio >= 1.0:
+            return math.inf
+        return self.term_bound(n_terms, t) / (1.0 - ratio)
+
     def truncation_index(self, t: float) -> tuple[int, float]:
         """Number of terms and certified tail bound for time t.
 
@@ -114,13 +116,10 @@ class HeatKernel:
         tol = self.policy.tail_tol
         best = math.inf
         for n_terms in range(1, self.policy.n_max + 1):
-            first_neglected = self.term_bound(n_terms, t)
-            ratio = self._tail_ratio_bound(n_terms, t)
-            if ratio < 1.0:
-                tail = first_neglected / (1.0 - ratio)
-                best = min(best, tail)
-                if tail <= tol:
-                    return n_terms, tail
+            tail = self._tail_bound(n_terms, t)
+            best = min(best, tail)
+            if tail <= tol:
+                return n_terms, tail
         raise TruncationError(
             f"could not certify tail <= {tol!r} at t={t!r} within "
             f"{self.policy.n_max} terms (best bound {best!r}); "
@@ -135,9 +134,7 @@ class HeatKernel:
             n_terms, tail = self.truncation_index(t)
         else:
             self._ensure(n_terms)
-            tail = self.term_bound(n_terms, t) / max(
-                1.0 - self._tail_ratio_bound(n_terms, t), 1e-300
-            )
+            tail = self._tail_bound(n_terms, t)
         y = np.array([2.0 * rho - 1.0, 2.0 * sigma - 1.0])
         table = self.basis.eval_table(n_terms - 1, y)
         n = np.arange(n_terms, dtype=float)
@@ -177,10 +174,6 @@ class HeatKernel:
         self._ensure(n_terms)
         return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
 
-    def quadrature(self, m: int) -> QuadratureRule:
-        """Unit-domain Gauss rule matched to this kernel's weight."""
-        return gauss_jacobi_rule(m, self.basis, domain="unit")
-
     def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
         """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0."""
         if rule.domain != "unit":
@@ -200,21 +193,6 @@ class HeatKernel:
 # -- sharp two-sided bound machinery ----------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """One grid point of the short-time envelope Lambda * gaussian."""
-
-    theta: float
-    phi: float
-    t: float
-    lambda_value: float
-    gaussian_factor: float
-
-    @property
-    def product(self) -> float:
-        return self.lambda_value * self.gaussian_factor
-
-
 def lambda_envelope(theta: float, phi: float, t: float, alpha: float, beta: float) -> float:
     """[t + sin(th/2) sin(ph/2)]^(-a-1/2) [t + cos(th/2) cos(ph/2)]^(-b-1/2)."""
     s = t + math.sin(theta / 2.0) * math.sin(phi / 2.0)
@@ -225,16 +203,6 @@ def lambda_envelope(theta: float, phi: float, t: float, alpha: float, beta: floa
 def gaussian_factor(x: float, c: float, t: float) -> float:
     """Rod heat kernel exp(-x^2 / c t) / sqrt(pi c t)."""
     return math.exp(-x * x / (c * t)) / math.sqrt(math.pi * c * t)
-
-
-def envelope(theta: float, phi: float, t: float, alpha: float, beta: float, c: float) -> BoundEnvelope:
-    return BoundEnvelope(
-        theta=theta,
-        phi=phi,
-        t=t,
-        lambda_value=lambda_envelope(theta, phi, t, alpha, beta),
-        gaussian_factor=gaussian_factor(theta - phi, c, t),
-    )
 
 
 @dataclass

@@ -48,29 +48,28 @@ class JacobiBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, n: int, y):
-        """P_n^(alpha,beta)(y) by three-term recurrence; y may be an ndarray."""
-        y = np.asarray(y, dtype=float)
-        if n == 0:
-            out = np.ones_like(y)
-            return out if out.ndim else float(out)
-        pm1 = np.ones_like(y)
+    def _rows(self, n_max: int, y):
+        """P_0(y), ..., P_n_max(y), one degree at a time, by the three-term recurrence."""
         p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
-        for k in range(2, n + 1):
+        pm1 = np.ones_like(y)
+        yield from (pm1, p)[: n_max + 1]
+        for k in range(2, n_max + 1):
             a, b0, b1, c = _recurrence(k, self.alpha, self.beta)
             p, pm1 = ((b0 + b1 * y) * p - c * pm1) / a, p
+            yield p
+
+    def eval(self, n: int, y):
+        """P_n^(alpha,beta)(y), the last row of the recurrence; y may be an ndarray."""
+        for p in self._rows(n, np.asarray(y, dtype=float)):
+            pass
         return p if p.ndim else float(p)
 
     def eval_table(self, n_max: int, y) -> np.ndarray:
         """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         table = np.empty((n_max + 1,) + y.shape)
-        table[0] = 1.0
-        if n_max >= 1:
-            table[1] = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
-        for k in range(2, n_max + 1):
-            a, b0, b1, c = _recurrence(k, self.alpha, self.beta)
-            table[k] = ((b0 + b1 * y) * table[k - 1] - c * table[k - 2]) / a
+        for k, p in enumerate(self._rows(n_max, y)):
+            table[k] = p
         return table
 
     def eval_explicit_sum(self, n: int, y):
@@ -154,11 +153,6 @@ class JacobiBasis:
         """rho(y) = (1-y)^alpha (1+y)^beta on (-1, 1)."""
         y = np.asarray(y, dtype=float)
         return (1.0 - y) ** self.alpha * (1.0 + y) ** self.beta
-
-    def shifted_weight(self, s):
-        """w(s) = s^beta (1-s)^alpha on (0, 1); equals 2^(-alpha-beta) rho(2s-1)."""
-        s = np.asarray(s, dtype=float)
-        return s**self.beta * (1.0 - s) ** self.alpha
 
     def operator_apply(self, n: int, y):
         """The Jacobi operator (1-y^2) d^2 + [beta-alpha-(alpha+beta+2)y] d on P_n."""

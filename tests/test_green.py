@@ -15,6 +15,7 @@ from nullstate import (
     kpz,
     leg_weight,
 )
+from nullstate.jacobi import JacobiBasis
 
 
 def test_j_spot_value():
@@ -109,8 +110,9 @@ def test_adjoint_residual_homogeneous(green):
 
 
 def test_adjoint_residual_sample_count(green, monkeypatch):
-    # nine samples in sigma give g0 and both refined sigma derivatives; the
-    # eta derivative takes its four wing samples at steps h and h/2
+    # seven samples in sigma give g0 and both refined sigma derivatives; the
+    # eta derivative takes six wing samples, the step-h/2 stencil sharing
+    # its outer points eta -+ h with the step-h one
     value = green.value
     points = []
 
@@ -120,9 +122,44 @@ def test_adjoint_residual_sample_count(green, monkeypatch):
 
     monkeypatch.setattr(green, "value", counted)
     green.adjoint_residual(0.4, 0.5, 0.5, 1.25)
-    assert len(points) == 17
-    assert sum(eta == 1.25 for _, eta in points) == 9
-    assert sum(sigma == 0.5 and eta != 1.25 for sigma, eta in points) == 8
+    assert len(points) == 13
+    assert sum(eta == 1.25 for _, eta in points) == 7
+    assert sum(sigma == 0.5 and eta != 1.25 for sigma, eta in points) == 6
+
+
+def test_adjoint_residual_sigma_stencil_leaving_domain(green):
+    # sigma - 2 * sigma_step < 0: the stencil sample outside (0, 1) is refused
+    with pytest.raises(DomainError):
+        green.adjoint_residual(0.4, 0.5, 0.01, 1.25, sigma_step=0.006)
+
+
+def test_j_annihilation_fd_sample_count(monkeypatch):
+    # the centre value returned by the stencil also sets the scale: 7 per delta
+    value = OneIntervalGreen.value
+    calls = []
+
+    def counted(self, delta, eta):
+        calls.append(delta)
+        return value(self, delta, eta)
+
+    monkeypatch.setattr(OneIntervalGreen, "value", counted)
+    g = OneIntervalGreen(weight=leg_weight(1, 6.0), kappa=6.0)
+    g.annihilation_residual(1.0, [0.3, 0.5, 0.7], method="fd")
+    assert len(calls) == 7 * 3
+
+
+def test_value_series_reads_one_table(green, monkeypatch):
+    counts = {"eval": 0, "eval_table": 0}
+    for name in counts:
+        original = getattr(JacobiBasis, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(JacobiBasis, name, counted)
+    green.value_series(0.3, 0.5, 0.6, 1.0)
+    assert counts == {"eval": 0, "eval_table": 1}
 
 
 def test_adjoint_requires_homogeneous_region(green):

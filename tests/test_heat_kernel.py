@@ -53,6 +53,22 @@ def test_tail_bound_is_honest(kernel):
     assert abs(long - short) <= tail
 
 
+@pytest.mark.parametrize("alpha, beta", [(39.0, 25.7), (1.0, 1.0 / 3.0)])
+def test_term_bound_reads_endpoint_max(alpha, beta):
+    k = HeatKernel(alpha, beta)
+    for t in (1e-4, 0.05):
+        for n in range(1501):
+            pbar = k.basis.endpoint_max(n)
+            want = math.exp(-t * k.decay_rate(n)) * (pbar * pbar / k.basis.shifted_norm_sq(n))
+            assert k.term_bound(n, t) == want
+
+
+def test_fixed_truncation_without_geometric_tail_is_uncertified():
+    # the tail ratio envelope at n = 5, t = 1e-4 exceeds 1: no tail is certified
+    k = HeatKernel(1.0, 1.0 / 3.0)
+    assert k.value(0.3, 0.8, 1e-4, n_terms=5).tail_bound == math.inf
+
+
 def test_long_time_limit(kernel):
     limit = 1.0 / math.exp(log_beta(kernel.beta + 1.0, kernel.alpha + 1.0))
     got = kernel.value(0.25, 0.85, 60.0).value
