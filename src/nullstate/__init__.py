@@ -9,7 +9,6 @@ interval-collapse asymptotics estimators, all behind a verification CLI.
 from .asymptotics import (
     CollapseSpec,
     ExponentEstimate,
-    RescaledFunction,
     adjacent_pair_bound_scan,
     collapse_exponent,
     ell_limit,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, PreconditionError
-from .exponents import delta_minus, delta_plus, gap, kpz, leg_weight
+from .exponents import delta_minus, delta_plus, kpz, leg_weight
 from .pde import CandidateFunction, PointConfig, WeightAssignment, builtin_power_product
 
 FIT_DECADES = 8
@@ -65,21 +65,26 @@ def default_delta_grid(config: PointConfig, i: int, decades: int = FIT_DECADES) 
     return np.geomspace(top * 10.0 ** (-decades), top, decades + 1)
 
 
+def _batch(config: PointConfig, moves: dict) -> np.ndarray:
+    """Batch columns of config with x_i set to moves[i]; each must stay strictly increasing."""
+    cols = np.repeat(config.array[:, None], np.broadcast(*moves.values()).size, axis=1)
+    for i, values in moves.items():
+        cols[i - 1] = values
+    bad = cols[:, ~np.all(np.diff(cols, axis=0) > 0.0, axis=0)]
+    if bad.size:
+        raise PreconditionError(f"configuration {bad[:, 0].tolist()!r} is not strictly increasing")
+    return cols
+
+
 def _collapse_samples(F, config: PointConfig, i: int, deltas) -> tuple[np.ndarray, np.ndarray]:
     """(effective deltas, F values) with x_i placed at x_{i-1} + delta."""
-    anchor = config.x(i - 1)
+    deltas = np.asarray(deltas, dtype=float)
     room = collapse_room(config, i)
-    eff, vals = [], []
-    for delta in np.asarray(deltas, dtype=float):
-        if not 0.0 < delta < room:
-            raise PreconditionError(
-                f"delta {delta!r} outside the open collapse range (0, {room!r})"
-            )
-        xs = config.array
-        xs[i - 1] = anchor + delta
-        eff.append(xs[i - 1] - anchor)
-        vals.append(F(xs))
-    return np.array(eff), np.array(vals)
+    bad = deltas[~((deltas > 0.0) & (deltas < room))]
+    if bad.size:
+        raise PreconditionError(f"delta {bad[0]!r} outside the open collapse range (0, {room!r})")
+    cols = _batch(config, {i: config.x(i - 1) + deltas})
+    return cols[i - 1] - cols[i - 2], F(cols)
 
 
 @dataclass
@@ -155,23 +160,6 @@ def two_leg_test(
     )
 
 
-@dataclass(frozen=True)
-class RescaledFunction:
-    """delta^(-exponent) F along the collapse of interval i."""
-
-    F: CandidateFunction
-    config: PointConfig
-    i: int
-    exponent: float
-
-    def __call__(self, delta: float) -> float:
-        anchor = self.config.x(self.i - 1)
-        xs = self.config.array
-        xs[self.i - 1] = anchor + delta
-        eff = xs[self.i - 1] - anchor
-        return eff ** (-self.exponent) * self.F(xs)
-
-
 @dataclass
 class EllLimitRecord:
     deltas: np.ndarray
@@ -213,8 +201,12 @@ def ell_limit(
         deltas = default_delta_grid(config, spec.i)[::-1]  # decreasing
     deltas = np.asarray(deltas, dtype=float)
     dm = spec.exponents().delta_minus
-    rescaled = RescaledFunction(F=F, config=config, i=spec.i, exponent=dm)
-    vals = np.array([rescaled(d) for d in deltas])
+
+    def rescaled(cfg):
+        eff, vals = _collapse_samples(F, cfg, spec.i, deltas)
+        return eff ** (-dm) * vals
+
+    vals = rescaled(config)
     limit, converged, ratios = _sequence_limit(vals)
 
     slice_limits = slice_uniformity = None
@@ -225,9 +217,7 @@ def ell_limit(
         table = np.empty((slice_values.size, deltas.size))
         limits = np.empty(slice_values.size)
         for a, v in enumerate(slice_values):
-            cfg = config.replace(slice_index, float(v))
-            rs = RescaledFunction(F=F, config=cfg, i=spec.i, exponent=dm)
-            table[a] = [rs(d) for d in deltas]
+            table[a] = rescaled(config.replace(slice_index, float(v)))
             limits[a], _, _ = _sequence_limit(table[a])
         slice_limits = limits
         slice_uniformity = np.max(np.abs(table - limits[:, None]), axis=0)
@@ -326,23 +316,18 @@ def far_pair_bound_scan(
         deltas = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, j)
     if epsilons is None:
         epsilons = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, iota)
-    rows = []
-    sup = 0.0
-    delta_sups = np.zeros(len(deltas))
-    eps_sups = np.zeros(len(epsilons))
-    for a, delta in enumerate(deltas):
-        for b, eps in enumerate(epsilons):
-            xs = config.array
-            xs[j - 1] = xs[j - 2] + delta
-            xs[iota - 1] = xs[iota - 2] + eps
-            d_eff = xs[j - 1] - xs[j - 2]
-            e_eff = xs[iota - 1] - xs[iota - 2]
-            val = abs(F(xs))
-            ratio = val / (d_eff**dp1 * e_eff**dph)
-            rows.append((d_eff, e_eff, val, ratio))
-            sup = max(sup, ratio)
-            delta_sups[a] = max(delta_sups[a], ratio)
-            eps_sups[b] = max(eps_sups[b], ratio)
+    grid_d, grid_e = np.meshgrid(deltas, epsilons, indexing="ij")  # rows: delta-major
+    moves = {j: config.x(j - 1) + grid_d.ravel(), iota: config.x(iota - 1) + grid_e.ravel()}
+    cols = _batch(config, moves)
+    d_eff = cols[j - 1] - cols[j - 2]
+    e_eff = cols[iota - 1] - cols[iota - 2]
+    vals = np.abs(F(cols))
+    ratio = vals / (d_eff**dp1 * e_eff**dph)
+    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
+    sup = np.fmax.reduce(ratio, initial=0.0)  # fmax skips NaN ratios, as max(sup, r) did
+    grid = ratio.reshape(grid_d.shape)
+    delta_sups = np.fmax.reduce(grid, axis=1, initial=0.0)
+    eps_sups = np.fmax.reduce(grid, axis=0, initial=0.0)
     d_slope = _level_slope(np.asarray(deltas), delta_sups)
     e_slope = _level_slope(np.asarray(epsilons), eps_sups)
     return PairScanResult(
@@ -382,32 +367,25 @@ def adjacent_pair_bound_scan(
     fractions = np.asarray(fractions, dtype=float)
     if np.any((fractions <= 0.0) | (fractions >= 1.0)):
         raise DomainError("fractions must lie strictly inside (0, 1)")
-    rows = []
-    sup = 0.0
-    eps_sups = np.zeros(len(epsilons))
-    split = {"inner": 0.0, "outer": 0.0}
-    mid_idx = int(np.argmin(np.abs(fractions - 0.5)))
-    mid_vals = np.zeros(len(epsilons))
-    mid_eps = np.zeros(len(epsilons))
-    for b, eps in enumerate(np.asarray(epsilons, dtype=float)):
-        for a, frac in enumerate(fractions):
-            delta = frac * eps
-            xs = config.array
-            base = xs[iota - 3]
-            xs[iota - 2] = base + delta
-            xs[iota - 1] = base + eps
-            d_eff = xs[iota - 2] - base
-            e_eff = xs[iota - 1] - base
-            val = abs(F(xs))
-            ratio = val / (d_eff**dp1 * e_eff**dph * (e_eff - d_eff) ** dph)
-            rows.append((d_eff, e_eff, val, ratio))
-            sup = max(sup, ratio)
-            eps_sups[b] = max(eps_sups[b], ratio)
-            key = "inner" if d_eff < e_eff / 2.0 else "outer"
-            split[key] = max(split[key], ratio)
-            if a == mid_idx:
-                mid_vals[b] = val / (d_eff**dp1 * (e_eff - d_eff) ** dph)
-                mid_eps[b] = e_eff
+    grid_e, grid_f = np.meshgrid(epsilons, fractions, indexing="ij")  # rows: eps-major
+    base = config.x(iota - 2)
+    moves = {iota - 1: base + (grid_f * grid_e).ravel(), iota: base + grid_e.ravel()}
+    cols = _batch(config, moves)
+    d_eff = cols[iota - 2] - base
+    e_eff = cols[iota - 1] - base
+    vals = np.abs(F(cols))
+    ratio = vals / (d_eff**dp1 * e_eff**dph * (e_eff - d_eff) ** dph)
+    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
+    sup = np.fmax.reduce(ratio, initial=0.0)
+    eps_sups = np.fmax.reduce(ratio.reshape(grid_e.shape), axis=1, initial=0.0)
+    inner = d_eff < e_eff / 2.0
+    split = {
+        "inner": float(np.fmax.reduce(ratio[inner], initial=0.0)),
+        "outer": float(np.fmax.reduce(ratio[~inner], initial=0.0)),
+    }
+    mid = slice(int(np.argmin(np.abs(fractions - 0.5))), None, len(fractions))
+    mid_eps = e_eff[mid]
+    mid_vals = vals[mid] / (d_eff[mid] ** dp1 * (mid_eps - d_eff[mid]) ** dph)
     e_slope = _level_slope(np.asarray(epsilons), eps_sups)
     keep = mid_vals > 0.0
     eps_exponent = None

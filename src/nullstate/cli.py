@@ -19,9 +19,7 @@ from . import asymptotics as asym
 from . import checks, pde
 from .errors import DomainError, PreconditionError, TruncationError
 from .exponents import (
-    delta_plus,
     eigenvalue,
-    gap,
     jacobi_params,
     kpz,
     kpz_leg_identity_residual,
@@ -33,6 +31,13 @@ from .heat_kernel import HeatKernel, bound_ratio_scan
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def parse_weight(spec: str, kappa: float) -> float:
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exponents", help="leg weights, collapse exponents, eigenvalues")
     p_exp.add_argument("--kappa", type=float, nargs="+", required=True)
-    p_exp.add_argument("--smax", type=int, default=5)
+    p_exp.add_argument("--smax", type=positive_int, default=5)
     p_exp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_exp.add_argument("--output", default=None)
     p_exp.set_defaults(func=cmd_exponents)
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--beta", type=float, default=None)
     p_ver.add_argument("--candidate", default="n1",
                        help="n1 | one | power:<i,j=mu;...> (pde suite)")
-    p_ver.add_argument("--configs", type=int, default=100)
+    p_ver.add_argument("--configs", type=positive_int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--t", type=float, nargs="+", default=None,
                        help="kernel times (default t-min, 1e-2, 0.1, 1, 10)")
@@ -317,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--t-min", type=float, default=0.05)
     p_scan.add_argument("--c1", type=float, default=3.8)
     p_scan.add_argument("--c2", type=float, default=4.25)
-    p_scan.add_argument("--n-angle", type=int, default=13)
-    p_scan.add_argument("--n-time", type=int, default=8)
-    p_scan.add_argument("--n-sigma", type=int, default=5)
-    p_scan.add_argument("--n-eta", type=int, default=4)
+    p_scan.add_argument("--n-angle", type=positive_int, default=13)
+    p_scan.add_argument("--n-time", type=positive_int, default=8)
+    p_scan.add_argument("--n-sigma", type=positive_int, default=5)
+    p_scan.add_argument("--n-eta", type=positive_int, default=4)
     p_scan.add_argument("--rho", type=float, default=0.4)
     p_scan.add_argument("--epsilon", type=float, default=0.5)
     p_scan.add_argument("--tol", type=float, default=1e-4)

@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,10 +51,15 @@ class JacobiBasis:
 
     def _rows(self, n_max: int, y):
         """P_0(y), ..., P_n_max(y), one degree at a time, by the three-term recurrence."""
+        if n_max < 0:
+            raise DomainError(f"jacobi degree must be >= 0, got {n_max!r}")
+        return itertools.islice(self._recurrence_rows(y), n_max + 1)
+
+    def _recurrence_rows(self, y):
         p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
         pm1 = np.ones_like(y)
-        yield from (pm1, p)[: n_max + 1]
-        for k in range(2, n_max + 1):
+        yield from (pm1, p)
+        for k in itertools.count(2):
             a, b0, b1, c = _recurrence(k, self.alpha, self.beta)
             p, pm1 = ((b0 + b1 * y) * p - c * pm1) / a, p
             yield p
@@ -67,8 +73,9 @@ class JacobiBasis:
     def eval_table(self, n_max: int, y) -> np.ndarray:
         """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
+        rows = self._rows(n_max, y)
         table = np.empty((n_max + 1,) + y.shape)
-        for k, p in enumerate(self._rows(n_max, y)):
+        for k, p in enumerate(rows):
             table[k] = p
         return table
 

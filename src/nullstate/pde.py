@@ -8,7 +8,6 @@ solution produces exactly the catastrophic cancellation the residual measures.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -113,9 +112,12 @@ class ResidualReport:
 class CandidateFunction:
     """An evaluable scalar field on strictly increasing configurations.
 
-    func maps a coordinate array to a float and must be pure.  grad/second,
-    when provided, are exact partial derivatives used only as
-    stencil-validation oracles.
+    F maps one configuration, shape (M,), to a float and a batch, the columns of
+    an (M, B) array, to a (B,) array.  func must be pure; xs[k] is a scalar or a
+    length-B array, so numpy arithmetic serves both.  A func that raises
+    TypeError/ValueError on a batch, or does not return shape (B,), is called
+    column by column.  grad/second, when provided, are exact partial
+    derivatives used only as stencil-validation oracles.
     """
 
     name: str
@@ -124,11 +126,20 @@ class CandidateFunction:
     grad: Optional[Callable[[np.ndarray, int], float]] = None
     second: Optional[Callable[[np.ndarray, int], float]] = None
 
-    def __call__(self, coords) -> float:
+    def __call__(self, coords):
         xs = np.asarray(coords, dtype=float)
-        if self.arity is not None and xs.size != self.arity:
-            raise DomainError(f"{self.name} expects {self.arity} coordinates, got {xs.size}")
-        return float(self.func(xs))
+        if xs.ndim not in (1, 2) or self.arity not in (None, len(xs)):
+            M = self.arity or "M"
+            raise DomainError(f"{self.name} takes shape ({M},) or ({M}, B), got {xs.shape}")
+        if xs.ndim == 1:
+            return float(self.func(xs))
+        try:
+            vals = np.asarray(self.func(xs), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != xs.shape[1:]:
+            vals = np.array([float(self.func(col)) for col in xs.T])
+        return vals
 
 
 # -- stencils -----------------------------------------------------------------
@@ -145,21 +156,17 @@ def _stencil_step(config: PointConfig, step: float | None) -> float:
 
 
 def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
-    """F and all its first and second partials at config, from 1 + 4M calls of F.
+    """F and all its first and second partials at config, from one batch of 1 + 4M samples.
 
-    The samples are F(x), F(x +- h e_k) and F(x +- 2h e_k); every equation of
-    the system reads its partials from them.
+    Column 0 is x; columns 1+4k..4+4k move x_k by -2h, -h, +h, +2h.  Every
+    equation of the system reads its partials from them.
     """
-    xs = config.array
-
-    def at(i, t):
-        ys = xs.copy()
-        ys[i] = t
-        return F(ys)
-
-    fval = F(xs)
-    wings = [findiff.wings(functools.partial(at, i), xs[i], h) for i in range(config.M)]
-    return fval, [findiff.first(w, h) for w in wings], [findiff.second(fval, w, h) for w in wings]
+    M = config.M
+    cols = np.repeat(config.array[:, None], 1 + 4 * M, axis=1)
+    cols[:, 1:] += (np.eye(M)[:, :, None] * [-2.0 * h, -h, h, 2.0 * h]).reshape(M, -1)
+    vals = F(cols).tolist()
+    f0, wings = vals[0], [vals[1 + 4 * k : 5 + 4 * k] for k in range(M)]
+    return f0, [findiff.first(w, h) for w in wings], [findiff.second(f0, w, h) for w in wings]
 
 
 # -- residuals ----------------------------------------------------------------
@@ -371,7 +378,7 @@ def resolve_candidate(name: str, kappa: float, M: int | None = None) -> Candidat
     if name == "one":
         return CandidateFunction(
             name="one",
-            func=lambda xs: 1.0,
+            func=lambda xs: np.ones_like(xs[0]),
             grad=lambda xs, k: 0.0,
             second=lambda xs, k: 0.0,
         )

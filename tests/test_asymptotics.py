@@ -192,6 +192,86 @@ def test_far_pair_rejects_adjacent():
         far_pair_bound_scan(builtin_n1(kappa), cfg, w, j=2)
 
 
+def _pointwise_rows(F, config, moves, ratio):
+    """The per-point loop the batched scans replaced: one F call per grid point."""
+    rows = []
+    for move in moves:
+        xs = config.array
+        for i, (anchor, length) in move.items():
+            xs[i - 1] = xs[anchor - 1] + length
+        lengths = [xs[i - 1] - xs[anchor - 1] for i, (anchor, _) in move.items()]
+        val = abs(F(xs))
+        rows.append((*lengths, val, val / ratio(*lengths)))
+    return rows
+
+
+def test_far_pair_scan_matches_pointwise_loop():
+    # NaN ratios (here the eps = 1e-5 column) are skipped by every sup
+    kappa = 6.0
+    h = leg_weight(2, kappa)
+    dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+    w = WeightAssignment(kappa=kappa, iota=5, h=h)
+    base = asym.manufactured_far_pair(kappa, h, 5, 2, 5, violating=True)
+    F = pde.CandidateFunction(
+        name="holed", arity=5,
+        func=lambda xs: np.where(xs[4] - xs[3] > 5e-5, base.func(xs), np.nan),
+    )
+    deltas, epsilons = [1e-4, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3]
+    scan = far_pair_bound_scan(F, cfg, w, j=2, deltas=deltas, epsilons=epsilons)
+    moves = [{2: (1, d), 5: (4, e)} for d in deltas for e in epsilons]
+    want = _pointwise_rows(F, cfg, moves, lambda d, e: d**dp1 * e**dph)
+    np.testing.assert_allclose(scan.rows, want, rtol=1e-14)
+    ratios = np.array([row[3] for row in want]).reshape(3, 3)
+    assert scan.sup_ratio == pytest.approx(np.nanmax(ratios), rel=1e-14)
+    slope = np.polyfit(np.log(deltas), np.log(np.nanmax(ratios, axis=1)), 1)[0]
+    assert scan.delta_slope == pytest.approx(slope, rel=1e-12)
+    assert scan.divergent
+
+
+def test_adjacent_pair_scan_matches_pointwise_loop():
+    kappa = 10.0 / 3.0
+    h = leg_weight(2, kappa)
+    dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+    w = WeightAssignment(kappa=kappa, iota=4, h=h)
+    F = asym.manufactured_adjacent(kappa, h, 5, 4, shape="weak-eps")
+    epsilons, fractions = [1e-4, 1e-3, 1e-2], [0.2, 0.5, 0.7]
+    scan = adjacent_pair_bound_scan(F, cfg, w, epsilons=epsilons, fractions=fractions)
+    moves = [{3: (2, f * e), 4: (2, e)} for e in epsilons for f in fractions]
+    want = _pointwise_rows(F, cfg, moves, lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
+    np.testing.assert_allclose(scan.rows, want, rtol=1e-14)
+    ratios = np.array([row[3] for row in want])
+    inner = np.array([d < e / 2.0 for d, e, _, _ in want])
+    assert scan.sup_ratio == pytest.approx(ratios.max(), rel=1e-14)
+    assert scan.split_sups["inner"] == pytest.approx(ratios[inner].max(), rel=1e-14)
+    assert scan.split_sups["outer"] == pytest.approx(ratios[~inner].max(), rel=1e-14)
+    assert scan.eps_exponent == pytest.approx(dph - 0.5, abs=1e-9)
+    assert scan.divergent
+
+
+def test_far_pair_rejects_displacement_past_neighbour():
+    # delta = 2.5 puts x_2 past x_3
+    kappa = 6.0
+    h = leg_weight(2, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+    w = WeightAssignment(kappa=kappa, iota=5, h=h)
+    F = asym.manufactured_far_pair(kappa, h, 5, 2, 5)
+    with pytest.raises(PreconditionError):
+        far_pair_bound_scan(F, cfg, w, j=2, deltas=[1e-3, 2.5], epsilons=[1e-3])
+
+
+def test_adjacent_pair_rejects_displacement_onto_neighbour():
+    # eps = 3 puts x_4 on x_5
+    kappa = 6.0
+    h = leg_weight(2, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+    w = WeightAssignment(kappa=kappa, iota=4, h=h)
+    F = asym.manufactured_adjacent(kappa, h, 5, 4)
+    with pytest.raises(PreconditionError):
+        adjacent_pair_bound_scan(F, cfg, w, epsilons=[1e-3, 3.0])
+
+
 @pytest.mark.parametrize("kappa", (10.0 / 3.0, 6.0))
 def test_adjacent_pair_scan(kappa):
     h = leg_weight(2, kappa)

@@ -118,3 +118,24 @@ def test_scan_output_io_failure(capsys):
     code = cli.main(["scan", "green-adjoint", "--kappa", "6",
                      "--output", "/nonexistent-dir/x.csv"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "pde", "--kappa", "6", "--configs", "0"),
+        ("scan", "kernel-bounds", "--kappa", "6", "--n-angle", "0"),
+        ("scan", "kernel-bounds", "--kappa", "6", "--n-time", "-1"),
+        ("scan", "green-adjoint", "--kappa", "6", "--n-sigma", "0"),
+        ("scan", "green-adjoint", "--kappa", "6", "--n-eta", "0"),
+        ("exponents", "--kappa", "6", "--smax", "0"),
+    ),
+)
+def test_grid_sizes_must_be_positive(argv, tmp_path, capsys):
+    if argv[0] == "scan":
+        argv += ("--output", str(tmp_path / "out.csv"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

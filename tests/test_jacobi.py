@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullstate import JacobiBasis, gauss_jacobi_rule, jacobi_params, leg_weight
+from nullstate import DomainError, JacobiBasis, gauss_jacobi_rule, jacobi_params, leg_weight
 from nullstate.jacobi import log_beta
 
 PARAM_GRID = [
@@ -19,6 +19,15 @@ for kappa in (10.0 / 3.0, 4.0, 6.0):
     for s in (1, 2, 3):
         p = jacobi_params(leg_weight(s, kappa), kappa)
         PARAM_GRID.append((p.alpha, p.beta))
+
+
+@pytest.mark.parametrize("n", (-1, -2))
+def test_negative_degree_is_domain_error(n):
+    b = JacobiBasis(0.5, 1.5)
+    with pytest.raises(DomainError):
+        b.eval(n, 0.3)
+    with pytest.raises(DomainError):
+        b.eval_table(n, [0.3, -0.2])
 
 
 def test_degree_zero_and_one():

@@ -20,6 +20,7 @@ from nullstate import (
     two_point_ward_solvable,
     ward_residuals,
 )
+from nullstate import asymptotics as asym
 from nullstate import findiff
 from conftest import KAPPA_GRID, KAPPA_MODERATE
 
@@ -160,19 +161,81 @@ def test_power_product_derivatives(rng):
 
 @pytest.mark.parametrize("M", (2, 5, 8))
 def test_system_residuals_sample_once(M):
-    # one shared stencil per configuration: F(x), F(x +- h e_k), F(x +- 2h e_k)
+    # one shared stencil per configuration, F(x), F(x +- h e_k), F(x +- 2h e_k),
+    # evaluated as one batch: a single call of func on 1 + 4M columns
     base = builtin_power_product({(i, i + 1): 0.5 for i in range(1, M)}, M)
     calls = []
 
     def func(xs):
-        calls.append(1)
+        calls.append(xs.shape)
         return base.func(xs)
 
     F = CandidateFunction(name="counted", func=func, arity=M)
     cfg = PointConfig(tuple(0.2 + 1.3 * np.arange(M)))
     reports = system_residuals(F, cfg, WeightAssignment.one_leg(4.0, M))
     assert len(reports) == M + 3
-    assert len(calls) == 1 + 4 * M
+    assert calls == [(M, 1 + 4 * M)]
+
+
+def _increasing_batch(rng, M, B=7):
+    """B strictly increasing configurations as the columns of an (M, B) array."""
+    gaps = rng.uniform(0.2, 1.5, size=(M - 1, B))
+    return rng.uniform(-3.0, 3.0, size=B) + np.vstack([np.zeros(B), np.cumsum(gaps, axis=0)])
+
+
+KAPPA_BATCH = 10.0 / 3.0
+H_BATCH = leg_weight(2, KAPPA_BATCH)
+MU_BATCH = {(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}
+# every builtin and manufactured field, with its number of power factors
+BATCH_FIELDS = [
+    (builtin_n1(KAPPA_BATCH), 1),
+    (builtin_power_product(MU_BATCH, 3), len(MU_BATCH)),
+    (resolve_candidate("one", KAPPA_BATCH), 0),
+    (asym.manufactured_collapse_power(KAPPA_BATCH, 3, 2, -0.7), 1),
+    (asym.manufactured_collapse_power(KAPPA_BATCH, 3, 2, -0.7, prefactor=lambda x: x * x + 1), 1),
+    (asym.manufactured_two_leg(KAPPA_BATCH, 3, 2, 0.05), 1),
+    (asym.manufactured_two_term(KAPPA_BATCH, 3, 2, H_BATCH, 2.0, 3.0), 2),
+    (asym.manufactured_far_pair(KAPPA_BATCH, H_BATCH, 5, 2, 5), 2),
+    (asym.manufactured_far_pair(KAPPA_BATCH, H_BATCH, 5, 2, 5, violating=True), 2),
+    (asym.manufactured_adjacent(KAPPA_BATCH, H_BATCH, 5, 4), 3),
+    (asym.manufactured_adjacent(KAPPA_BATCH, H_BATCH, 5, 4, shape="weak-eps"), 3),
+]
+
+
+@pytest.mark.parametrize("field, n_powers", BATCH_FIELDS, ids=[f.name for f, _ in BATCH_FIELDS])
+def test_batch_matches_columns(field, n_powers, rng):
+    # numpy's array ** may differ from the scalar pow by an ulp per factor
+    M = field.arity or 2
+    calls = []
+
+    def func(xs):
+        calls.append(xs.shape)
+        return field.func(xs)
+
+    F = CandidateFunction(name="counted", func=func, arity=field.arity)
+    X = _increasing_batch(rng, M)
+    got = F(X)
+    assert calls == [X.shape]
+    want = np.array([field(col) for col in X.T])
+    assert got.shape == want.shape == (X.shape[1],)
+    assert np.all(np.abs(got - want) <= 2 * max(n_powers, 1) * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "func",
+    (
+        lambda xs: math.exp(xs[1] - xs[0]),  # TypeError on an array
+        lambda xs: np.prod(np.diff(xs)),  # reduces the whole batch to a scalar
+        lambda xs: 1.0 if xs[0] < 0.0 else 2.0,  # ValueError: truth of an array
+    ),
+    ids=("math-exp", "prod-of-diff", "if-on-coordinate"),
+)
+def test_scalar_only_field_falls_back_to_columns(func, rng):
+    F = CandidateFunction(name="scalar-only", func=func)
+    X = _increasing_batch(rng, 3)
+    got = F(X)
+    assert got.shape == (X.shape[1],)
+    assert got.tolist() == [F(col) for col in X.T]
 
 
 def test_system_residuals_match_standalone_reports():
