@@ -42,9 +42,12 @@ def positive_int(text: str) -> int:
 
 def parse_weight(spec: str, kappa: float) -> float:
     """'theta<N>' or a literal float."""
-    if spec.startswith("theta"):
-        return leg_weight(int(spec[len("theta"):]), kappa)
-    return float(spec)
+    is_leg = spec.startswith("theta")
+    try:
+        value = int(spec[len("theta"):]) if is_leg else float(spec)
+    except ValueError as exc:
+        raise DomainError(f"bad weight spec {spec!r}; expected theta<N> or a float") from exc
+    return leg_weight(value, kappa) if is_leg else value
 
 
 def parse_corrupt(items) -> dict:
@@ -115,20 +118,20 @@ def cmd_exponents(args) -> int:
         name="kpz_leg_identity_residual", value=worst, tolerance=1e-12,
         passed=worst <= 1e-12,
     )
+    payload = {
+        "schema": 1,
+        "command": "exponents",
+        "params": {"kappa": list(args.kappa), "smax": args.smax},
+        "rows": rows,
+        "checks": [check.to_dict()],
+        "passed": check.passed,
+        "wall_time": time.perf_counter() - started,
+    }
+    text = json.dumps(payload, indent=2)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "exponents",
-            "params": {"kappa": list(args.kappa), "smax": args.smax},
-            "rows": rows,
-            "checks": [check.to_dict()],
-            "passed": check.passed,
-            "wall_time": time.perf_counter() - started,
-        }
-        text = json.dumps(payload, indent=2)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
         print(text)
     elif args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))

@@ -43,6 +43,19 @@ def test_exponents_csv(capsys):
     assert float(rows[0]["theta_s"]) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+def test_exponents_output_writes_json_for_every_format(fmt, tmp_path, capsys):
+    out_file = tmp_path / "exponents.json"
+    code, _ = run(capsys, "exponents", "--kappa", "4", "--smax", "2",
+                  "--format", fmt, "--output", str(out_file))
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["command"] == "exponents"
+    assert payload["passed"] is True
+    assert [row["s"] for row in payload["rows"]] == [1, 2]
+    assert payload["rows"][0]["theta_s"] == pytest.approx(0.25)
+
+
 def test_verify_suite_passes(capsys):
     code, out = run(capsys, "verify", "pde", "--kappa", "3.3333", "--candidate", "n1")
     assert code == 0
@@ -139,3 +152,17 @@ def test_grid_sizes_must_be_positive(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ("theta", "thetaX", "abc"))
+@pytest.mark.parametrize("command", ("verify", "scan"))
+def test_malformed_weight_is_usage_error(command, spec, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    if command == "verify":
+        argv = ["verify", "exponents"]
+    else:
+        argv = ["scan", "kernel-bounds", "--output", str(out_file)]
+    code = cli.main(argv + ["--kappa", "6", "--h", spec])
+    assert code == 2
+    assert f"bad weight spec {spec!r}" in capsys.readouterr().err
+    assert not out_file.exists()

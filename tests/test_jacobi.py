@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullstate import DomainError, JacobiBasis, gauss_jacobi_rule, jacobi_params, leg_weight
-from nullstate.jacobi import log_beta
+from nullstate.jacobi import NARROW, log_beta
 
 PARAM_GRID = [
     (0.0, 0.0),
@@ -160,3 +160,74 @@ def test_derivative_shift_identity(rng):
         exact = b.deriv(n, ys)
         fd = (b.eval(n, ys + h) - b.eval(n, ys - h)) / (2 * h)
         assert np.max(np.abs(exact - fd)) <= 1e-7 * b.endpoint_max(n)
+
+
+def _reference_table(alpha, beta, n_max, y):
+    """The three-term recurrence on the whole ndarray, one degree at a time, with
+    each degree's coefficients computed in Python floats as it is reached."""
+    y = np.asarray(y, dtype=float)
+    apb = alpha + beta
+    table = np.empty((n_max + 1,) + y.shape)
+    pm1 = np.ones_like(y)
+    p = (alpha + 1.0) + (alpha + beta + 2.0) * (y - 1.0) / 2.0
+    table[0] = pm1
+    if n_max >= 1:
+        table[1] = p
+    for n in range(2, n_max + 1):
+        a = 2.0 * n * (n + apb) * (2.0 * n + apb - 2.0)
+        b0 = (2.0 * n + apb - 1.0) * (alpha * alpha - beta * beta)
+        b1 = (2.0 * n + apb - 1.0) * (2.0 * n + apb) * (2.0 * n + apb - 2.0)
+        c = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + apb)
+        p, pm1 = ((b0 + b1 * y) * p - c * pm1) / a, p
+        table[n] = p
+    return table
+
+
+@pytest.mark.parametrize("shape", ((1,), (2,), (NARROW,), (NARROW + 1,), (120,), (3, 4), (6, 20)))
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+def test_eval_table_matches_reference_bitwise(alpha, beta, shape, rng):
+    b = JacobiBasis(alpha, beta)
+    y = rng.uniform(-1.0, 1.0, size=shape)
+    y.flat[0] = 1.0
+    for n_max in (0, 1, 2, 300):
+        want = _reference_table(alpha, beta, n_max, y)
+        got = b.eval_table(n_max, y)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(b.eval(n_max, y)).tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("n", (0, 1, 5, 300))
+def test_eval_of_scalar_is_python_float(n):
+    b = JacobiBasis(0.5, 1.5)
+    value = b.eval(n, 0.3)
+    assert type(value) is float
+    assert value == _reference_table(0.5, 1.5, n, 0.3)[-1]
+    assert type(b.deriv(n, 0.3)) is float
+
+
+def test_coefficient_table_grows_without_changing_rows(rng):
+    y = rng.uniform(-1.0, 1.0, size=5)
+    b = JacobiBasis(1.0 / 3.0, 1.0 / 3.0)
+    first = b.eval_table(10, y).tobytes()
+    assert len(b._coeffs[0]) == 9  # a fresh basis builds only degrees 2..10
+    b.eval_table(12, y)
+    assert len(b._coeffs[0]) == 18  # then doubles
+    big = b.eval_table(500, y)
+    assert len(b._coeffs[0]) == 499
+    assert b.eval_table(10, y).tobytes() == first
+    assert big.tobytes() == JacobiBasis(1.0 / 3.0, 1.0 / 3.0).eval_table(500, y).tobytes()
+
+
+@pytest.mark.parametrize("size", (1, NARROW + 9))
+def test_deriv_matches_finite_differences_either_width(size, rng):
+    b = JacobiBasis(0.9, 0.2)
+    ys = rng.uniform(-0.95, 0.95, size=size)
+    h = 1e-6
+    for n in (1, 3, 7, 40):
+        for order in (1, 2):
+            exact = b.deriv(n, ys, order)
+            fd = (b.deriv(n, ys + h, order - 1) - b.deriv(n, ys - h, order - 1)) / (2 * h)
+            scale = b.endpoint_max(n) * (n * (n + b.alpha + b.beta + 1.0)) ** order
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * scale
