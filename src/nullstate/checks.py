@@ -101,7 +101,11 @@ def _check_corrupt(corrupt: dict | None) -> dict:
 # -- exponents -----------------------------------------------------------------
 
 
-def suite_exponents(kappas=KAPPA_GRID, s_max: int = 10, h_legs: int = 5) -> list:
+S_MAX = 10  # KPZ identities are checked for theta_s, s = 1..S_MAX
+H_LEGS = 5  # eigenvalue checks take h = theta_s, s = 1..H_LEGS
+
+
+def suite_exponents(kappas=KAPPA_GRID) -> list:
     checks = []
     worst_leg = 0.0
     worst_closed = 0.0
@@ -113,7 +117,7 @@ def suite_exponents(kappas=KAPPA_GRID, s_max: int = 10, h_legs: int = 5) -> list
     params_positive = True
     for kappa in kappas:
         th1 = leg_weight(1, kappa)
-        for s in range(1, s_max + 1):
+        for s in range(1, S_MAX + 1):
             rp, rm = kpz_leg_identity_residual(s, kappa)
             worst_leg = max(worst_leg, abs(rp), abs(rm))
             pair = kpz(leg_weight(s, kappa), kappa)
@@ -123,14 +127,14 @@ def suite_exponents(kappas=KAPPA_GRID, s_max: int = 10, h_legs: int = 5) -> list
                 abs(pair.delta_minus - (1.0 - (2.0 * s + 4.0) / kappa)),
             )
         floor = weight_floor(kappa)
-        ds = [leg_weight(s, kappa) for s in range(0, s_max + 1)]
+        ds = [leg_weight(s, kappa) for s in range(0, S_MAX + 1)]
         ds += [floor + 0.1, 0.7, 5.0, 25.0]
         for d in ds:
             pair = kpz(d, kappa)
             worst_vieta_sum = max(worst_vieta_sum, abs(pair.vieta_sum - (kappa - 4.0) / kappa))
             worst_vieta_prod = max(worst_vieta_prod, abs(pair.vieta_product + 4.0 * d / kappa))
             worst_gap = max(worst_gap, -pair.gap)
-        for s in range(1, h_legs + 1):
+        for s in range(1, H_LEGS + 1):
             h = leg_weight(s, kappa)
             lam0 = eigenvalue(0, h, kappa)
             target = 2.0 * delta_plus(h, kappa) + delta_plus(th1, kappa)
@@ -153,14 +157,12 @@ def suite_exponents(kappas=KAPPA_GRID, s_max: int = 10, h_legs: int = 5) -> list
 # -- jacobi ----------------------------------------------------------------------
 
 
-def suite_jacobi(
-    alpha: float,
-    beta: float,
-    n_operator: int = 20,
-    n_ortho: int = 15,
-    n_sum: int = 8,
-    seed: int = 0,
-) -> list:
+N_SUM = 8  # degrees checked against the gamma-function sum
+N_ORTHO = 15  # degrees checked for orthogonality, norms and symmetry
+N_OPERATOR = 20  # degrees checked as eigenfunctions of the Jacobi operator
+
+
+def suite_jacobi(alpha: float, beta: float, seed: int = 0) -> list:
     basis = JacobiBasis(alpha, beta)
     flipped = JacobiBasis(beta, alpha)
     rng = np.random.default_rng(seed)
@@ -168,18 +170,18 @@ def suite_jacobi(
 
     ys = rng.uniform(-1.0, 1.0, size=50)
     worst = 0.0
-    for n in range(n_sum + 1):
+    for n in range(N_SUM + 1):
         ref = max(basis.endpoint_max(n), 1.0)
         diff = np.max(np.abs(basis.eval(n, ys) - basis.eval_explicit_sum(n, ys)))
         worst = max(worst, diff / ref)
     checks.append(_leq("recurrence_vs_gamma_sum", worst, 1e-10))
 
-    rule = gauss_jacobi_rule(2 * n_ortho + 10, basis)
-    table = basis.eval_table(n_ortho, rule.nodes)
+    rule = gauss_jacobi_rule(2 * N_ORTHO + 10, basis)
+    table = basis.eval_table(N_ORTHO, rule.nodes)
     grams = (table * rule.weights) @ table.T
     worst_off = 0.0
     worst_norm = 0.0
-    for n in range(n_ortho + 1):
+    for n in range(N_ORTHO + 1):
         hn = basis.norm_sq(n)
         worst_norm = max(worst_norm, abs(grams[n, n] - hn) / hn)
         for m in range(n):
@@ -187,9 +189,9 @@ def suite_jacobi(
     checks.append(_leq("orthogonality", worst_off, 1e-10))
     checks.append(_leq("norm_vs_closed_form", worst_norm, 1e-10))
 
-    unit = gauss_jacobi_rule(2 * n_ortho + 10, basis, domain="unit")
+    unit = gauss_jacobi_rule(2 * N_ORTHO + 10, basis, domain="unit")
     worst_shift = 0.0
-    for n in range(n_ortho + 1):
+    for n in range(N_ORTHO + 1):
         f = lambda s: basis.eval(n, 2.0 * s - 1.0) ** 2
         q = unit.integrate(f)
         ref = basis.shifted_norm_sq(n)
@@ -197,7 +199,7 @@ def suite_jacobi(
     checks.append(_leq("shifted_norm_relation", worst_shift, 1e-10))
 
     worst_sym = 0.0
-    for n in range(n_ortho + 1):
+    for n in range(N_ORTHO + 1):
         ref = max(basis.endpoint_max(n), 1.0)
         diff = np.max(np.abs(basis.eval(n, -ys) - (-1.0) ** n * flipped.eval(n, ys)))
         worst_sym = max(worst_sym, diff / ref)
@@ -205,7 +207,7 @@ def suite_jacobi(
 
     grid = np.linspace(-0.95, 0.95, 41)
     worst_op = 0.0
-    for n in range(n_operator + 1):
+    for n in range(N_OPERATOR + 1):
         res = basis.operator_residual(n, grid)
         worst_op = max(worst_op, res / basis.endpoint_max(n))
     checks.append(_leq("operator_eigen_residual", worst_op, 1e-9))
@@ -220,18 +222,20 @@ def suite_jacobi(
 # -- heat kernel -------------------------------------------------------------------
 
 
+QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
+
+
 def suite_kernel(
     alpha: float,
     beta: float,
     t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0),
-    quad_points: int = 120,
     corrupt: dict | None = None,
     seed: int = 0,
 ) -> list:
     corrupt = _check_corrupt(corrupt)
     kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
     true_basis = JacobiBasis(alpha, beta)
-    rule = gauss_jacobi_rule(quad_points, true_basis, domain="unit")
+    rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -460,7 +464,7 @@ def suite_pde(
 # -- asymptotics ----------------------------------------------------------------------
 
 
-def suite_asymptotics(kappa: float, h: float | None = None, seed: int = 0) -> list:
+def suite_asymptotics(kappa: float, h: float | None = None) -> list:
     if h is None:
         h = leg_weight(2, kappa)
     th1 = leg_weight(1, kappa)
@@ -561,7 +565,7 @@ def run_suite(
     if name == "pde":
         return suite_pde(kappa, candidate=candidate, n_configs=n_configs, seed=seed)
     if name == "asymptotics":
-        return suite_asymptotics(kappa, h=h, seed=seed)
+        return suite_asymptotics(kappa, h=h)
     checks = []
     for sub in ("exponents", "jacobi", "kernel", "green", "pde", "asymptotics"):
         sub_checks = run_suite(

@@ -62,12 +62,11 @@ def parse_corrupt(items) -> dict:
 
 
 def _print_report(report: checks.Report, fmt: str, output: str | None) -> None:
-    payload = report.to_dict()
+    text = json.dumps(report.to_dict(), indent=2)
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text + "\n")
     if fmt == "json":
-        text = json.dumps(payload, indent=2)
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text + "\n")
         print(text)
         return
     print(f"# {report.command}")
@@ -83,10 +82,6 @@ def _print_report(report: checks.Report, fmt: str, output: str | None) -> None:
         print(line)
     n_fail = sum(not c.passed for c in report.checks)
     print(f"# {len(report.checks)} checks, {n_fail} failures, {report.wall_time:.2f}s")
-    if output:
-        with open(output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def cmd_exponents(args) -> int:

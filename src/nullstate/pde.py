@@ -9,7 +9,7 @@ solution produces exactly the catastrophic cancellation the residual measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,14 +26,17 @@ class PointConfig:
     """Strictly increasing coordinates x_1 < x_2 < ... < x_M."""
 
     coords: tuple
+    min_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.coords, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise DomainError("a configuration needs at least two coordinates")
-        if not np.all(np.diff(xs) > 0.0):
+        gaps = np.diff(xs)
+        if not np.all(gaps > 0.0):
             raise DomainError(f"coordinates must be strictly increasing, got {self.coords!r}")
         object.__setattr__(self, "coords", tuple(float(x) for x in xs))
+        object.__setattr__(self, "min_gap", float(np.min(gaps)))
 
     @classmethod
     def of(cls, *xs) -> "PointConfig":
@@ -46,10 +49,6 @@ class PointConfig:
     @property
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=float)
-
-    @property
-    def min_gap(self) -> float:
-        return float(np.min(np.diff(self.array)))
 
     def x(self, i: int) -> float:
         """1-based coordinate access matching the math."""
@@ -146,11 +145,11 @@ class CandidateFunction:
 
 
 def _stencil_step(config: PointConfig, step: float | None) -> float:
-    h = STEP_FACTOR * config.min_gap if step is None else float(step)
-    if 4.0 * h >= config.min_gap:
+    gap = config.min_gap
+    h = STEP_FACTOR * gap if step is None else float(step)
+    if not 0.0 < 4.0 * h < gap:
         raise PreconditionError(
-            f"stencil of step {h!r} would leave the increasing region "
-            f"(minimum gap {config.min_gap!r})"
+            f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}"
         )
     return h
 
@@ -192,23 +191,8 @@ def null_state_residual(
         raise DomainError(f"j must lie in 1..{M}, got {j!r}")
     if j == weights.iota and not weights.homogeneous:
         raise PreconditionError("no null-state equation is centered on the anomalous index")
-    h = _stencil_step(config, step)
-    return _null_state(config, weights, j, h, _stencil(F, config, h))
-
-
-def _null_state(config, weights, j, h, stencil) -> ResidualReport:
-    fval, grads, seconds = stencil
-    xj = config.x(j)
-    terms = [weights.kappa / 4.0 * seconds[j - 1]]
-    for k in range(1, config.M + 1):
-        if k == j:
-            continue
-        dx = config.x(k) - xj
-        terms.append(grads[k - 1] / dx)
-        terms.append(-weights.weight(k) * fval / dx**2)
-    residual = math.fsum(terms)
-    scale = max(abs(t) for t in terms)
-    return ResidualReport(equation=f"null_state[{j}]", residual=residual, scale=scale, step=h)
+    name = f"null_state[{j}]"
+    return next(r for r in system_residuals(F, config, weights, step) if r.equation == name)
 
 
 def ward_residuals(
@@ -218,40 +202,7 @@ def ward_residuals(
     step: float | None = None,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
     """Residuals of the translation, dilation, and special-conformal identities."""
-    if weights.iota > config.M:
-        raise DomainError(f"iota={weights.iota} outside 1..{config.M}")
-    h = _stencil_step(config, step)
-    return _ward(config, weights, h, _stencil(F, config, h))
-
-
-def _ward(config, weights, h, stencil) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    M = config.M
-    fval, grads, _ = stencil
-
-    t1 = list(grads)
-    w1 = math.fsum(t1)
-
-    t2 = [config.x(k) * grads[k - 1] for k in range(1, M + 1)]
-    t2 += [weights.weight(k) * fval for k in range(1, M + 1)]
-    w2 = math.fsum(t2)
-
-    t3 = [config.x(k) ** 2 * grads[k - 1] for k in range(1, M + 1)]
-    t3 += [2.0 * weights.weight(k) * config.x(k) * fval for k in range(1, M + 1)]
-    w3 = math.fsum(t3)
-
-    def report(name, total, terms):
-        return ResidualReport(
-            equation=name,
-            residual=total,
-            scale=max((abs(t) for t in terms), default=0.0),
-            step=h,
-        )
-
-    return (
-        report("ward_translation", w1, t1),
-        report("ward_dilation", w2, t2),
-        report("ward_special_conformal", w3, t3),
-    )
+    return tuple(system_residuals(F, config, weights, step)[-3:])
 
 
 def system_residuals(
@@ -262,19 +213,36 @@ def system_residuals(
 ) -> list[ResidualReport]:
     """All available null-state equations plus the three Ward identities.
 
-    Every equation reads from one shared set of 1 + 4M samples of F.
+    Every equation reads from one shared set of 1 + 4M samples of F.  Each
+    residual is the fsum of its terms, reported against the largest |term|.
     """
+    M = config.M
+    if weights.iota > M:
+        raise DomainError(f"iota={weights.iota} outside 1..{M}")
     h = _stencil_step(config, step)
-    if weights.iota > config.M:
-        raise DomainError(f"iota={weights.iota} outside 1..{config.M}")
-    stencil = _stencil(F, config, h)
-    reports = []
-    for j in range(1, config.M + 1):
-        if j == weights.iota and not weights.homogeneous:
+    fval, grads, seconds = _stencil(F, config, h)
+    xs = config.coords
+    ws = [weights.weight(k) for k in range(1, M + 1)]
+    equations = []
+    for j in range(M):
+        if j + 1 == weights.iota and not weights.homogeneous:
             continue
-        reports.append(_null_state(config, weights, j, h, stencil))
-    reports.extend(_ward(config, weights, h, stencil))
-    return reports
+        terms = [weights.kappa / 4.0 * seconds[j]]
+        for k in range(M):
+            if k != j:
+                dx = xs[k] - xs[j]
+                terms += (grads[k] / dx, -ws[k] * fval / dx**2)
+        equations.append((f"null_state[{j + 1}]", terms))
+    equations += [
+        ("ward_translation", grads),
+        ("ward_dilation", [x * g for x, g in zip(xs, grads)] + [w * fval for w in ws]),
+        ("ward_special_conformal",
+         [x**2 * g for x, g in zip(xs, grads)] + [2.0 * w * x * fval for w, x in zip(ws, xs)]),
+    ]
+    return [
+        ResidualReport(name, math.fsum(terms), max((abs(t) for t in terms), default=0.0), h)
+        for name, terms in equations
+    ]
 
 
 def two_point_ward_solvable(h1: float, h2: float, tol: float = 1e-12) -> tuple[bool, float]:

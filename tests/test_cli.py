@@ -80,12 +80,18 @@ def test_verify_unknown_corruption_is_usage_error(capsys):
     assert cli.main(["verify", "green", "--kappa", "6", "--corrupt", "nope=1"]) == 2
 
 
-def test_verify_json_report(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_verify_json_report(fmt, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out = run(capsys, "verify", "exponents", "--kappa", "6",
-                    "--format", "json", "--output", str(out_file))
+                    "--format", fmt, "--output", str(out_file))
     assert code == 0
-    payload = json.loads(out_file.read_text())
+    # --output holds the json the json format prints, whatever the format
+    written = out_file.read_text()
+    assert written.endswith("}\n")
+    if fmt == "json":
+        assert written == out
+    payload = json.loads(written)
     assert payload["passed"] is True
     assert payload["schema"] == 2
     assert json.loads(json.dumps(payload)) == payload

@@ -21,7 +21,7 @@ from nullstate import (
     ward_residuals,
 )
 from nullstate import asymptotics as asym
-from nullstate import findiff
+from nullstate import findiff, pde
 from conftest import KAPPA_GRID, KAPPA_MODERATE
 
 
@@ -238,16 +238,95 @@ def test_scalar_only_field_falls_back_to_columns(func, rng):
     assert got.tolist() == [F(col) for col in X.T]
 
 
-def test_system_residuals_match_standalone_reports():
-    # the shared stencil feeds every equation exactly as a standalone call
-    # would; iota = 3 is anomalous, so its null-state equation is skipped
-    mu = {(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i in range(1, 6) for j in range(i + 1, 6)}
-    F = builtin_power_product(mu, 5)
-    cfg = PointConfig.of(-1.2, -0.3, 0.5, 1.9, 2.4)
-    w = WeightAssignment(kappa=10.0 / 3.0, iota=3, h=1.7)
-    want = [null_state_residual(F, cfg, w, j) for j in (1, 2, 4, 5)]
-    want += list(ward_residuals(F, cfg, w))
-    assert system_residuals(F, cfg, w) == want
+def _reference_reports(F, config, weights):
+    """Every equation assembled by its own loop, the reference for system_residuals.
+
+    Returns ({j: null_state[j]}, [translation, dilation, special_conformal]).
+    """
+    M = config.M
+    h = pde.STEP_FACTOR * float(np.min(np.diff(config.array)))
+    fval, grads, seconds = pde._stencil(F, config, h)
+
+    def report(name, terms):
+        scale = max((abs(t) for t in terms), default=0.0)
+        return pde.ResidualReport(name, math.fsum(terms), scale, h)
+
+    nulls = {}
+    for j in range(1, M + 1):
+        xj = config.x(j)
+        terms = [weights.kappa / 4.0 * seconds[j - 1]]
+        for k in range(1, M + 1):
+            if k == j:
+                continue
+            dx = config.x(k) - xj
+            terms.append(grads[k - 1] / dx)
+            terms.append(-weights.weight(k) * fval / dx**2)
+        nulls[j] = report(f"null_state[{j}]", terms)
+
+    t1 = list(grads)
+    t2 = [config.x(k) * grads[k - 1] for k in range(1, M + 1)]
+    t2 += [weights.weight(k) * fval for k in range(1, M + 1)]
+    t3 = [config.x(k) ** 2 * grads[k - 1] for k in range(1, M + 1)]
+    t3 += [2.0 * weights.weight(k) * config.x(k) * fval for k in range(1, M + 1)]
+    ward = [
+        report("ward_translation", t1),
+        report("ward_dilation", t2),
+        report("ward_special_conformal", t3),
+    ]
+    return nulls, ward
+
+
+def _bits(r):
+    return (r.equation, float.hex(r.residual), float.hex(r.scale), float.hex(r.step))
+
+
+WEIGHTINGS = {
+    "one-leg": lambda kappa, M: WeightAssignment.one_leg(kappa, M),
+    "iota2-h1.7": lambda kappa, M: WeightAssignment(kappa=kappa, iota=2, h=1.7),
+    "iotaM-h0.4": lambda kappa, M: WeightAssignment(kappa=kappa, iota=M, h=0.4),
+}
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("M", (2, 3, 5, 8))
+def test_system_residuals_match_standalone_reports(M, weighting):
+    # the one assembly reproduces the per-equation loops bit for bit, and the
+    # standalone functions select from it; the anomalous index of a
+    # non-homogeneous weighting has no null-state equation
+    pairs = [(i, j) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
+    mu = {(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i, j in pairs}
+    F = builtin_power_product(mu, M)
+    cfg = PointConfig(tuple(-1.2 + np.cumsum([0.0, 0.9, 0.8, 1.4, 0.5, 1.1, 0.35, 0.7][:M])))
+    for kappa in sorted(set(KAPPA_GRID) | {0.3, 1.0, 7.99}):
+        w = WEIGHTINGS[weighting](kappa, M)
+        nulls, ward = _reference_reports(F, cfg, w)
+        js = [j for j in nulls if w.homogeneous or j != w.iota]
+        assert len(js) == (M if w.homogeneous else M - 1)
+        want = [_bits(nulls[j]) for j in js] + [_bits(r) for r in ward]
+        assert [_bits(r) for r in system_residuals(F, cfg, w)] == want
+        assert [_bits(null_state_residual(F, cfg, w, j)) for j in js] == want[: len(js)]
+        assert [_bits(r) for r in ward_residuals(F, cfg, w)] == want[len(js):]
+
+
+def test_anomalous_index_outside_configuration_rejected():
+    F = builtin_n1(4.0)
+    cfg = PointConfig.of(0.0, 1.0)
+    w = WeightAssignment(kappa=4.0, iota=3, h=1.5)
+    for call in (
+        lambda: system_residuals(F, cfg, w),
+        lambda: ward_residuals(F, cfg, w),
+        lambda: null_state_residual(F, cfg, w, j=1),
+    ):
+        with pytest.raises(DomainError, match="iota=3 outside 1..2"):
+            call()
+
+
+def test_point_config_min_gap_is_hidden_field():
+    cfg = PointConfig.of(-1.0, 0.25, 0.5, 3.0)
+    assert cfg.min_gap == np.min(np.diff(cfg.coords)) == 0.25
+    assert repr(cfg) == "PointConfig(coords=(-1.0, 0.25, 0.5, 3.0))"
+    assert cfg == PointConfig((-1, 0.25, 0.5, 3)) and cfg != PointConfig.of(-1.0, 0.25, 0.75, 3.0)
+    assert hash(cfg) == hash((cfg.coords,))
 
 
 def test_power_spec_parsing():
@@ -282,11 +361,19 @@ def test_anomalous_center_rejected():
         null_state_residual(F, PointConfig.of(0.0, 1.0), w, j=2)
 
 
-def test_stencil_leaving_domain_rejected():
+@pytest.mark.parametrize("step", (0.3, 0.25, 0.0, -1e-4, -0.3, math.nan, math.inf))
+def test_stencil_leaving_domain_rejected(step):
+    # an explicit step must satisfy 0 < 4*step < min_gap (here 1)
     F = builtin_n1(4.0)
+    cfg = PointConfig.of(0.0, 1.0)
     w = WeightAssignment.one_leg(4.0, 2)
-    with pytest.raises(PreconditionError):
-        null_state_residual(F, PointConfig.of(0.0, 1.0), w, j=1, step=0.3)
+    for call in (
+        lambda: system_residuals(F, cfg, w, step=step),
+        lambda: ward_residuals(F, cfg, w, step=step),
+        lambda: null_state_residual(F, cfg, w, j=1, step=step),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 def test_n1_residual_sweep_full_grid(rng):
