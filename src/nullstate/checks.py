@@ -105,9 +105,39 @@ S_MAX = 10  # KPZ identities are checked for theta_s, s = 1..S_MAX
 H_LEGS = 5  # eigenvalue checks take h = theta_s, s = 1..H_LEGS
 
 
+def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
+    """Leg weights, exponent pairs and lambda_0 for s = 1..smax at each kappa.
+
+    Returns the table rows and, as a check, the worst residual of the KPZ
+    fusion identity over them.
+    """
+    rows = []
+    worst = 0.0
+    for kappa in kappas:
+        for s in range(1, smax + 1):
+            ths = leg_weight(s, kappa)
+            pair = kpz(ths, kappa)
+            res_p, res_m = kpz_leg_identity_residual(s, kappa)
+            rows.append(
+                {
+                    "kappa": kappa,
+                    "s": s,
+                    "theta_s": ths,
+                    "delta_plus": pair.delta_plus,
+                    "delta_minus": pair.delta_minus,
+                    "gap": pair.gap,
+                    "lambda0": eigenvalue(0, ths, kappa),
+                    "residual_plus": res_p,
+                    "residual_minus": res_m,
+                }
+            )
+            worst = max(worst, abs(res_p), abs(res_m))
+    return rows, _leq("kpz_leg_identity_residual", worst, 1e-12)
+
+
 def suite_exponents(kappas=KAPPA_GRID) -> list:
-    checks = []
-    worst_leg = 0.0
+    _, leg_check = exponent_table(kappas, S_MAX)
+    checks = [leg_check]
     worst_closed = 0.0
     worst_vieta_sum = 0.0
     worst_vieta_prod = 0.0
@@ -118,8 +148,6 @@ def suite_exponents(kappas=KAPPA_GRID) -> list:
     for kappa in kappas:
         th1 = leg_weight(1, kappa)
         for s in range(1, S_MAX + 1):
-            rp, rm = kpz_leg_identity_residual(s, kappa)
-            worst_leg = max(worst_leg, abs(rp), abs(rm))
             pair = kpz(leg_weight(s, kappa), kappa)
             worst_closed = max(
                 worst_closed,
@@ -143,7 +171,6 @@ def suite_exponents(kappas=KAPPA_GRID) -> list:
             params_positive &= p.alpha > 0.0 and p.beta > 0.0
             lams = [eigenvalue(n, h, kappa) for n in range(21)]
             monotone &= all(b > a for a, b in zip(lams, lams[1:]))
-    checks.append(_leq("kpz_leg_identity_residual", worst_leg, 1e-12))
     checks.append(_leq("kpz_closed_form_residual", worst_closed, 1e-12))
     checks.append(_leq("vieta_sum_residual", worst_vieta_sum, 1e-12))
     checks.append(_leq("vieta_product_residual", worst_vieta_prod, 1e-12))
@@ -294,13 +321,22 @@ def suite_kernel(
     limit = 1.0 / math.exp(log_beta(beta + 1.0, alpha + 1.0))
     checks.append(_leq("long_time_limit", abs(big_t.value - limit) / max(1.0, limit), 1e-9))
 
-    scan = bound_ratio_scan(kernel, T=1.0, n_angle=9, n_time=5)
+    _, bound_check = kernel_bound_scan(kernel, T=1.0, n_angle=9, n_time=5)
+    checks.append(bound_check)
+    return checks
+
+
+def kernel_bound_scan(kernel: HeatKernel, **grid) -> tuple[list, CheckResult]:
+    """`bound_ratio_scan` on the given grid: its c1 rows and the two-sided verdict."""
+    scan = bound_ratio_scan(kernel, **grid)
     lo = min(float(v) for v in scan.min_ratio.values())
     hi = max(float(v) for v in scan.max_ratio.values())
-    checks.append(_is("bound_two_sided_on_grid", scan.two_sided_on_grid,
-                      detail=f"ratios in [{lo:.3e}, {hi:.3e}], "
-                             f"{scan.n_unresolved}/{scan.n_points} unresolved"))
-    return checks
+    return scan.rows, _is(
+        "bound_two_sided_on_grid", scan.two_sided_on_grid,
+        detail=f"ratios in [{lo:.3e}, {hi:.3e}], K in [{scan.k_min_large_t:.3e}, "
+               f"{scan.k_max_large_t:.3e}] for t > T, "
+               f"{scan.n_unresolved}/{scan.n_points} unresolved",
+    )
 
 
 # -- green -------------------------------------------------------------------------
@@ -358,12 +394,9 @@ def suite_green(
         worst_agree = max(worst_agree, abs(a - b) / max(abs(a), 1e-300))
     checks.append(_leq("greenfunc_vs_greenfuncalt", worst_agree, 1e-10))
 
-    worst_adjoint = 0.0
-    for sigma in np.linspace(0.2, 0.8, 5):
-        for ratio in (1.5, 2.5, 4.0):
-            rep = g.adjoint_residual(rho=0.4, epsilon=0.5, sigma=float(sigma), eta=0.5 * ratio)
-            worst_adjoint = max(worst_adjoint, rep.relative)
-    checks.append(_leq("adjoint_residual_homogeneous", worst_adjoint, 1e-4))
+    _, adjoint_check = adjoint_scan(g, rho=0.4, epsilon=0.5, sigmas=np.linspace(0.2, 0.8, 5),
+                                    ratios=(1.5, 2.5, 4.0), tol=1e-4)
+    checks.append(adjoint_check)
 
     worst_eig = 0.0
     sig_grid = np.linspace(0.1, 0.9, 9)
@@ -391,6 +424,26 @@ def suite_green(
     )
     checks.append(_leq("reproducing_mass_identity", factor_err, 1e-9))
     return checks
+
+
+def adjoint_scan(g: TwoIntervalGreen, rho: float, epsilon: float, sigmas, ratios,
+                 tol: float) -> tuple[list, CheckResult]:
+    """Adjoint residual of G at every sigma and eta = epsilon * ratio.
+
+    Returns rows (rho, epsilon, sigma, eta, residual, scale) and the check that
+    the worst relative residual is within tol; its detail names where it is.
+    """
+    rows = []
+    worst, at = 0.0, None
+    for sigma in map(float, sigmas):
+        for ratio in ratios:
+            eta = epsilon * float(ratio)
+            rep = g.adjoint_residual(rho=rho, epsilon=epsilon, sigma=sigma, eta=eta)
+            rows.append((rho, epsilon, sigma, eta, rep.residual, rep.scale))
+            if rep.relative > worst:
+                worst, at = rep.relative, (sigma, eta)
+    return rows, _leq("adjoint_residual_homogeneous", worst, tol,
+                      detail=f"worst at (sigma, eta) = {at!r}")
 
 
 # -- pde ---------------------------------------------------------------------------
@@ -498,33 +551,71 @@ def suite_asymptotics(kappa: float, h: float | None = None) -> list:
     checks.append(_leq("decomposition_fit",
                        max(abs(fit.A - 2.0), abs(fit.B - 3.0)), 1e-6))
 
-    cfg5 = pde.PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
-    w5 = pde.WeightAssignment(kappa=kappa, iota=5, h=h)
-    bounded = asym.far_pair_bound_scan(
-        asym.manufactured_far_pair(kappa, h, 5, j=2, iota=5), cfg5, w5, j=2
-    )
+    bounded = _pair_collapse("far-pair", "manufactured:bounded", kappa, h)
     checks.append(_is("far_pair_bounded", not bounded.divergent and
                       math.isfinite(bounded.sup_ratio)))
-    violating = asym.far_pair_bound_scan(
-        asym.manufactured_far_pair(kappa, h, 5, j=2, iota=5, violating=True), cfg5, w5, j=2
-    )
+    violating = _pair_collapse("far-pair", "manufactured:violating", kappa, h)
     checks.append(_is("far_pair_violation_flagged", violating.divergent))
 
-    w5a = pde.WeightAssignment(kappa=kappa, iota=4, h=h)
-    normalized = asym.adjacent_pair_bound_scan(
-        asym.manufactured_adjacent(kappa, h, 5, iota=4), cfg5, w5a
-    )
+    normalized = _pair_collapse("adjacent-pair", "manufactured:normalized", kappa, h)
     ratios = np.array([row[3] for row in normalized.rows])
     checks.append(_leq("adjacent_normalized_ratio_constant",
                        float(np.max(np.abs(ratios - 1.0))), 1e-10))
     dph = delta_plus(h, kappa)
     checks.append(_leq("adjacent_eps_exponent",
                        abs((normalized.eps_exponent or math.inf) - dph), 1e-6))
-    weak = asym.adjacent_pair_bound_scan(
-        asym.manufactured_adjacent(kappa, h, 5, iota=4, shape="weak-eps"), cfg5, w5a
-    )
+    weak = _pair_collapse("adjacent-pair", "manufactured:weak-eps", kappa, h)
     checks.append(_is("adjacent_violation_flagged", weak.divergent))
     return checks
+
+
+# manufactured:<shape> -> the argument that selects the field of that shape:
+# `violating` of manufactured_far_pair, `shape` of manufactured_adjacent
+MANUFACTURED_SHAPES = {
+    "far-pair": {"bounded": False, "normalized": False, "violating": True},
+    "adjacent-pair": {"normalized": "normalized", "violating": "weak-eps", "weak-eps": "weak-eps"},
+}
+
+
+def _pair_collapse(kind: str, candidate: str, kappa: float, h: float) -> asym.PairScanResult:
+    """Collapse scan of one candidate at x = 0, 1, 2, 3, 4 (M = 5).
+
+    "far-pair" closes interval j = 2 with the anomalous interval iota = 5;
+    "adjacent-pair" closes the two intervals ending at iota = 4.  The candidate
+    "manufactured:<shape>" names the test field built for that geometry; any
+    other name goes to `pde.resolve_candidate`.
+    """
+    if kind not in MANUFACTURED_SHAPES:
+        raise DomainError(f"unknown pair scan {kind!r}; expected one of "
+                          f"{tuple(MANUFACTURED_SHAPES)}")
+    M = 5
+    far = kind == "far-pair"
+    iota = 5 if far else 4
+    config = pde.PointConfig.of(*range(M))
+    weights = pde.WeightAssignment(kappa=kappa, iota=iota, h=h)
+    if candidate.startswith("manufactured:"):
+        shape = candidate[len("manufactured:"):]
+        if shape not in MANUFACTURED_SHAPES[kind]:
+            raise DomainError(f"unknown manufactured shape {shape!r} for scan {kind!r}")
+        arg = MANUFACTURED_SHAPES[kind][shape]
+        F = (asym.manufactured_far_pair(kappa, h, M, j=2, iota=iota, violating=arg) if far
+             else asym.manufactured_adjacent(kappa, h, M, iota=iota, shape=arg))
+    else:
+        F = pde.resolve_candidate(candidate, kappa, M=M)
+    if far:
+        return asym.far_pair_bound_scan(F, config, weights, j=2)
+    return asym.adjacent_pair_bound_scan(F, config, weights)
+
+
+def pair_scan(kind: str, candidate: str, kappa: float, h: float) -> tuple[list, CheckResult]:
+    """A pair collapse scan (see `_pair_collapse`): its rows (delta, epsilon,
+    |F|, ratio) and the check that the normalized ratio stays bounded."""
+    scan = _pair_collapse(kind, candidate, kappa, h)
+    return scan.rows, _is(
+        "normalized_ratio_bounded", not scan.divergent,
+        detail=(f"sup ratio {scan.sup_ratio!r}, eps slope {scan.eps_slope!r}, "
+                f"delta slope {scan.delta_slope!r}"),
+    )
 
 
 # -- dispatch ---------------------------------------------------------------------------

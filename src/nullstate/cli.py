@@ -15,18 +15,11 @@ import time
 
 import numpy as np
 
-from . import asymptotics as asym
-from . import checks, pde
+from . import checks
 from .errors import DomainError, PreconditionError, TruncationError
-from .exponents import (
-    eigenvalue,
-    jacobi_params,
-    kpz,
-    kpz_leg_identity_residual,
-    leg_weight,
-)
+from .exponents import jacobi_params, leg_weight
 from .green import TwoIntervalGreen
-from .heat_kernel import HeatKernel, bound_ratio_scan
+from .heat_kernel import HeatKernel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,33 +79,7 @@ def _print_report(report: checks.Report, fmt: str, output: str | None) -> None:
 
 def cmd_exponents(args) -> int:
     started = time.perf_counter()
-    rows = []
-    results = []
-    for kappa in args.kappa:
-        th1 = leg_weight(1, kappa)
-        for s in range(1, args.smax + 1):
-            ths = leg_weight(s, kappa)
-            pair = kpz(ths, kappa)
-            res_p, res_m = kpz_leg_identity_residual(s, kappa)
-            rows.append(
-                {
-                    "kappa": kappa,
-                    "s": s,
-                    "theta_s": ths,
-                    "delta_plus": pair.delta_plus,
-                    "delta_minus": pair.delta_minus,
-                    "gap": pair.gap,
-                    "lambda0": eigenvalue(0, ths, kappa),
-                    "residual_plus": res_p,
-                    "residual_minus": res_m,
-                }
-            )
-            results.append(max(abs(res_p), abs(res_m)))
-    worst = max(results)
-    check = checks.CheckResult(
-        name="kpz_leg_identity_residual", value=worst, tolerance=1e-12,
-        passed=worst <= 1e-12,
-    )
+    rows, check = checks.exponent_table(args.kappa, args.smax)
     payload = {
         "schema": 1,
         "command": "exponents",
@@ -141,7 +108,7 @@ def cmd_exponents(args) -> int:
                 f"{r['delta_plus']:12.8f} {r['delta_minus']:12.8f} "
                 f"{r['gap']:12.8f} {r['lambda0']:12.8f}"
             )
-        print(f"# worst identity residual {worst:.3e} (tol 1e-12): "
+        print(f"# worst identity residual {check.value:.3e} (tol 1e-12): "
               + ("PASS" if check.passed else "FAIL"))
     return EXIT_OK if check.passed else EXIT_CHECK_FAILED
 
@@ -180,24 +147,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _scan_candidate(name: str, kind: str, kappa: float, h: float, M: int,
-                    j: int, iota: int) -> pde.CandidateFunction:
-    if name.startswith("manufactured:"):
-        shape = name[len("manufactured:"):]
-        if kind == "far-pair":
-            if shape in ("bounded", "normalized"):
-                return asym.manufactured_far_pair(kappa, h, M, j=j, iota=iota)
-            if shape == "violating":
-                return asym.manufactured_far_pair(kappa, h, M, j=j, iota=iota, violating=True)
-        if kind == "adjacent-pair":
-            if shape == "normalized":
-                return asym.manufactured_adjacent(kappa, h, M, iota=iota)
-            if shape in ("violating", "weak-eps"):
-                return asym.manufactured_adjacent(kappa, h, M, iota=iota, shape="weak-eps")
-        raise DomainError(f"unknown manufactured shape {shape!r} for scan {kind!r}")
-    return pde.resolve_candidate(name, kappa, M=M)
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -209,67 +158,28 @@ def cmd_scan(args) -> int:
     started = time.perf_counter()
     kappa = args.kappa
     h = parse_weight(args.h, kappa)
-    results = []
     if args.name == "kernel-bounds":
         params = jacobi_params(h, kappa)
         alpha = args.alpha if args.alpha is not None else params.alpha
         beta = args.beta if args.beta is not None else params.beta
-        kernel = HeatKernel(alpha, beta)
-        scan = bound_ratio_scan(
-            kernel, T=args.T, c1=args.c1, c2=args.c2,
+        rows, check = checks.kernel_bound_scan(
+            HeatKernel(alpha, beta), T=args.T, c1=args.c1, c2=args.c2,
             n_angle=args.n_angle, n_time=args.n_time, t_min=args.t_min,
         )
-        _write_csv(args.output, ("theta", "phi", "t", "K", "envelope", "ratio"), scan.rows)
-        results.append(checks.CheckResult(
-            name="bound_two_sided_on_grid",
-            value=0.0 if scan.two_sided_on_grid else 1.0,
-            tolerance=0.0,
-            passed=scan.two_sided_on_grid,
-            detail=(f"min {scan.min_ratio} max {scan.max_ratio} "
-                    f"K range ({scan.k_min_large_t}, {scan.k_max_large_t}) for t > T"),
-        ))
+        header = ("theta", "phi", "t", "K", "envelope", "ratio")
     elif args.name == "green-adjoint":
-        g = TwoIntervalGreen(h=h, kappa=kappa)
-        rows = []
-        worst = 0.0
-        for sigma in np.linspace(0.2, 0.8, args.n_sigma):
-            for ratio in np.geomspace(1.5, 4.0, args.n_eta):
-                rep = g.adjoint_residual(rho=args.rho, epsilon=args.epsilon,
-                                         sigma=float(sigma), eta=args.epsilon * float(ratio))
-                rows.append((args.rho, args.epsilon, float(sigma),
-                             args.epsilon * float(ratio), rep.residual, rep.scale))
-                worst = max(worst, rep.relative)
-        _write_csv(args.output, ("rho", "epsilon", "sigma", "eta", "residual", "scale"), rows)
-        results.append(checks.CheckResult(
-            name="adjoint_residual_homogeneous", value=worst,
-            tolerance=args.tol, passed=worst <= args.tol,
-        ))
-    elif args.name in ("far-pair", "adjacent-pair"):
-        M = 5
-        config = pde.PointConfig.of(*range(M))
-        if args.name == "far-pair":
-            j, iota = 2, 5
-            weights = pde.WeightAssignment(kappa=kappa, iota=iota, h=h)
-            F = _scan_candidate(args.candidate, args.name, kappa, h, M, j, iota)
-            scan = asym.far_pair_bound_scan(F, config, weights, j=j)
-        else:
-            iota, j = 4, 0
-            weights = pde.WeightAssignment(kappa=kappa, iota=iota, h=h)
-            F = _scan_candidate(args.candidate, args.name, kappa, h, M, j, iota)
-            scan = asym.adjacent_pair_bound_scan(F, config, weights)
-        _write_csv(args.output, ("delta", "epsilon", "abs_F", "ratio"), scan.rows)
-        results.append(checks.CheckResult(
-            name="normalized_ratio_bounded",
-            value=0.0 if not scan.divergent else 1.0,
-            tolerance=0.0,
-            passed=not scan.divergent,
-            detail=(f"sup ratio {scan.sup_ratio!r}, eps slope {scan.eps_slope!r}, "
-                    f"delta slope {scan.delta_slope!r}"),
-        ))
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown scan {args.name!r}")
+        rows, check = checks.adjoint_scan(
+            TwoIntervalGreen(h=h, kappa=kappa), rho=args.rho, epsilon=args.epsilon,
+            sigmas=np.linspace(0.2, 0.8, args.n_sigma),
+            ratios=np.geomspace(1.5, 4.0, args.n_eta), tol=args.tol,
+        )
+        header = ("rho", "epsilon", "sigma", "eta", "residual", "scale")
+    else:
+        rows, check = checks.pair_scan(args.name, args.candidate, kappa, h)
+        header = ("delta", "epsilon", "abs_F", "ratio")
+    _write_csv(args.output, header, rows)
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    report = checks.build_report("scan", params, results, started, seed=0)
+    report = checks.build_report("scan", params, [check], started, seed=0)
     _print_report(report, args.format, None)
     print(f"# wrote {args.output}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -10,13 +10,13 @@ series and factored forms are kept as independent evaluation routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import findiff
 from .errors import DomainError, PreconditionError
-from .exponents import delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
+from .exponents import KpzPair, delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
 from .heat_kernel import HeatKernel, TruncationPolicy, collapse_time
 from .jacobi import QuadratureRule, gauss_jacobi_rule
 
@@ -27,17 +27,15 @@ class OneIntervalGreen:
 
     weight: float
     kappa: float
+    pair: KpzPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pair", kpz(self.weight, self.kappa))
         if self.pair.gap <= 0.0:
             raise DomainError(
                 f"one-interval kernel needs a positive exponent gap; "
                 f"weight {self.weight!r} is at or below the floor for kappa={self.kappa!r}"
             )
-
-    @property
-    def pair(self):
-        return kpz(self.weight, self.kappa)
 
     @property
     def gap(self) -> float:

@@ -38,6 +38,11 @@ class KernelValue:
     n_terms: int
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"kernel time must be finite and positive, got {t!r}")
+
+
 def collapse_time(epsilon: float, eta: float, kappa: float) -> float:
     """Heat-kernel time of an interval-length ratio, t = (kappa/4) log(eta/epsilon)."""
     if epsilon <= 0.0 or eta <= 0.0:
@@ -111,8 +116,7 @@ class HeatKernel:
         Returns (n_terms, tail_bound) with sum_{n >= n_terms} B_n <= tail_bound
         <= tail_tol.  Raises TruncationError if n_max is hit first (very small t).
         """
-        if t <= 0.0:
-            raise DomainError(f"kernel time must be positive, got {t!r}")
+        _check_time(t)
         tol = self.policy.tail_tol
         best = math.inf
         for n_terms in range(1, self.policy.n_max + 1):
@@ -133,6 +137,7 @@ class HeatKernel:
         if n_terms is None:
             n_terms, tail = self.truncation_index(t)
         else:
+            _check_time(t)
             self._ensure(n_terms)
             tail = self._tail_bound(n_terms, t)
         y = np.array([2.0 * rho - 1.0, 2.0 * sigma - 1.0])
@@ -148,6 +153,7 @@ class HeatKernel:
         if n_terms is None:
             n_terms, _ = self.truncation_index(t)
         else:
+            _check_time(t)
             self._ensure(n_terms)
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
         sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
@@ -247,8 +253,9 @@ def bound_ratio_scan(
     n_unresolved; finite positive extremes over the resolved points certify the
     two-sided bound there.
     """
-    if T <= 0.0:
-        raise DomainError(f"T must be positive, got {T!r}")
+    for name, value in (("T", T), ("t_min", t_min), ("c1", c1), ("c2", c2)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
     a, b = kernel.alpha, kernel.beta
     thetas = np.linspace(0.0, math.pi, n_angle)
     phis = np.linspace(0.0, math.pi, n_angle)

@@ -72,15 +72,13 @@ class WeightAssignment:
     kappa: float
     iota: int
     h: float
+    theta1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_kappa(self.kappa)
         if self.iota < 1:
             raise DomainError(f"iota must be a 1-based index, got {self.iota!r}")
-
-    @property
-    def theta1(self) -> float:
-        return leg_weight(1, self.kappa)
+        object.__setattr__(self, "theta1", leg_weight(1, self.kappa))
 
     @property
     def homogeneous(self) -> bool:

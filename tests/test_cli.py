@@ -172,3 +172,38 @@ def test_malformed_weight_is_usage_error(command, spec, tmp_path, capsys):
     assert code == 2
     assert f"bad weight spec {spec!r}" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("verify", "kernel", "--kappa", "6", "--t", "nan"), "kernel time"),
+        (("verify", "kernel", "--kappa", "6", "--t", "0.1", "inf"), "kernel time"),
+        (("scan", "kernel-bounds", "--kappa", "6", "--t-min", "0"), "t_min"),
+        (("scan", "kernel-bounds", "--kappa", "6", "--c1", "0"), "c1"),
+        (("scan", "kernel-bounds", "--kappa", "6", "--c1", "-1"), "c1"),
+        (("scan", "kernel-bounds", "--kappa", "6", "--c2", "nan"), "c2"),
+    ),
+)
+def test_non_finite_or_non_positive_kernel_input_is_usage_error(argv, message, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    if argv[0] == "scan":
+        argv += ("--output", str(out_file))
+    assert cli.main(list(argv)) == 2
+    assert f"error: {message} must be finite and positive" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_scan_green_adjoint_names_its_worst_row(tmp_path, capsys):
+    out_file = tmp_path / "adjoint.csv"
+    code, out = run(capsys, "scan", "green-adjoint", "--kappa", "6", "--n-sigma", "3",
+                    "--n-eta", "2", "--format", "json", "--output", str(out_file))
+    assert code == 0
+    check = json.loads(out[:out.rindex("# wrote")])["checks"][0]
+    rows = [{k: float(v) for k, v in r.items()}
+            for r in csv.DictReader(out_file.read_text().splitlines())]
+    assert len(rows) == 6
+    worst = max(rows, key=lambda r: abs(r["residual"]) / r["scale"])
+    assert check["name"] == "adjoint_residual_homogeneous"
+    assert check["value"] == abs(worst["residual"]) / worst["scale"]
+    assert check["detail"] == f"worst at (sigma, eta) = ({worst['sigma']!r}, {worst['eta']!r})"

@@ -93,6 +93,12 @@ def test_g_domain_errors(green):
         green.value(0.5, -1.0, 0.5, 2.0)
 
 
+def test_g_refuses_overflowing_collapse_time(green):
+    # eta/epsilon overflows to inf, so the kernel time is inf: refused, not NaN
+    with pytest.raises(DomainError, match="kernel time must be finite and positive"):
+        green.value(0.3, 5e-324, 0.4, 1.0)
+
+
 def test_series_vs_factored(green):
     for pt in [(0.3, 0.5, 0.6, 1.0), (0.5, 0.2, 0.5, 0.5), (0.8, 1.0, 0.25, 3.0)]:
         a = green.value(*pt)

@@ -36,6 +36,40 @@ def test_domain_errors():
         HeatKernel(-0.6, 1.0)
 
 
+NOT_A_TIME = (0.0, -1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(pytest.param(lambda k, t=t: k.truncation_index(t), id=f"truncation_index-{t}")
+          for t in (math.nan, math.inf)),
+        pytest.param(lambda k: k.value(0.3, 0.4, math.inf), id="value-inf"),
+        *(pytest.param(lambda k, t=t: k.value(0.3, 0.4, t, n_terms=10), id=f"value-n_terms-{t}")
+          for t in NOT_A_TIME),
+        *(pytest.param(lambda k, t=t: k.grid([0.3], [0.4], t, n_terms=10), id=f"grid-n_terms-{t}")
+          for t in NOT_A_TIME),
+    ],
+)
+def test_kernel_time_must_be_finite_and_positive(call):
+    # a NaN time used to run all n_max terms and blame a small t; an infinite
+    # or explicit-n_terms time returned NaN or a value with no error bound
+    with pytest.raises(DomainError, match="kernel time must be finite and positive"):
+        call(HeatKernel(1.0, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"t_min": 0.0}, {"t_min": math.nan}, {"t_min": math.inf}, {"c1": 0.0}, {"c1": -1.0},
+     {"c2": math.nan}, {"c2": math.inf}, {"T": math.nan}, {"T": math.inf}],
+    ids=lambda g: "{}={}".format(*next(iter(g.items()))),
+)
+def test_bound_scan_refuses_bad_grid(grid):
+    name = next(iter(grid))
+    with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+        bound_ratio_scan(HeatKernel(1.0, 1.0 / 3.0), **grid)
+
+
 def test_truncation_error_reports_achieved_bound():
     k = HeatKernel(1.0, 1.0, TruncationPolicy(tail_tol=1e-10, n_max=50))
     with pytest.raises(TruncationError) as err:
