@@ -14,7 +14,6 @@ from nullstate import (
     CollapseSpec,
     PointConfig,
     WeightAssignment,
-    collapse_exponent,
     delta_minus,
     leg_weight,
     one_interval_decomposition_fit,
@@ -35,8 +34,8 @@ def main():
     for kappa in args.kappa:
         F = resolve_candidate(args.candidate, kappa, M=2)
         spec = CollapseSpec(i=2, weights=WeightAssignment.one_leg(kappa, 2))
-        est = collapse_exponent(F, cfg, spec)
         leg = two_leg_test(F, cfg, spec)
+        est = leg.estimate
         th1 = leg_weight(1, kappa)
         line = (
             f"kappa={kappa:<8.4f} p_hat={est.p_hat:+.6f} (stderr {est.stderr:.1e})  "

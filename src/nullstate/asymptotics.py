@@ -21,6 +21,10 @@ from .pde import CandidateFunction, PointConfig, WeightAssignment, builtin_power
 
 FIT_DECADES = 8
 FIT_TOP_FRACTION = 1e-2  # largest delta as a fraction of the available room
+TWO_LEG_TOL = 1e-3  # two-leg margin above delta_minus, on top of 3 fit stderr
+STDERR_MAX = 0.01  # a two-leg fit with a larger stderr is indeterminate
+DECOMPOSITION_MIN_GAP = 0.05  # smallest exponent gap that separates the two channels
+SLOPE_TOL = 0.005  # pair scans: a per-level sup slope below -SLOPE_TOL is divergent
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ def collapse_room(config: PointConfig, i: int) -> float:
     return 1.0
 
 
-def default_delta_grid(config: PointConfig, i: int, decades: int = FIT_DECADES) -> np.ndarray:
-    """Log-spaced displacements spanning `decades` decades below the room.
+def default_delta_grid(config: PointConfig, i: int) -> np.ndarray:
+    """Log-spaced displacements spanning FIT_DECADES decades below the room.
 
     The top of the grid sits two decades under the room so neighboring terms of
     the expansion stay subdominant; effective displacements are recomputed after
@@ -62,7 +66,7 @@ def default_delta_grid(config: PointConfig, i: int, decades: int = FIT_DECADES) 
     """
     room = collapse_room(config, i)
     top = FIT_TOP_FRACTION * room
-    return np.geomspace(top * 10.0 ** (-decades), top, decades + 1)
+    return np.geomspace(top * 10.0 ** (-FIT_DECADES), top, FIT_DECADES + 1)
 
 
 def _batch(config: PointConfig, moves: dict) -> np.ndarray:
@@ -91,24 +95,11 @@ def _collapse_samples(F, config: PointConfig, i: int, deltas) -> tuple[np.ndarra
 class ExponentEstimate:
     p_hat: float
     stderr: float
-    deltas: np.ndarray
-    values: np.ndarray
-    rss: float
-
-    def margin(self, tol: float = 1e-3) -> float:
-        return 3.0 * self.stderr + tol
 
 
-def collapse_exponent(
-    F,
-    config: PointConfig,
-    spec: CollapseSpec,
-    deltas=None,
-) -> ExponentEstimate:
+def collapse_exponent(F, config: PointConfig, spec: CollapseSpec) -> ExponentEstimate:
     """Least-squares slope of log |F| against log delta along the collapse."""
-    if deltas is None:
-        deltas = default_delta_grid(config, spec.i)
-    eff, vals = _collapse_samples(F, config, spec.i, deltas)
+    eff, vals = _collapse_samples(F, config, spec.i, default_delta_grid(config, spec.i))
     keep = np.isfinite(vals) & (vals != 0.0)
     if np.count_nonzero(keep) < 3:
         raise DegenerateFitError(
@@ -123,9 +114,7 @@ def collapse_exponent(
     dof = max(lx.size - 2, 1)
     cov00 = np.linalg.inv(design.T @ design)[0, 0]
     stderr = math.sqrt(max(rss / dof * cov00, 0.0))
-    return ExponentEstimate(
-        p_hat=float(sol[0]), stderr=stderr, deltas=eff[keep], values=vals[keep], rss=rss
-    )
+    return ExponentEstimate(p_hat=float(sol[0]), stderr=stderr)
 
 
 @dataclass
@@ -133,62 +122,48 @@ class TwoLegResult:
     is_two_leg: bool
     indeterminate: bool
     estimate: ExponentEstimate
-    threshold: float
 
 
-def two_leg_test(
-    F,
-    config: PointConfig,
-    spec: CollapseSpec,
-    tol: float = 1e-3,
-    deltas=None,
-    stderr_max: float = 0.01,
-) -> TwoLegResult:
+def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
     """True iff the minus-rescaled collapse limit vanishes.
 
-    Operationalized as p_hat > delta_minus(d) + (3 stderr + tol).  A fit with
-    stderr above stderr_max is flagged indeterminate.
+    Operationalized as p_hat > delta_minus(d) + (3 stderr + TWO_LEG_TOL).  A
+    fit with stderr above STDERR_MAX is flagged indeterminate.
     """
-    est = collapse_exponent(F, config, spec, deltas=deltas)
-    dm = spec.exponents().delta_minus
-    threshold = dm + est.margin(tol)
+    est = collapse_exponent(F, config, spec)
+    threshold = spec.exponents().delta_minus + (3.0 * est.stderr + TWO_LEG_TOL)
     return TwoLegResult(
         is_two_leg=bool(est.p_hat > threshold),
-        indeterminate=bool(est.stderr > stderr_max),
+        indeterminate=bool(est.stderr > STDERR_MAX),
         estimate=est,
-        threshold=threshold,
     )
 
 
 @dataclass
 class EllLimitRecord:
-    deltas: np.ndarray
-    values: np.ndarray
     limit: float
     converged: bool
-    tail_ratios: np.ndarray
     slice_limits: Optional[np.ndarray] = None
     slice_uniformity: Optional[np.ndarray] = None
 
 
-def _sequence_limit(vals: np.ndarray) -> tuple[float, bool, np.ndarray]:
+def _sequence_limit(vals: np.ndarray) -> tuple[float, bool]:
     diffs = np.diff(vals)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = diffs[1:] / diffs[:-1]
     ratios = ratios[np.isfinite(ratios)]
     if diffs.size == 0 or abs(diffs[-1]) <= 1e-13 * max(abs(vals[-1]), 1.0):
-        return float(vals[-1]), True, ratios
+        return float(vals[-1]), True
     if ratios.size and abs(ratios[-1]) < 0.9:
         r = ratios[-1]
-        return float(vals[-1] + diffs[-1] * r / (1.0 - r)), True, ratios
-    return float(vals[-1]), False, ratios
+        return float(vals[-1] + diffs[-1] * r / (1.0 - r)), True
+    return float(vals[-1]), False
 
 
 def ell_limit(
     F,
     config: PointConfig,
     spec: CollapseSpec,
-    deltas=None,
     slice_index: int | None = None,
     slice_values=None,
 ) -> EllLimitRecord:
@@ -197,9 +172,7 @@ def ell_limit(
     With slice_index set, the limit is recorded along that coordinate's values
     and the uniformity proxy reports sup |H(delta) - H_limit| per delta.
     """
-    if deltas is None:
-        deltas = default_delta_grid(config, spec.i)[::-1]  # decreasing
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = default_delta_grid(config, spec.i)[::-1]  # decreasing
     dm = spec.exponents().delta_minus
 
     def rescaled(cfg):
@@ -207,7 +180,7 @@ def ell_limit(
         return eff ** (-dm) * vals
 
     vals = rescaled(config)
-    limit, converged, ratios = _sequence_limit(vals)
+    limit, converged = _sequence_limit(vals)
 
     slice_limits = slice_uniformity = None
     if slice_index is not None:
@@ -218,15 +191,12 @@ def ell_limit(
         limits = np.empty(slice_values.size)
         for a, v in enumerate(slice_values):
             table[a] = rescaled(config.replace(slice_index, float(v)))
-            limits[a], _, _ = _sequence_limit(table[a])
+            limits[a], _ = _sequence_limit(table[a])
         slice_limits = limits
         slice_uniformity = np.max(np.abs(table - limits[:, None]), axis=0)
     return EllLimitRecord(
-        deltas=deltas,
-        values=vals,
         limit=limit,
         converged=converged,
-        tail_ratios=ratios,
         slice_limits=slice_limits,
         slice_uniformity=slice_uniformity,
     )
@@ -236,34 +206,25 @@ def ell_limit(
 class DecompositionFit:
     A: float
     B: float
-    residual: float
 
 
-def one_interval_decomposition_fit(
-    F,
-    config: PointConfig,
-    spec: CollapseSpec,
-    deltas=None,
-    min_gap: float = 0.05,
-) -> DecompositionFit:
+def one_interval_decomposition_fit(F, config: PointConfig, spec: CollapseSpec) -> DecompositionFit:
     """Fit F ~ A delta^dm + B delta^dp along the collapse (weighted least squares).
 
     Rows are scaled by delta^(-dm) so the small-delta samples are not drowned;
-    requires the exponent gap to exceed min_gap for an identifiable fit.
+    requires the exponent gap to exceed DECOMPOSITION_MIN_GAP for an
+    identifiable fit.
     """
     pair = spec.exponents()
-    if pair.gap <= min_gap:
+    if pair.gap <= DECOMPOSITION_MIN_GAP:
         raise PreconditionError(
             f"exponent gap {pair.gap!r} too small to separate the two channels"
         )
-    if deltas is None:
-        deltas = default_delta_grid(config, spec.i)
-    eff, vals = _collapse_samples(F, config, spec.i, deltas)
+    eff, vals = _collapse_samples(F, config, spec.i, default_delta_grid(config, spec.i))
     scaled = vals * eff ** (-pair.delta_minus)
     design = np.column_stack([np.ones_like(eff), eff**pair.gap])
     sol, *_ = np.linalg.lstsq(design, scaled, rcond=None)
-    resid = scaled - design @ sol
-    return DecompositionFit(A=float(sol[0]), B=float(sol[1]), residual=float(np.abs(resid).max()))
+    return DecompositionFit(A=float(sol[0]), B=float(sol[1]))
 
 
 # -- two-interval scans ---------------------------------------------------------
@@ -295,7 +256,6 @@ def far_pair_bound_scan(
     j: int,
     deltas=None,
     epsilons=None,
-    slope_tol: float = 0.005,
 ) -> PairScanResult:
     """Sup of |F| / (delta^dp(theta1) eps^dp(h)) over a non-adjacent pair collapse.
 
@@ -335,7 +295,7 @@ def far_pair_bound_scan(
         rows=rows,
         delta_slope=d_slope,
         eps_slope=e_slope,
-        divergent=bool(d_slope < -slope_tol or e_slope < -slope_tol),
+        divergent=bool(d_slope < -SLOPE_TOL or e_slope < -SLOPE_TOL),
     )
 
 
@@ -345,7 +305,6 @@ def adjacent_pair_bound_scan(
     weights: WeightAssignment,
     epsilons=None,
     fractions=None,
-    slope_tol: float = 0.005,
 ) -> PairScanResult:
     """Sup of |F| / (delta^dp(theta1) eps^dp(h) (eps-delta)^dp(h)) on the triangle.
 
@@ -397,7 +356,7 @@ def adjacent_pair_bound_scan(
         rows=rows,
         delta_slope=0.0,
         eps_slope=e_slope,
-        divergent=bool(e_slope < -slope_tol),
+        divergent=bool(e_slope < -SLOPE_TOL),
         eps_exponent=eps_exponent,
         split_sups=split,
     )

@@ -59,8 +59,8 @@ class Report:
     command: str
     params: dict
     checks: list
-    wall_time: float = 0.0
-    seed: int | None = None
+    wall_time: float
+    seed: int
     schema: int = 2
 
     @property
@@ -89,13 +89,11 @@ def _is(name: str, ok: bool, detail: str = "") -> CheckResult:
                        passed=bool(ok), detail=detail)
 
 
-def _check_corrupt(corrupt: dict | None) -> dict:
-    corrupt = dict(corrupt or {})
+def _check_corrupt(corrupt: dict) -> None:
     unknown = set(corrupt) - set(SUPPORTED_CORRUPTIONS)
     if unknown:
         raise DomainError(f"unknown corruption keys {sorted(unknown)!r}; "
                           f"supported: {SUPPORTED_CORRUPTIONS}")
-    return corrupt
 
 
 # -- exponents -----------------------------------------------------------------
@@ -135,7 +133,7 @@ def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
     return rows, _leq("kpz_leg_identity_residual", worst, 1e-12)
 
 
-def suite_exponents(kappas=KAPPA_GRID) -> list:
+def suite_exponents(kappas) -> list:
     _, leg_check = exponent_table(kappas, S_MAX)
     checks = [leg_check]
     worst_closed = 0.0
@@ -189,7 +187,7 @@ N_ORTHO = 15  # degrees checked for orthogonality, norms and symmetry
 N_OPERATOR = 20  # degrees checked as eigenfunctions of the Jacobi operator
 
 
-def suite_jacobi(alpha: float, beta: float, seed: int = 0) -> list:
+def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
     basis = JacobiBasis(alpha, beta)
     flipped = JacobiBasis(beta, alpha)
     rng = np.random.default_rng(seed)
@@ -252,14 +250,8 @@ def suite_jacobi(alpha: float, beta: float, seed: int = 0) -> list:
 QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
 
 
-def suite_kernel(
-    alpha: float,
-    beta: float,
-    t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0),
-    corrupt: dict | None = None,
-    seed: int = 0,
-) -> list:
-    corrupt = _check_corrupt(corrupt)
+def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) -> list:
+    _check_corrupt(corrupt)
     kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
     true_basis = JacobiBasis(alpha, beta)
     rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
@@ -342,14 +334,8 @@ def kernel_bound_scan(kernel: HeatKernel, **grid) -> tuple[list, CheckResult]:
 # -- green -------------------------------------------------------------------------
 
 
-def suite_green(
-    kappa: float,
-    h: float | None = None,
-    corrupt: dict | None = None,
-) -> list:
-    corrupt = _check_corrupt(corrupt)
-    if h is None:
-        h = leg_weight(2, kappa)
+def suite_green(kappa: float, h: float, corrupt: dict) -> list:
+    _check_corrupt(corrupt)
     th1 = leg_weight(1, kappa)
     checks = []
 
@@ -433,6 +419,8 @@ def adjoint_scan(g: TwoIntervalGreen, rho: float, epsilon: float, sigmas, ratios
     Returns rows (rho, epsilon, sigma, eta, residual, scale) and the check that
     the worst relative residual is within tol; its detail names where it is.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     rows = []
     worst, at = 0.0, None
     for sigma in map(float, sigmas):
@@ -455,12 +443,7 @@ def _random_config(rng, M: int) -> pde.PointConfig:
     return pde.PointConfig(tuple(start + np.concatenate([[0.0], np.cumsum(gaps)])))
 
 
-def suite_pde(
-    kappa: float,
-    candidate: str = "n1",
-    n_configs: int = 100,
-    seed: int = 0,
-) -> list:
+def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     checks = []
     F = pde.resolve_candidate(candidate, kappa, M=2)
@@ -517,9 +500,7 @@ def suite_pde(
 # -- asymptotics ----------------------------------------------------------------------
 
 
-def suite_asymptotics(kappa: float, h: float | None = None) -> list:
-    if h is None:
-        h = leg_weight(2, kappa)
+def suite_asymptotics(kappa: float, h: float) -> list:
     th1 = leg_weight(1, kappa)
     checks = []
 
@@ -627,24 +608,18 @@ SUITES = ("exponents", "jacobi", "kernel", "green", "pde", "asymptotics", "all")
 def run_suite(
     name: str,
     kappa: float,
-    h: float | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    candidate: str = "n1",
-    n_configs: int = 100,
-    seed: int = 0,
-    corrupt: dict | None = None,
-    t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0),
+    h: float,
+    alpha: float,
+    beta: float,
+    candidate: str,
+    n_configs: int,
+    seed: int,
+    corrupt: dict,
+    t_list,
 ) -> list:
     """Run one named suite (or all of them) and return its checks."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; expected one of {SUITES}")
-    if h is None:
-        h = leg_weight(2, kappa)
-    if alpha is None or beta is None:
-        params = jacobi_params(h, kappa)
-        alpha = params.alpha if alpha is None else alpha
-        beta = params.beta if beta is None else beta
     if name == "exponents":
         return suite_exponents(kappas=(kappa,))
     if name == "jacobi":
@@ -669,8 +644,7 @@ def run_suite(
     return checks
 
 
-def build_report(command: str, params: dict, checks: list, started: float,
-                 seed: int | None = None) -> Report:
+def build_report(command: str, params: dict, checks: list, started: float, seed: int) -> Report:
     return Report(
         command=command,
         params=params,

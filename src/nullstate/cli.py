@@ -65,8 +65,7 @@ def _print_report(report: checks.Report, fmt: str, output: str | None) -> None:
     print(f"# {report.command}")
     for key, value in sorted(report.params.items()):
         print(f"#   {key} = {value!r}")
-    if report.seed is not None:
-        print(f"#   seed = {report.seed}")
+    print(f"#   seed = {report.seed}")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         line = f"{status}  {c.name}  value={c.value:.6e}  tol={c.tolerance:.6e}"
@@ -113,18 +112,28 @@ def cmd_exponents(args) -> int:
     return EXIT_OK if check.passed else EXIT_CHECK_FAILED
 
 
+def jacobi_pair(args, h: float) -> tuple[float, float]:
+    """--alpha and --beta, each defaulting to its value in jacobi_params(h, kappa)."""
+    if args.alpha is not None and args.beta is not None:
+        return args.alpha, args.beta
+    params = jacobi_params(h, args.kappa)
+    return (params.alpha if args.alpha is None else args.alpha,
+            params.beta if args.beta is None else args.beta)
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     kappa = args.kappa
-    h = parse_weight(args.h, kappa) if args.h else None
+    h = parse_weight(args.h, kappa)
     corrupt = parse_corrupt(args.corrupt)
+    alpha, beta = jacobi_pair(args, h)
     t_list = tuple(args.t) if args.t else (args.t_min, 1e-2, 0.1, 1.0, 10.0)
     results = checks.run_suite(
         args.suite,
         kappa,
         h=h,
-        alpha=args.alpha,
-        beta=args.beta,
+        alpha=alpha,
+        beta=beta,
         candidate=args.candidate,
         n_configs=args.configs,
         seed=args.seed,
@@ -134,7 +143,7 @@ def cmd_verify(args) -> int:
     params = {
         "suite": args.suite,
         "kappa": kappa,
-        "h": args.h or "theta2",
+        "h": args.h,
         "alpha": args.alpha,
         "beta": args.beta,
         "candidate": args.candidate,
@@ -159,9 +168,7 @@ def cmd_scan(args) -> int:
     kappa = args.kappa
     h = parse_weight(args.h, kappa)
     if args.name == "kernel-bounds":
-        params = jacobi_params(h, kappa)
-        alpha = args.alpha if args.alpha is not None else params.alpha
-        beta = args.beta if args.beta is not None else params.beta
+        alpha, beta = jacobi_pair(args, h)
         rows, check = checks.kernel_bound_scan(
             HeatKernel(alpha, beta), T=args.T, c1=args.c1, c2=args.c2,
             n_angle=args.n_angle, n_time=args.n_time, t_min=args.t_min,
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a module's invariant suite")
     p_ver.add_argument("suite", choices=checks.SUITES)
     p_ver.add_argument("--kappa", type=float, required=True)
-    p_ver.add_argument("--h", default=None,
+    p_ver.add_argument("--h", default="theta2",
                        help="anomalous weight: 'theta<N>' or a float (default theta2)")
     p_ver.add_argument("--alpha", type=float, default=None)
     p_ver.add_argument("--beta", type=float, default=None)

@@ -37,9 +37,9 @@ def d2(f, x: float, h: float) -> float:
     return second(f(x), wings(f, x, h), h)
 
 
-def richardson(coarse: float, fine: float, order: int, refine: float = 2.0) -> float:
-    """Extrapolate two estimates at steps h and h/refine of a scheme of given order."""
-    factor = refine**order
+def richardson(coarse: float, fine: float, order: int) -> float:
+    """Extrapolate two estimates at steps h and h/2 of a scheme of given order."""
+    factor = 2.0**order
     return (factor * fine - coarse) / (factor - 1.0)
 
 

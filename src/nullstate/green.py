@@ -17,8 +17,10 @@ import numpy as np
 from . import findiff
 from .errors import DomainError, PreconditionError
 from .exponents import KpzPair, delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
-from .heat_kernel import HeatKernel, TruncationPolicy, collapse_time
-from .jacobi import QuadratureRule, gauss_jacobi_rule
+from .heat_kernel import HeatKernel, collapse_time
+from .jacobi import gauss_jacobi_rule
+
+ADMISSIBLE_SLOPE_TOL = 0.01  # steepest endpoint divergence a reproduced f may show
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,10 @@ class OneIntervalGreen:
         The bracket is evaluated as -expm1(gap log(delta/eta)), which keeps full
         relative precision as delta approaches eta.
         """
-        if delta <= 0.0 or eta <= 0.0:
-            raise DomainError("interval lengths must be positive")
+        if not (0.0 < delta < math.inf and 0.0 < eta < math.inf):
+            raise DomainError(
+                f"interval lengths must be finite and positive, got delta={delta!r}, eta={eta!r}"
+            )
         if delta >= eta:
             return 0.0
         g = self.gap
@@ -60,13 +64,14 @@ class OneIntervalGreen:
             return 0.0
         return -(4.0 / self.kappa) * (delta / eta) ** (self.gap - 1.0)
 
-    def coincidence_slope_fd(self, eta: float, h: float = 1e-6) -> float:
+    def coincidence_slope_fd(self, eta: float) -> float:
         """One-sided finite-difference slope at delta = eta (from below), Richardson refined."""
 
         def one_sided(step):
             return (self.value(eta, eta) - self.value(eta - step, eta)) / step
 
-        return findiff.richardson(one_sided(h * eta), one_sided(h * eta / 2.0), order=1)
+        step = 1e-6 * eta
+        return findiff.richardson(one_sided(step), one_sided(step / 2.0), order=1)
 
     def euler_apply(self, u1: float, u2: float, delta: float) -> float:
         """The transformed Euler operator kappa/4 u'' + (kappa dm/2 + 1) u'/delta.
@@ -162,8 +167,6 @@ class AdjointResidual:
     residual: float
     scale: float
     relative: float
-    sigma_step: float
-    eta_step: float
 
 
 @dataclass
@@ -184,13 +187,7 @@ class TwoIntervalGreen:
     eigenvalue, which makes the factored and series forms agree identically.
     """
 
-    def __init__(
-        self,
-        h: float,
-        kappa: float,
-        policy: TruncationPolicy | None = None,
-        lambda0: float | None = None,
-    ):
+    def __init__(self, h: float, kappa: float, lambda0: float | None = None):
         self.h = float(h)
         self.kappa = float(kappa)
         self.theta1 = leg_weight(1, kappa)
@@ -199,7 +196,7 @@ class TwoIntervalGreen:
         self.dp_h = delta_plus(h, kappa)
         self.dp_1 = delta_plus(self.theta1, kappa)
         self.lambda0 = eigenvalue(0, h, kappa) if lambda0 is None else float(lambda0)
-        self.kernel = HeatKernel(self.alpha, self.beta, policy)
+        self.kernel = HeatKernel(self.alpha, self.beta)
         # boundary decay exponents at sigma -> 0 and sigma -> 1
         self.exp_left = self.dp_1 + 4.0 / kappa
         self.exp_right = self.dp_h + 4.0 / kappa
@@ -276,20 +273,22 @@ class TwoIntervalGreen:
         sigma: float,
         eta: float,
         sigma_step: float | None = None,
-        eta_step: float | None = None,
     ) -> AdjointResidual:
         """Finite-difference residual of P*[G] away from the source (eta > epsilon).
 
         The sigma step shrinks with the distance to the endpoints because the
-        operator coefficients blow up there.  All stencil evaluations share one
-        truncation index so the sampled function is a fixed finite sum.
+        operator coefficients blow up there; the eta step is 1e-3 eta.  All
+        stencil evaluations share one truncation index so the sampled function
+        is a fixed finite sum.  The residual is divided by eta^2, so an eta
+        whose square overflows or underflows is refused.
         """
         if eta <= epsilon:
             raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
+        if not 0.0 < eta * eta < math.inf:
+            raise DomainError(f"eta**2 must be finite and positive, got eta={eta!r}")
         if sigma_step is None:
             sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
-        if eta_step is None:
-            eta_step = 1e-3 * eta
+        eta_step = 1e-3 * eta
         eta_lo = eta - 2.0 * eta_step
         if eta_lo <= epsilon:
             raise PreconditionError("eta stencil would cross the source at eta = epsilon")
@@ -307,20 +306,14 @@ class TwoIntervalGreen:
         terms.append(-eta * deta / (sigma * (1.0 - sigma)))
         residual = sum(terms) / eta**2
         scale = max(max(abs(x) for x in terms), 1e-300) / eta**2
-        return AdjointResidual(
-            residual=residual,
-            scale=scale,
-            relative=abs(residual) / scale,
-            sigma_step=sigma_step,
-            eta_step=eta_step,
-        )
+        return AdjointResidual(residual=residual, scale=scale, relative=abs(residual) / scale)
 
     # -- reproducing limit -----------------------------------------------------
 
     def _transformed(self, f, sigma: float) -> float:
         return f(sigma) * sigma ** (-self.dp_1) * (1.0 - sigma) ** (-self.dp_h)
 
-    def check_admissible(self, f, slope_tol: float = 0.01) -> None:
+    def check_admissible(self, f) -> None:
         """Reject f whose endpoint-normalized ratio blows up toward 0 or 1.
 
         The transformed integrand must extend continuously to the endpoints, so
@@ -335,28 +328,20 @@ class TwoIntervalGreen:
             if np.any(vals == 0.0):
                 raise PreconditionError("transformed integrand changes support near an endpoint")
             slope, _ = np.polyfit(np.log(s), np.log(vals), 1)
-            if slope < -slope_tol:
+            if slope < -ADMISSIBLE_SLOPE_TOL:
                 raise PreconditionError(
                     "f(sigma) sigma^{-dp(theta1)} (1-sigma)^{-dp(h)} does not extend "
                     f"continuously to the endpoint at {edge} (divergence exponent {slope:.3g})"
                 )
 
-    def reproducing_limit(
-        self,
-        rho: float,
-        epsilon: float,
-        f,
-        etas,
-        rule: QuadratureRule | None = None,
-    ) -> ReproducingRecord:
+    def reproducing_limit(self, rho: float, epsilon: float, f, etas) -> ReproducingRecord:
         """Evaluate -int G(rho,eps;sigma,eta) f(sigma) / (eta sigma(1-sigma)) dsigma.
 
         As eta decreases to epsilon the value converges to f(rho); the integrand
         reduces to the kernel's reproducing integral applied to the transformed f.
         """
         self.check_admissible(f)
-        if rule is None:
-            rule = gauss_jacobi_rule(120, self.kernel.basis, domain="unit")
+        rule = gauss_jacobi_rule(120, self.kernel.basis, domain="unit")
         etas = np.asarray(etas, dtype=float)
         if np.any(etas <= epsilon):
             raise PreconditionError("every eta must exceed epsilon")
@@ -372,9 +357,7 @@ class TwoIntervalGreen:
 
     # -- boundary exponents ------------------------------------------------------
 
-    def boundary_exponent_fit(
-        self, side: str, rho: float, epsilon: float, eta: float, n_points: int = 7
-    ) -> float:
+    def boundary_exponent_fit(self, side: str, rho: float, epsilon: float, eta: float) -> float:
         """Log-log slope of |G| as sigma approaches an endpoint.
 
         side="left" fits sigma -> 0 (expected dp(theta1) + 4/kappa);
@@ -382,7 +365,7 @@ class TwoIntervalGreen:
         """
         if side not in ("left", "right"):
             raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-        s = np.geomspace(1e-6, 1e-3, n_points)
+        s = np.geomspace(1e-6, 1e-3, 7)
         sigmas = s if side == "left" else 1.0 - s
         vals = np.array([abs(self.value(rho, epsilon, sig, eta)) for sig in sigmas])
         if np.any(vals == 0.0):

@@ -84,6 +84,11 @@ class HeatKernel:
             self._coef.append(pbar * pbar / self._nrm[-1])
 
     def term_bound(self, n: int, t: float) -> float:
+        """B_n = exp(-t n(n+alpha+beta+1)) Pbar_n^2 / nrm_n.
+
+        t is not checked here: callers validate it once, because this is the
+        primitive inside the `truncation_index` loop.
+        """
         self._ensure(n)
         return math.exp(-t * self.decay_rate(n)) * self._coef[n]
 
@@ -164,7 +169,7 @@ class HeatKernel:
         nrm = np.array(self._nrm[:n_terms])
         return np.einsum("n,ni,nj->ij", decay / nrm, tr, ts)
 
-    def cancellation_floor(self, t: float, n_terms: int | None = None) -> float:
+    def cancellation_floor(self, t: float, n_terms: int) -> float:
         """Magnitude below which a computed kernel value is treated as unresolved.
 
         The alternating series is accumulated from terms bounded by B_n, and the
@@ -175,8 +180,7 @@ class HeatKernel:
         deep-off-diagonal values at small t fall below it and cannot be
         certified in doubles.
         """
-        if n_terms is None:
-            n_terms, _ = self.truncation_index(t)
+        _check_time(t)
         self._ensure(n_terms)
         return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
 
@@ -217,7 +221,6 @@ class BoundScanResult:
 
     c1: float
     c2: float
-    T: float
     min_ratio: dict
     max_ratio: dict
     k_min_large_t: float
@@ -242,7 +245,6 @@ def bound_ratio_scan(
     n_angle: int = 13,
     n_time: int = 8,
     t_min: float = 0.05,
-    n_large: int = 4,
 ) -> BoundScanResult:
     """Scan K / (Lambda * gaussian(c)) over [0, pi]^2 x [t_min, T] for c in {c1, c2}.
 
@@ -287,14 +289,13 @@ def bound_ratio_scan(
                     if c == c1:
                         rows.append((theta, phi, float(t), k, env, ratio))
     k_min, k_max = math.inf, -math.inf
-    for t in np.geomspace(T * 1.5, T * 12.0, n_large):
+    for t in np.geomspace(T * 1.5, T * 12.0, 4):
         kgrid = kernel.grid(rhos, sigmas, float(t))
         k_min = min(k_min, float(kgrid.min()))
         k_max = max(k_max, float(kgrid.max()))
     return BoundScanResult(
         c1=c1,
         c2=c2,
-        T=T,
         min_ratio=min_ratio,
         max_ratio=max_ratio,
         k_min_large_t=k_min,

@@ -194,12 +194,7 @@ class JacobiBasis:
         """Squared norm of P_n(2s-1) against s^beta (1-s)^alpha on [0, 1]."""
         return 2.0 ** (-self.alpha - self.beta - 1.0) * self.norm_sq(n)
 
-    # -- weights and the differential operator ------------------------------
-
-    def weight(self, y):
-        """rho(y) = (1-y)^alpha (1+y)^beta on (-1, 1)."""
-        y = np.asarray(y, dtype=float)
-        return (1.0 - y) ** self.alpha * (1.0 + y) ** self.beta
+    # -- the differential operator ------------------------------------------
 
     def operator_apply(self, n: int, y):
         """The Jacobi operator (1-y^2) d^2 + [beta-alpha-(alpha+beta+2)y] d on P_n."""
@@ -229,8 +224,7 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    domain: str = field(default="symmetric")  # "symmetric": [-1,1] w/ rho; "unit": [0,1] w/ w
+    domain: str  # "symmetric": [-1,1] w/ rho; "unit": [0,1] w/ w
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
@@ -275,4 +269,4 @@ def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> 
     if domain == "unit":
         nodes = (nodes + 1.0) / 2.0
         weights = weights * 2.0 ** (-apb - 1.0)
-    return QuadratureRule(nodes=nodes, weights=weights, order=m, domain=domain)
+    return QuadratureRule(nodes=nodes, weights=weights, domain=domain)

@@ -243,16 +243,16 @@ def system_residuals(
     ]
 
 
-def two_point_ward_solvable(h1: float, h2: float, tol: float = 1e-12) -> tuple[bool, float]:
+def two_point_ward_solvable(h1: float, h2: float) -> tuple[bool, float]:
     """Whether the two-point Ward system admits a nonzero solution.
 
     Translation plus dilation covariance force F = A (x2 - x1)^(-h1-h2); the
     special-conformal identity applied to that ansatz leaves the residual
     -(h1 - h2)(x2 - x1) F, so a nonzero solution exists iff h1 = h2.  Returns
-    (solvable, witness) with witness = h1 - h2.
+    (solvable, witness) with witness = h1 - h2, solvable when |witness| <= 1e-12.
     """
     witness = h1 - h2
-    return abs(witness) <= tol, witness
+    return abs(witness) <= 1e-12, witness
 
 
 # -- builtin candidates ---------------------------------------------------------

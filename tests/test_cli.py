@@ -183,6 +183,10 @@ def test_malformed_weight_is_usage_error(command, spec, tmp_path, capsys):
         (("scan", "kernel-bounds", "--kappa", "6", "--c1", "0"), "c1"),
         (("scan", "kernel-bounds", "--kappa", "6", "--c1", "-1"), "c1"),
         (("scan", "kernel-bounds", "--kappa", "6", "--c2", "nan"), "c2"),
+        (("scan", "green-adjoint", "--kappa", "6", "--epsilon", "1e200"), "eta**2"),
+        (("scan", "green-adjoint", "--kappa", "6", "--epsilon", "1e-300"), "eta**2"),
+        (("scan", "green-adjoint", "--kappa", "6", "--tol", "nan"), "tol"),
+        (("scan", "green-adjoint", "--kappa", "6", "--tol", "-1"), "tol"),
     ),
 )
 def test_non_finite_or_non_positive_kernel_input_is_usage_error(argv, message, tmp_path, capsys):

@@ -29,6 +29,16 @@ def test_j_zero_at_coincidence_and_causality():
     assert g.value(2.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "delta, eta",
+    [(math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (math.inf, 1.0), (0.0, 1.0), (0.5, -1.0)],
+)
+def test_j_refuses_lengths_not_finite_and_positive(delta, eta):
+    g = OneIntervalGreen(weight=leg_weight(1, 6.0), kappa=6.0)
+    with pytest.raises(DomainError, match="interval lengths must be finite and positive"):
+        g.value(delta, eta)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     kappa=st.floats(min_value=0.5, max_value=7.8),

@@ -49,6 +49,8 @@ NOT_A_TIME = (0.0, -1.0, math.nan, math.inf)
           for t in NOT_A_TIME),
         *(pytest.param(lambda k, t=t: k.grid([0.3], [0.4], t, n_terms=10), id=f"grid-n_terms-{t}")
           for t in NOT_A_TIME),
+        *(pytest.param(lambda k, t=t: k.cancellation_floor(t, 10), id=f"cancellation_floor-{t}")
+          for t in NOT_A_TIME),
     ],
 )
 def test_kernel_time_must_be_finite_and_positive(call):
