@@ -46,11 +46,9 @@ from .pde import (
     WeightAssignment,
     builtin_n1,
     builtin_power_product,
-    null_state_residual,
     resolve_candidate,
     system_residuals,
     two_point_ward_solvable,
-    ward_residuals,
 )
 
 __version__ = "0.1.0"

@@ -82,11 +82,6 @@ def _batch(config: PointConfig, moves: dict) -> np.ndarray:
 
 def _collapse_samples(F, config: PointConfig, i: int, deltas) -> tuple[np.ndarray, np.ndarray]:
     """(effective deltas, F values) with x_i placed at x_{i-1} + delta."""
-    deltas = np.asarray(deltas, dtype=float)
-    room = collapse_room(config, i)
-    bad = deltas[~((deltas > 0.0) & (deltas < room))]
-    if bad.size:
-        raise PreconditionError(f"delta {bad[0]!r} outside the open collapse range (0, {room!r})")
     cols = _batch(config, {i: config.x(i - 1) + deltas})
     return cols[i - 1] - cols[i - 2], F(cols)
 
@@ -143,8 +138,6 @@ def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
 class EllLimitRecord:
     limit: float
     converged: bool
-    slice_limits: Optional[np.ndarray] = None
-    slice_uniformity: Optional[np.ndarray] = None
 
 
 def _sequence_limit(vals: np.ndarray) -> tuple[float, bool]:
@@ -160,46 +153,12 @@ def _sequence_limit(vals: np.ndarray) -> tuple[float, bool]:
     return float(vals[-1]), False
 
 
-def ell_limit(
-    F,
-    config: PointConfig,
-    spec: CollapseSpec,
-    slice_index: int | None = None,
-    slice_values=None,
-) -> EllLimitRecord:
-    """Extrapolated limit of H = delta^(-delta_minus(d)) F as the interval closes.
-
-    With slice_index set, the limit is recorded along that coordinate's values
-    and the uniformity proxy reports sup |H(delta) - H_limit| per delta.
-    """
+def ell_limit(F, config: PointConfig, spec: CollapseSpec) -> EllLimitRecord:
+    """Extrapolated limit of H = delta^(-delta_minus(d)) F as the interval closes."""
     deltas = default_delta_grid(config, spec.i)[::-1]  # decreasing
-    dm = spec.exponents().delta_minus
-
-    def rescaled(cfg):
-        eff, vals = _collapse_samples(F, cfg, spec.i, deltas)
-        return eff ** (-dm) * vals
-
-    vals = rescaled(config)
-    limit, converged = _sequence_limit(vals)
-
-    slice_limits = slice_uniformity = None
-    if slice_index is not None:
-        if slice_values is None:
-            raise DomainError("slice_values required with slice_index")
-        slice_values = np.asarray(slice_values, dtype=float)
-        table = np.empty((slice_values.size, deltas.size))
-        limits = np.empty(slice_values.size)
-        for a, v in enumerate(slice_values):
-            table[a] = rescaled(config.replace(slice_index, float(v)))
-            limits[a], _ = _sequence_limit(table[a])
-        slice_limits = limits
-        slice_uniformity = np.max(np.abs(table - limits[:, None]), axis=0)
-    return EllLimitRecord(
-        limit=limit,
-        converged=converged,
-        slice_limits=slice_limits,
-        slice_uniformity=slice_uniformity,
-    )
+    eff, vals = _collapse_samples(F, config, spec.i, deltas)
+    limit, converged = _sequence_limit(eff ** (-spec.exponents().delta_minus) * vals)
+    return EllLimitRecord(limit=limit, converged=converged)
 
 
 @dataclass
@@ -246,7 +205,6 @@ class PairScanResult:
     eps_slope: float
     divergent: bool
     eps_exponent: Optional[float] = None
-    split_sups: Optional[dict] = None
 
 
 def far_pair_bound_scan(
@@ -254,8 +212,6 @@ def far_pair_bound_scan(
     config: PointConfig,
     weights: WeightAssignment,
     j: int,
-    deltas=None,
-    epsilons=None,
 ) -> PairScanResult:
     """Sup of |F| / (delta^dp(theta1) eps^dp(h)) over a non-adjacent pair collapse.
 
@@ -272,10 +228,8 @@ def far_pair_bound_scan(
         raise PreconditionError("the anomalous interval needs iota >= 2")
     dp1 = delta_plus(weights.theta1, weights.kappa)
     dph = delta_plus(weights.h, weights.kappa)
-    if deltas is None:
-        deltas = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, j)
-    if epsilons is None:
-        epsilons = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, iota)
+    deltas = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, j)
+    epsilons = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, iota)
     grid_d, grid_e = np.meshgrid(deltas, epsilons, indexing="ij")  # rows: delta-major
     moves = {j: config.x(j - 1) + grid_d.ravel(), iota: config.x(iota - 1) + grid_e.ravel()}
     cols = _batch(config, moves)
@@ -288,8 +242,8 @@ def far_pair_bound_scan(
     grid = ratio.reshape(grid_d.shape)
     delta_sups = np.fmax.reduce(grid, axis=1, initial=0.0)
     eps_sups = np.fmax.reduce(grid, axis=0, initial=0.0)
-    d_slope = _level_slope(np.asarray(deltas), delta_sups)
-    e_slope = _level_slope(np.asarray(epsilons), eps_sups)
+    d_slope = _level_slope(deltas, delta_sups)
+    e_slope = _level_slope(epsilons, eps_sups)
     return PairScanResult(
         sup_ratio=float(sup),
         rows=rows,
@@ -303,29 +257,21 @@ def adjacent_pair_bound_scan(
     F,
     config: PointConfig,
     weights: WeightAssignment,
-    epsilons=None,
-    fractions=None,
 ) -> PairScanResult:
     """Sup of |F| / (delta^dp(theta1) eps^dp(h) (eps-delta)^dp(h)) on the triangle.
 
     Configuration shape: x_{iota-1} = x_{iota-2} + delta, x_iota = x_{iota-2} + eps
-    with 0 < delta < eps.  Also reports the per-regime sups of the split form
-    (delta below or above eps/2) and the fitted eps-exponent at the middle
-    fraction, which recovers lambda_0 - dp(theta1) - dp(h) = dp(h) for fields of
-    the optimal-bound shape.
+    with delta = f eps for f = 0.1, 0.2, ..., 0.9.  Also reports the fitted
+    eps-exponent at the middle fraction, which recovers
+    lambda_0 - dp(theta1) - dp(h) = dp(h) for fields of the optimal-bound shape.
     """
     iota = weights.iota
     if iota < 3 or iota > config.M:
         raise PreconditionError("adjacent-pair geometry needs 3 <= iota <= M")
     dp1 = delta_plus(weights.theta1, weights.kappa)
     dph = delta_plus(weights.h, weights.kappa)
-    if epsilons is None:
-        epsilons = np.geomspace(1e-6, 1e-2, 7) * collapse_room(config, iota)
-    if fractions is None:
-        fractions = np.linspace(0.1, 0.9, 9)
-    fractions = np.asarray(fractions, dtype=float)
-    if np.any((fractions <= 0.0) | (fractions >= 1.0)):
-        raise DomainError("fractions must lie strictly inside (0, 1)")
+    epsilons = np.geomspace(1e-6, 1e-2, 7) * collapse_room(config, iota)
+    fractions = np.linspace(0.1, 0.9, 9)
     grid_e, grid_f = np.meshgrid(epsilons, fractions, indexing="ij")  # rows: eps-major
     base = config.x(iota - 2)
     moves = {iota - 1: base + (grid_f * grid_e).ravel(), iota: base + grid_e.ravel()}
@@ -337,15 +283,10 @@ def adjacent_pair_bound_scan(
     rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
     sup = np.fmax.reduce(ratio, initial=0.0)
     eps_sups = np.fmax.reduce(ratio.reshape(grid_e.shape), axis=1, initial=0.0)
-    inner = d_eff < e_eff / 2.0
-    split = {
-        "inner": float(np.fmax.reduce(ratio[inner], initial=0.0)),
-        "outer": float(np.fmax.reduce(ratio[~inner], initial=0.0)),
-    }
     mid = slice(int(np.argmin(np.abs(fractions - 0.5))), None, len(fractions))
     mid_eps = e_eff[mid]
     mid_vals = vals[mid] / (d_eff[mid] ** dp1 * (mid_eps - d_eff[mid]) ** dph)
-    e_slope = _level_slope(np.asarray(epsilons), eps_sups)
+    e_slope = _level_slope(epsilons, eps_sups)
     keep = mid_vals > 0.0
     eps_exponent = None
     if np.count_nonzero(keep) >= 2:
@@ -358,31 +299,16 @@ def adjacent_pair_bound_scan(
         eps_slope=e_slope,
         divergent=bool(e_slope < -SLOPE_TOL),
         eps_exponent=eps_exponent,
-        split_sups=split,
     )
 
 
 # -- manufactured fields ----------------------------------------------------------
 
 
-def manufactured_collapse_power(
-    kappa: float, M: int, i: int, exponent: float, prefactor=None
-) -> CandidateFunction:
-    """(x_i - x_{i-1})^exponent, optionally times a smooth prefactor g(x_1)."""
-    base = builtin_power_product({(i - 1, i): exponent}, M, name=f"collapse-power[{exponent}]")
-    if prefactor is None:
-        return base
-
-    def func(xs):
-        return prefactor(xs[0]) * base.func(xs)
-
-    return CandidateFunction(name=base.name + "*g", func=func, arity=M)
-
-
 def manufactured_two_leg(kappa: float, M: int, i: int, gamma: float) -> CandidateFunction:
     """Pure power with exponent delta_minus(theta_1) + gamma on the i-th interval."""
     dm = delta_minus(leg_weight(1, kappa), kappa)
-    return manufactured_collapse_power(kappa, M, i, dm + gamma)
+    return builtin_power_product({(i - 1, i): dm + gamma}, M, name=f"collapse-power[{dm + gamma}]")
 
 
 def manufactured_two_term(

@@ -33,7 +33,9 @@ from .heat_kernel import HeatKernel, bound_ratio_scan
 from .jacobi import JacobiBasis, gauss_jacobi_rule, log_beta
 
 KAPPA_GRID = (0.5, 2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0, 20.0 / 3.0, 7.9)
-SUPPORTED_CORRUPTIONS = ("lambda0", "alpha", "beta")
+# the corrupt keys each suite reads; `all` reads every one of them
+SUITE_CORRUPTIONS = {"green": ("lambda0",), "kernel": ("alpha", "beta")}
+SUPPORTED_CORRUPTIONS = tuple(key for keys in SUITE_CORRUPTIONS.values() for key in keys)
 
 
 @dataclass
@@ -87,13 +89,6 @@ def _leq(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
 def _is(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, value=0.0 if ok else 1.0, tolerance=0.0,
                        passed=bool(ok), detail=detail)
-
-
-def _check_corrupt(corrupt: dict) -> None:
-    unknown = set(corrupt) - set(SUPPORTED_CORRUPTIONS)
-    if unknown:
-        raise DomainError(f"unknown corruption keys {sorted(unknown)!r}; "
-                          f"supported: {SUPPORTED_CORRUPTIONS}")
 
 
 # -- exponents -----------------------------------------------------------------
@@ -251,7 +246,6 @@ QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
 
 
 def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) -> list:
-    _check_corrupt(corrupt)
     kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
     true_basis = JacobiBasis(alpha, beta)
     rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
@@ -335,7 +329,6 @@ def kernel_bound_scan(kernel: HeatKernel, **grid) -> tuple[list, CheckResult]:
 
 
 def suite_green(kappa: float, h: float, corrupt: dict) -> list:
-    _check_corrupt(corrupt)
     th1 = leg_weight(1, kappa)
     checks = []
 
@@ -617,9 +610,18 @@ def run_suite(
     corrupt: dict,
     t_list,
 ) -> list:
-    """Run one named suite (or all of them) and return its checks."""
+    """Run one named suite (or all of them) and return its checks.
+
+    A corrupt key the suite does not read is refused, so a fault injection
+    never passes as a silent no-op.
+    """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; expected one of {SUITES}")
+    reads = SUPPORTED_CORRUPTIONS if name == "all" else SUITE_CORRUPTIONS.get(name, ())
+    unread = sorted(set(corrupt) - set(reads))
+    if unread:
+        raise DomainError(f"suite {name!r} reads no corruption keys {unread!r}; "
+                          f"it reads {reads}")
     if name == "exponents":
         return suite_exponents(kappas=(kappa,))
     if name == "jacobi":
@@ -636,7 +638,8 @@ def run_suite(
     for sub in ("exponents", "jacobi", "kernel", "green", "pde", "asymptotics"):
         sub_checks = run_suite(
             sub, kappa, h=h, alpha=alpha, beta=beta, candidate=candidate,
-            n_configs=n_configs, seed=seed, corrupt=corrupt, t_list=t_list,
+            n_configs=n_configs, seed=seed, t_list=t_list,
+            corrupt={k: v for k, v in corrupt.items() if k in SUITE_CORRUPTIONS.get(sub, ())},
         )
         for c in sub_checks:
             c.name = f"{sub}.{c.name}"

@@ -188,7 +188,8 @@ def cmd_scan(args) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}
     report = checks.build_report("scan", params, [check], started, seed=0)
     _print_report(report, args.format, None)
-    print(f"# wrote {args.output}")
+    if args.format == "text":
+        print(f"# wrote {args.output}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

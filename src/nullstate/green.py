@@ -228,15 +228,12 @@ class TwoIntervalGreen:
         k = self.kernel.value(rho, sigma, t, n_terms=n_terms).value
         return -self._prefactor(rho, sigma) * eta * (epsilon / eta) ** self.lambda0 * k
 
-    def value_series(
-        self, rho: float, epsilon: float, sigma: float, eta: float, n_terms: int | None = None
-    ) -> float:
+    def value_series(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Direct eigenvalue series with per-mode powers (eps/eta)^lambda_n."""
         self._check_point(rho, sigma, epsilon, eta)
         if eta <= epsilon:
             return 0.0
-        if n_terms is None:
-            n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
+        n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
         basis = self.kernel.basis
         table = basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, 2.0 * sigma - 1.0])
         ratio = epsilon / eta
@@ -267,12 +264,7 @@ class TwoIntervalGreen:
         ]
 
     def adjoint_residual(
-        self,
-        rho: float,
-        epsilon: float,
-        sigma: float,
-        eta: float,
-        sigma_step: float | None = None,
+        self, rho: float, epsilon: float, sigma: float, eta: float
     ) -> AdjointResidual:
         """Finite-difference residual of P*[G] away from the source (eta > epsilon).
 
@@ -286,8 +278,7 @@ class TwoIntervalGreen:
             raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
         if not 0.0 < eta * eta < math.inf:
             raise DomainError(f"eta**2 must be finite and positive, got eta={eta!r}")
-        if sigma_step is None:
-            sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
+        sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
         eta_step = 1e-3 * eta
         eta_lo = eta - 2.0 * eta_step
         if eta_lo <= epsilon:

@@ -53,14 +53,14 @@ def collapse_time(epsilon: float, eta: float, kappa: float) -> float:
 class HeatKernel:
     """Evaluator for K^(alpha,beta); immutable parameters, append-only caches."""
 
-    def __init__(self, alpha: float, beta: float, policy: TruncationPolicy | None = None):
+    def __init__(self, alpha: float, beta: float):
         if alpha < -0.5 or beta < -0.5:
             raise DomainError(
                 "endpoint-maximum tail bounds require alpha, beta >= -1/2, "
                 f"got ({alpha!r}, {beta!r})"
             )
         self.basis = JacobiBasis(alpha, beta)
-        self.policy = policy or TruncationPolicy()
+        self.policy = TruncationPolicy()
         self._nrm: list[float] = []
         self._coef: list[float] = []  # Pbar_n^2 / nrm_n
 

@@ -32,6 +32,8 @@ class PointConfig:
         xs = np.asarray(self.coords, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise DomainError("a configuration needs at least two coordinates")
+        if not np.all(np.isfinite(xs)):
+            raise DomainError(f"coordinates must be finite, got {self.coords!r}")
         gaps = np.diff(xs)
         if not np.all(gaps > 0.0):
             raise DomainError(f"coordinates must be strictly increasing, got {self.coords!r}")
@@ -110,11 +112,11 @@ class CandidateFunction:
     """An evaluable scalar field on strictly increasing configurations.
 
     F maps one configuration, shape (M,), to a float and a batch, the columns of
-    an (M, B) array, to a (B,) array.  func must be pure; xs[k] is a scalar or a
-    length-B array, so numpy arithmetic serves both.  A func that raises
-    TypeError/ValueError on a batch, or does not return shape (B,), is called
-    column by column.  grad/second, when provided, are exact partial
-    derivatives used only as stencil-validation oracles.
+    an (M, B) array, to a (B,) array.  func must be pure and must accept both;
+    xs[k] is a scalar or a length-B array, so numpy arithmetic serves both.  A
+    batch result of any other shape than (B,) raises DomainError.  grad/second,
+    when provided, are exact partial derivatives used only as stencil-validation
+    oracles.
     """
 
     name: str
@@ -130,26 +132,13 @@ class CandidateFunction:
             raise DomainError(f"{self.name} takes shape ({M},) or ({M}, B), got {xs.shape}")
         if xs.ndim == 1:
             return float(self.func(xs))
-        try:
-            vals = np.asarray(self.func(xs), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != xs.shape[1:]:
-            vals = np.array([float(self.func(col)) for col in xs.T])
+        vals = np.asarray(self.func(xs), dtype=float)
+        if vals.shape != xs.shape[1:]:
+            raise DomainError(f"{self.name} returned shape {vals.shape} for a batch {xs.shape}")
         return vals
 
 
 # -- stencils -----------------------------------------------------------------
-
-
-def _stencil_step(config: PointConfig, step: float | None) -> float:
-    gap = config.min_gap
-    h = STEP_FACTOR * gap if step is None else float(step)
-    if not 0.0 < 4.0 * h < gap:
-        raise PreconditionError(
-            f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}"
-        )
-    return h
 
 
 def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
@@ -169,55 +158,23 @@ def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
 # -- residuals ----------------------------------------------------------------
 
 
-def null_state_residual(
-    F,
-    config: PointConfig,
-    weights: WeightAssignment,
-    j: int,
-    step: float | None = None,
-) -> ResidualReport:
-    """Residual of the null-state PDE centered on x_j.
-
-    kappa/4 d_j^2 F + sum_{k != j, iota} [d_k F/(x_k - x_j) - theta_1 F/(x_k - x_j)^2]
-    + d_iota F/(x_iota - x_j) - h F/(x_iota - x_j)^2.
-
-    With h = theta_1 this is the unmodified equation and j = iota is allowed;
-    otherwise the system provides no equation centered on the anomalous point.
-    """
-    M = config.M
-    if not 1 <= j <= M:
-        raise DomainError(f"j must lie in 1..{M}, got {j!r}")
-    if j == weights.iota and not weights.homogeneous:
-        raise PreconditionError("no null-state equation is centered on the anomalous index")
-    name = f"null_state[{j}]"
-    return next(r for r in system_residuals(F, config, weights, step) if r.equation == name)
-
-
-def ward_residuals(
-    F,
-    config: PointConfig,
-    weights: WeightAssignment,
-    step: float | None = None,
-) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    """Residuals of the translation, dilation, and special-conformal identities."""
-    return tuple(system_residuals(F, config, weights, step)[-3:])
-
-
-def system_residuals(
-    F,
-    config: PointConfig,
-    weights: WeightAssignment,
-    step: float | None = None,
-) -> list[ResidualReport]:
+def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[ResidualReport]:
     """All available null-state equations plus the three Ward identities.
 
-    Every equation reads from one shared set of 1 + 4M samples of F.  Each
-    residual is the fsum of its terms, reported against the largest |term|.
+    The null-state equation centered on x_j ("null_state[j]") is
+    kappa/4 d_j^2 F + sum_{k != j} [d_k F/(x_k - x_j) - w_k F/(x_k - x_j)^2]
+    with w_k = weights.weight(k); there is none on the anomalous index unless
+    h = theta_1.  Every equation reads from one shared set of 1 + 4M samples of
+    F with step STEP_FACTOR * min_gap.  Each residual is the fsum of its terms,
+    reported against the largest |term|.
     """
     M = config.M
     if weights.iota > M:
         raise DomainError(f"iota={weights.iota} outside 1..{M}")
-    h = _stencil_step(config, step)
+    gap = config.min_gap
+    h = STEP_FACTOR * gap
+    if not 0.0 < 4.0 * h < gap:
+        raise PreconditionError(f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}")
     fval, grads, seconds = _stencil(F, config, h)
     xs = config.coords
     ws = [weights.weight(k) for k in range(1, M + 1)]

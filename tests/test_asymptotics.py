@@ -30,6 +30,11 @@ def spec_for(kappa, M=2, i=2):
     return CollapseSpec(i=i, weights=WeightAssignment.one_leg(kappa, M))
 
 
+def collapse_power(M, exponent):
+    """(x_2 - x_1)^exponent on M points."""
+    return pde.builtin_power_product({(1, 2): exponent}, M)
+
+
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 def test_n1_collapse_exponent(kappa):
     F = builtin_n1(kappa)
@@ -41,7 +46,7 @@ def test_n1_collapse_exponent(kappa):
 def test_manufactured_exponent_recovered():
     kappa = 10.0 / 3.0
     target = delta_plus(leg_weight(1, kappa), kappa)
-    F = asym.manufactured_collapse_power(kappa, 3, 2, target)
+    F = collapse_power(3, target)
     cfg = PointConfig.of(0.0, 1.0, 2.5)
     est = collapse_exponent(F, cfg, spec_for(kappa, M=3))
     assert abs(est.p_hat - target) <= 1e-3
@@ -54,7 +59,7 @@ def test_constant_field_exponent_zero():
 
 
 def test_degenerate_fit_raises():
-    F = pde.CandidateFunction(name="zero", func=lambda xs: 0.0)
+    F = pde.CandidateFunction(name="zero", func=lambda xs: np.zeros_like(xs[0]))
     with pytest.raises(DegenerateFitError):
         collapse_exponent(F, PointConfig.of(0.0, 1.0), spec_for(4.0))
 
@@ -79,7 +84,7 @@ def test_two_leg_margin(kappa, gamma, expected):
 
 def test_two_leg_plus_channel_true():
     kappa = 10.0 / 3.0
-    F = asym.manufactured_collapse_power(kappa, 3, 2, delta_plus(leg_weight(1, kappa), kappa))
+    F = collapse_power(3, delta_plus(leg_weight(1, kappa), kappa))
     res = two_leg_test(F, PointConfig.of(0.0, 1.0, 2.3), spec_for(kappa, M=3))
     assert res.is_two_leg
 
@@ -104,22 +109,10 @@ def test_ell_limit_n1_normalization(kappa):
 
 def test_ell_limit_two_leg_field_vanishes():
     kappa = 10.0 / 3.0
-    F = asym.manufactured_collapse_power(kappa, 3, 2, delta_plus(leg_weight(1, kappa), kappa))
+    F = collapse_power(3, delta_plus(leg_weight(1, kappa), kappa))
     rec = ell_limit(F, PointConfig.of(0.0, 1.0, 2.3), spec_for(kappa, M=3))
     assert rec.converged
     assert abs(rec.limit) <= 1e-6
-
-
-def test_ell_limit_slice_prefactor():
-    kappa = 10.0 / 3.0
-    dm = delta_minus(leg_weight(1, kappa), kappa)
-    F = asym.manufactured_collapse_power(kappa, 3, 2, dm, prefactor=lambda x1: x1 * x1 + 1.0)
-    cfg = PointConfig.of(0.0, 1.0, 2.3)
-    xs = np.linspace(-0.8, 0.8, 20)
-    rec = ell_limit(F, cfg, spec_for(kappa, M=3), slice_index=1, slice_values=xs)
-    assert np.max(np.abs(rec.slice_limits - (xs * xs + 1.0))) <= 1e-4
-    # uniformity proxy shrinks along the collapse
-    assert rec.slice_uniformity[-1] <= rec.slice_uniformity[0] + 1e-12
 
 
 def test_decomposition_fit_synthetic():
@@ -143,7 +136,7 @@ def test_decomposition_n1_pure_minus_channel(kappa):
 def test_decomposition_two_leg_field():
     kappa = 10.0 / 3.0
     th1 = leg_weight(1, kappa)
-    F = asym.manufactured_collapse_power(kappa, 2, 2, delta_plus(th1, kappa))
+    F = collapse_power(2, delta_plus(th1, kappa))
     fit = one_interval_decomposition_fit(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
     assert fit.A == pytest.approx(0.0, abs=1e-6)
     assert fit.B == pytest.approx(1.0, abs=1e-6)
@@ -206,7 +199,8 @@ def _pointwise_rows(F, config, moves, ratio):
 
 
 def test_far_pair_scan_matches_pointwise_loop():
-    # NaN ratios (here the eps = 1e-5 column) are skipped by every sup
+    # on the default grid (delta up to room/100 = 2e-2, eps up to 1e-2), NaN
+    # ratios (here the eps <= 1e-5 columns) are skipped by every sup
     kappa = 6.0
     h = leg_weight(2, kappa)
     dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)
@@ -217,12 +211,13 @@ def test_far_pair_scan_matches_pointwise_loop():
         name="holed", arity=5,
         func=lambda xs: np.where(xs[4] - xs[3] > 5e-5, base.func(xs), np.nan),
     )
-    deltas, epsilons = [1e-4, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3]
-    scan = far_pair_bound_scan(F, cfg, w, j=2, deltas=deltas, epsilons=epsilons)
+    deltas, epsilons = 2.0 * np.geomspace(1e-6, 1e-2, 5), np.geomspace(1e-6, 1e-2, 5)
+    scan = far_pair_bound_scan(F, cfg, w, j=2)
     moves = [{2: (1, d), 5: (4, e)} for d in deltas for e in epsilons]
     want = _pointwise_rows(F, cfg, moves, lambda d, e: d**dp1 * e**dph)
     np.testing.assert_allclose(scan.rows, want, rtol=1e-14)
-    ratios = np.array([row[3] for row in want]).reshape(3, 3)
+    ratios = np.array([row[3] for row in want]).reshape(5, 5)
+    assert np.all(np.isnan(ratios[:, :2])) and not np.any(np.isnan(ratios[:, 2:]))
     assert scan.sup_ratio == pytest.approx(np.nanmax(ratios), rel=1e-14)
     slope = np.polyfit(np.log(deltas), np.log(np.nanmax(ratios, axis=1)), 1)[0]
     assert scan.delta_slope == pytest.approx(slope, rel=1e-12)
@@ -236,40 +231,38 @@ def test_adjacent_pair_scan_matches_pointwise_loop():
     cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
     w = WeightAssignment(kappa=kappa, iota=4, h=h)
     F = asym.manufactured_adjacent(kappa, h, 5, 4, shape="weak-eps")
-    epsilons, fractions = [1e-4, 1e-3, 1e-2], [0.2, 0.5, 0.7]
-    scan = adjacent_pair_bound_scan(F, cfg, w, epsilons=epsilons, fractions=fractions)
+    # the default grid: eps up to room/100 = 2e-2, delta = f eps for f = 0.1..0.9
+    epsilons, fractions = 2.0 * np.geomspace(1e-6, 1e-2, 7), np.linspace(0.1, 0.9, 9)
+    scan = adjacent_pair_bound_scan(F, cfg, w)
     moves = [{3: (2, f * e), 4: (2, e)} for e in epsilons for f in fractions]
     want = _pointwise_rows(F, cfg, moves, lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
     np.testing.assert_allclose(scan.rows, want, rtol=1e-14)
     ratios = np.array([row[3] for row in want])
-    inner = np.array([d < e / 2.0 for d, e, _, _ in want])
     assert scan.sup_ratio == pytest.approx(ratios.max(), rel=1e-14)
-    assert scan.split_sups["inner"] == pytest.approx(ratios[inner].max(), rel=1e-14)
-    assert scan.split_sups["outer"] == pytest.approx(ratios[~inner].max(), rel=1e-14)
     assert scan.eps_exponent == pytest.approx(dph - 0.5, abs=1e-9)
     assert scan.divergent
 
 
-def test_far_pair_rejects_displacement_past_neighbour():
-    # delta = 2.5 puts x_2 past x_3
+# at 1e12 one ulp is 1.2e-4, so x_{i-1} + 1e-6 room rounds back onto x_{i-1}
+FAR_OUT = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0).translated(1e12)
+
+
+def test_far_pair_rejects_collapse_lost_to_rounding():
     kappa = 6.0
     h = leg_weight(2, kappa)
-    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
     w = WeightAssignment(kappa=kappa, iota=5, h=h)
     F = asym.manufactured_far_pair(kappa, h, 5, 2, 5)
-    with pytest.raises(PreconditionError):
-        far_pair_bound_scan(F, cfg, w, j=2, deltas=[1e-3, 2.5], epsilons=[1e-3])
+    with pytest.raises(PreconditionError, match="not strictly increasing"):
+        far_pair_bound_scan(F, FAR_OUT, w, j=2)
 
 
-def test_adjacent_pair_rejects_displacement_onto_neighbour():
-    # eps = 3 puts x_4 on x_5
+def test_adjacent_pair_rejects_collapse_lost_to_rounding():
     kappa = 6.0
     h = leg_weight(2, kappa)
-    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
     w = WeightAssignment(kappa=kappa, iota=4, h=h)
     F = asym.manufactured_adjacent(kappa, h, 5, 4)
-    with pytest.raises(PreconditionError):
-        adjacent_pair_bound_scan(F, cfg, w, epsilons=[1e-3, 3.0])
+    with pytest.raises(PreconditionError, match="not strictly increasing"):
+        adjacent_pair_bound_scan(F, FAR_OUT, w)
 
 
 @pytest.mark.parametrize("kappa", (10.0 / 3.0, 6.0))
@@ -287,8 +280,6 @@ def test_adjacent_pair_scan(kappa):
     dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)
     assert lam0 - dp1 - dph == pytest.approx(dph, abs=1e-12)
     assert norm.eps_exponent == pytest.approx(dph, abs=1e-6)
-    assert norm.split_sups["inner"] <= 1.0 + 1e-10
-    assert norm.split_sups["outer"] <= 1.0 + 1e-10
     weak = adjacent_pair_bound_scan(
         asym.manufactured_adjacent(kappa, h, 5, 4, shape="weak-eps"), cfg, w
     )
@@ -312,6 +303,6 @@ def test_pure_power_range(rng):
     kappa = 4.0
     cfg = PointConfig.of(0.0, 1.0)
     for p in (-3.0, -1.2, 0.4, 1.7, 3.0):
-        F = asym.manufactured_collapse_power(kappa, 2, 2, p)
+        F = collapse_power(2, p)
         est = collapse_exponent(F, cfg, spec_for(kappa))
         assert abs(est.p_hat - p) <= 3.0 * est.stderr + 1e-9

@@ -80,6 +80,18 @@ def test_verify_unknown_corruption_is_usage_error(capsys):
     assert cli.main(["verify", "green", "--kappa", "6", "--corrupt", "nope=1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "suite, key",
+    (("pde", "foo"), ("kernel", "lambda0"), ("green", "alpha"), ("exponents", "beta"),
+     ("all", "foo")),
+)
+def test_verify_corruption_the_suite_does_not_read_is_usage_error(suite, key, capsys):
+    # every suite but kernel, green and all reads no key, so any key would be a no-op
+    assert cli.main(["verify", suite, "--kappa", "6", "--corrupt", f"{key}=1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: suite {suite!r} reads no corruption keys [{key!r}]" in err
+
+
 @pytest.mark.parametrize("fmt", ("json", "text"))
 def test_verify_json_report(fmt, tmp_path, capsys):
     out_file = tmp_path / "report.json"
@@ -203,7 +215,7 @@ def test_scan_green_adjoint_names_its_worst_row(tmp_path, capsys):
     code, out = run(capsys, "scan", "green-adjoint", "--kappa", "6", "--n-sigma", "3",
                     "--n-eta", "2", "--format", "json", "--output", str(out_file))
     assert code == 0
-    check = json.loads(out[:out.rindex("# wrote")])["checks"][0]
+    check = json.loads(out)["checks"][0]
     rows = [{k: float(v) for k, v in r.items()}
             for r in csv.DictReader(out_file.read_text().splitlines())]
     assert len(rows) == 6

@@ -143,10 +143,24 @@ def test_adjoint_residual_sample_count(green, monkeypatch):
     assert sum(sigma == 0.5 and eta != 1.25 for sigma, eta in points) == 6
 
 
-def test_adjoint_residual_sigma_stencil_leaving_domain(green):
-    # sigma - 2 * sigma_step < 0: the stencil sample outside (0, 1) is refused
-    with pytest.raises(DomainError):
-        green.adjoint_residual(0.4, 0.5, 0.01, 1.25, sigma_step=0.006)
+def test_adjoint_residual_sigma_stencil_leaving_domain(green, monkeypatch):
+    # the sigma step is at most a tenth of the distance to the nearer endpoint,
+    # so a sigma next to 0 or 1 keeps every stencil sample inside (0, 1); a
+    # sigma outside is refused
+    value = green.value
+    sigmas = []
+
+    def counted(rho, epsilon, sigma, eta, n_terms=None):
+        sigmas.append(sigma)
+        return value(rho, epsilon, sigma, eta, n_terms=n_terms)
+
+    monkeypatch.setattr(green, "value", counted)
+    for sigma in (1e-3, 1.0 - 1e-3):
+        assert math.isfinite(green.adjoint_residual(0.4, 0.5, sigma, 1.25).residual)
+    assert len(sigmas) == 26 and all(0.0 < s < 1.0 for s in sigmas)
+    for sigma in (0.0, 1.0, 1.2):
+        with pytest.raises(DomainError, match="rho and sigma must lie in"):
+            green.adjoint_residual(0.4, 0.5, sigma, 1.25)
 
 
 def test_j_annihilation_fd_sample_count(monkeypatch):

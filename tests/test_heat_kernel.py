@@ -73,11 +73,12 @@ def test_bound_scan_refuses_bad_grid(grid):
 
 
 def test_truncation_error_reports_achieved_bound():
-    k = HeatKernel(1.0, 1.0, TruncationPolicy(tail_tol=1e-10, n_max=50))
+    # at t = 1e-5 the certified tail is still above 1e-10 after n_max = 2000 terms
+    k = HeatKernel(1.0, 1.0)
     with pytest.raises(TruncationError) as err:
-        k.value(0.5, 0.5, 1e-6)
-    assert err.value.achieved_bound is not None
-    assert err.value.achieved_bound > 1e-10
+        k.value(0.5, 0.5, 1e-5)
+    assert err.value.n_terms == TruncationPolicy().n_max == 2000
+    assert err.value.achieved_bound > TruncationPolicy().tail_tol
 
 
 def test_tail_bound_is_honest(kernel):

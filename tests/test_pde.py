@@ -14,15 +14,18 @@ from nullstate import (
     builtin_n1,
     builtin_power_product,
     leg_weight,
-    null_state_residual,
     resolve_candidate,
     system_residuals,
     two_point_ward_solvable,
-    ward_residuals,
 )
 from nullstate import asymptotics as asym
 from nullstate import findiff, pde
 from conftest import KAPPA_GRID, KAPPA_MODERATE
+
+
+def residuals(F, config, weights) -> dict:
+    """The system's residual reports by equation name."""
+    return {r.equation: r for r in system_residuals(F, config, weights)}
 
 
 def test_point_config_validation():
@@ -34,6 +37,15 @@ def test_point_config_validation():
     assert cfg.M == 3
     assert cfg.x(1) == -1.0
     assert cfg.min_gap == 1.5
+
+
+@pytest.mark.parametrize(
+    "coords", ((-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf), (0.0, math.nan, 1.0)),
+    ids=("-inf", "+inf", "nan"),
+)
+def test_point_config_refuses_non_finite(coords):
+    with pytest.raises(DomainError, match="coordinates must be finite"):
+        PointConfig(coords)
 
 
 def test_weight_assignment():
@@ -61,7 +73,7 @@ def test_n1_null_state_spot(kappa):
     # equals 3 theta_1, so only stencil noise remains
     F = builtin_n1(kappa)
     cfg = PointConfig.of(-0.3, 1.1)
-    rep = null_state_residual(F, cfg, WeightAssignment.one_leg(kappa, 2), j=1)
+    rep = residuals(F, cfg, WeightAssignment.one_leg(kappa, 2))["null_state[1]"]
     assert rep.relative <= 1e-7
 
 
@@ -71,7 +83,7 @@ def test_constant_not_a_solution():
     th1 = leg_weight(1, kappa)
     one = resolve_candidate("one", kappa)
     cfg = PointConfig.of(0.0, 1.3)
-    rep = null_state_residual(one, cfg, WeightAssignment.one_leg(kappa, 2), j=1)
+    rep = residuals(one, cfg, WeightAssignment.one_leg(kappa, 2))["null_state[1]"]
     assert rep.residual == pytest.approx(-th1 / 1.3**2, rel=1e-12)
 
 
@@ -81,7 +93,7 @@ def test_wrong_weight_power_residual():
     cfg = PointConfig.of(0.0, 1.0)
     w = WeightAssignment(kappa=kappa, iota=2, h=h)
     F = CandidateFunction(name="wrong", func=lambda xs: (xs[1] - xs[0]) ** (-2.0 * h))
-    rep = null_state_residual(F, cfg, w, j=1)
+    rep = residuals(F, cfg, w)["null_state[1]"]
     want = kappa * h * (2.0 * h + 1.0) / 2.0 - 3.0 * h
     assert rep.residual == pytest.approx(want, rel=1e-6)
     th1 = leg_weight(1, kappa)
@@ -91,7 +103,7 @@ def test_wrong_weight_power_residual():
 def test_ward_translation_spot_value():
     F = CandidateFunction(name="sum", func=lambda xs: xs[0] + xs[1])
     cfg = PointConfig.of(0.2, 1.7)
-    w1, _, _ = ward_residuals(F, cfg, WeightAssignment.one_leg(4.0, 2))
+    w1 = residuals(F, cfg, WeightAssignment.one_leg(4.0, 2))["ward_translation"]
     assert w1.residual == pytest.approx(2.0, abs=1e-9)
 
 
@@ -103,7 +115,8 @@ def test_two_point_special_conformal_factor():
     cfg = PointConfig.of(0.3, 1.9)
     w = WeightAssignment(kappa=kappa, iota=2, h=h2)
     # translation/dilation hold; special conformal carries the witness
-    wt, wd, wsc = ward_residuals(F, cfg, w)
+    reps = residuals(F, cfg, w)
+    wt, wd, wsc = (reps[f"ward_{n}"] for n in ("translation", "dilation", "special_conformal"))
     assert wt.relative <= 1e-9
     assert wd.relative <= 1e-9
     s = 1.9 - 0.3
@@ -186,13 +199,21 @@ def _increasing_batch(rng, M, B=7):
 KAPPA_BATCH = 10.0 / 3.0
 H_BATCH = leg_weight(2, KAPPA_BATCH)
 MU_BATCH = {(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}
-# every builtin and manufactured field, with its number of power factors
+COLLAPSE_POWER = builtin_power_product({(1, 2): -0.7}, 3, name="collapse-power[-0.7]")
+# every builtin and manufactured field, and a user field built on a power
+# product, with its number of power factors
 BATCH_FIELDS = [
     (builtin_n1(KAPPA_BATCH), 1),
     (builtin_power_product(MU_BATCH, 3), len(MU_BATCH)),
     (resolve_candidate("one", KAPPA_BATCH), 0),
-    (asym.manufactured_collapse_power(KAPPA_BATCH, 3, 2, -0.7), 1),
-    (asym.manufactured_collapse_power(KAPPA_BATCH, 3, 2, -0.7, prefactor=lambda x: x * x + 1), 1),
+    (COLLAPSE_POWER, 1),
+    (
+        CandidateFunction(
+            name="collapse-power[-0.7]*g", arity=3,
+            func=lambda xs: (xs[0] * xs[0] + 1.0) * COLLAPSE_POWER.func(xs),
+        ),
+        1,
+    ),
     (asym.manufactured_two_leg(KAPPA_BATCH, 3, 2, 0.05), 1),
     (asym.manufactured_two_term(KAPPA_BATCH, 3, 2, H_BATCH, 2.0, 3.0), 2),
     (asym.manufactured_far_pair(KAPPA_BATCH, H_BATCH, 5, 2, 5), 2),
@@ -221,21 +242,28 @@ def test_batch_matches_columns(field, n_powers, rng):
     assert np.all(np.abs(got - want) <= 2 * max(n_powers, 1) * np.spacing(np.abs(want)))
 
 
-@pytest.mark.parametrize(
-    "func",
-    (
-        lambda xs: math.exp(xs[1] - xs[0]),  # TypeError on an array
-        lambda xs: np.prod(np.diff(xs)),  # reduces the whole batch to a scalar
-        lambda xs: 1.0 if xs[0] < 0.0 else 2.0,  # ValueError: truth of an array
-    ),
-    ids=("math-exp", "prod-of-diff", "if-on-coordinate"),
-)
-def test_scalar_only_field_falls_back_to_columns(func, rng):
-    F = CandidateFunction(name="scalar-only", func=func)
+def test_wrong_shape_batch_refused(rng):
+    # np.prod(np.diff(xs)) is a field on one configuration but reduces a whole
+    # batch to one number
+    F = CandidateFunction(name="scalar-only", func=lambda xs: np.prod(np.diff(xs)))
     X = _increasing_batch(rng, 3)
-    got = F(X)
-    assert got.shape == (X.shape[1],)
-    assert got.tolist() == [F(col) for col in X.T]
+    assert F(X[:, 0]) == (X[1, 0] - X[0, 0]) * (X[2, 0] - X[1, 0])
+    with pytest.raises(DomainError, match=r"scalar-only returned shape \(\) for a batch \(3, 7\)"):
+        F(X)
+
+
+@pytest.mark.parametrize(
+    "func, error",
+    (
+        (lambda xs: math.exp(xs[1] - xs[0]), TypeError),  # math on an array
+        (lambda xs: 1.0 if xs[0] < 0.0 else 2.0, ValueError),  # truth of an array
+    ),
+    ids=("math-exp", "if-on-coordinate"),
+)
+def test_batch_error_propagates(func, error, rng):
+    F = CandidateFunction(name="scalar-only", func=func)
+    with pytest.raises(error):
+        F(_increasing_batch(rng, 3))
 
 
 def _reference_reports(F, config, weights):
@@ -290,9 +318,8 @@ WEIGHTINGS = {
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("M", (2, 3, 5, 8))
 def test_system_residuals_match_standalone_reports(M, weighting):
-    # the one assembly reproduces the per-equation loops bit for bit, and the
-    # standalone functions select from it; the anomalous index of a
-    # non-homogeneous weighting has no null-state equation
+    # the one assembly reproduces the per-equation loops bit for bit; the
+    # anomalous index of a non-homogeneous weighting has no null-state equation
     pairs = [(i, j) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
     mu = {(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i, j in pairs}
     F = builtin_power_product(mu, M)
@@ -304,21 +331,14 @@ def test_system_residuals_match_standalone_reports(M, weighting):
         assert len(js) == (M if w.homogeneous else M - 1)
         want = [_bits(nulls[j]) for j in js] + [_bits(r) for r in ward]
         assert [_bits(r) for r in system_residuals(F, cfg, w)] == want
-        assert [_bits(null_state_residual(F, cfg, w, j)) for j in js] == want[: len(js)]
-        assert [_bits(r) for r in ward_residuals(F, cfg, w)] == want[len(js):]
 
 
 def test_anomalous_index_outside_configuration_rejected():
     F = builtin_n1(4.0)
     cfg = PointConfig.of(0.0, 1.0)
     w = WeightAssignment(kappa=4.0, iota=3, h=1.5)
-    for call in (
-        lambda: system_residuals(F, cfg, w),
-        lambda: ward_residuals(F, cfg, w),
-        lambda: null_state_residual(F, cfg, w, j=1),
-    ):
-        with pytest.raises(DomainError, match="iota=3 outside 1..2"):
-            call()
+    with pytest.raises(DomainError, match="iota=3 outside 1..2"):
+        system_residuals(F, cfg, w)
 
 
 def test_point_config_min_gap_is_hidden_field():
@@ -354,26 +374,16 @@ def test_translation_invariance(kappa):
         assert moved[eq] <= 1e-6
 
 
-def test_anomalous_center_rejected():
-    w = WeightAssignment(kappa=4.0, iota=2, h=1.5)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "coords", ((0.0, 5e-324), (-1e308, 1e308)), ids=("gap-underflow", "gap-overflow")
+)
+def test_stencil_leaving_domain_rejected(coords):
+    # the step STEP_FACTOR * min_gap must satisfy 0 < 4*step < min_gap: a
+    # subnormal gap rounds the step to 0 and an overflowing one makes it inf
     F = builtin_n1(4.0)
-    with pytest.raises(PreconditionError):
-        null_state_residual(F, PointConfig.of(0.0, 1.0), w, j=2)
-
-
-@pytest.mark.parametrize("step", (0.3, 0.25, 0.0, -1e-4, -0.3, math.nan, math.inf))
-def test_stencil_leaving_domain_rejected(step):
-    # an explicit step must satisfy 0 < 4*step < min_gap (here 1)
-    F = builtin_n1(4.0)
-    cfg = PointConfig.of(0.0, 1.0)
-    w = WeightAssignment.one_leg(4.0, 2)
-    for call in (
-        lambda: system_residuals(F, cfg, w, step=step),
-        lambda: ward_residuals(F, cfg, w, step=step),
-        lambda: null_state_residual(F, cfg, w, j=1, step=step),
-    ):
-        with pytest.raises(PreconditionError):
-            call()
+    with pytest.raises(PreconditionError, match="stencil step"):
+        system_residuals(F, PointConfig.of(*coords), WeightAssignment.one_leg(4.0, 2))
 
 
 def test_n1_residual_sweep_full_grid(rng):
