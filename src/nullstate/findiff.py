@@ -4,7 +4,10 @@ The fourth-order five-point formulas are written once, as functions of the
 samples, so a caller that needs several derivatives at one point samples it
 once: `wings` gives the four off-centre samples, `first` and `second` combine
 them (with the centre value for `second`).  The Richardson-refined forms
-take the step-h/2 stencil's outer samples, x -+ h, from the step-h wings.
+read the six samples at `refined_points`: the step-h wings and x -+ h/2, the
+step-h/2 stencil taking its outer samples, x -+ h, from the step-h wings.  A
+caller that evaluates its function on many points at once samples those
+abscissae itself and hands the values to `refined_first` / `refined_second`.
 """
 
 from __future__ import annotations
@@ -43,24 +46,31 @@ def richardson(coarse: float, fine: float, order: int) -> float:
     return (factor * fine - coarse) / (factor - 1.0)
 
 
-def _halved(f, x: float, h: float, coarse) -> tuple[float, float, float, float]:
-    """Wing samples at step h/2; its outer points x -+ h are taken from the step-h wings."""
-    return coarse[1], f(x - h / 2.0), f(x + h / 2.0), coarse[2]
+def refined_points(x: float, h: float) -> tuple[float, ...]:
+    """x - 2h, x - h, x + h, x + 2h, x - h/2, x + h/2: the samples the refined forms read."""
+    return x - 2 * h, x - h, x + h, x + 2 * h, x - h / 2.0, x + h / 2.0
 
 
-def d1_extrapolated(f, x: float, h: float) -> float:
-    """Richardson-refined fourth-order first derivative (effective order six), from six samples."""
-    coarse = wings(f, x, h)
-    return richardson(first(coarse, h), first(_halved(f, x, h, coarse), h / 2.0), order=4)
+def _coarse_fine(samples) -> tuple:
+    """The step-h and step-h/2 wings within the six `refined_points` samples."""
+    m2, m1, p1, p2, mh, ph = samples
+    return (m2, m1, p1, p2), (m1, mh, ph, p1)
+
+
+def refined_first(samples, h: float) -> float:
+    """Richardson-refined fourth-order first derivative (effective order six)."""
+    coarse, fine = _coarse_fine(samples)
+    return richardson(first(coarse, h), first(fine, h / 2.0), order=4)
+
+
+def refined_second(f0: float, samples, h: float) -> float:
+    """Richardson-refined fourth-order second derivative, from the centre value too."""
+    coarse, fine = _coarse_fine(samples)
+    return richardson(second(f0, coarse, h), second(f0, fine, h / 2.0), order=4)
 
 
 def extrapolated(f, x: float, h: float) -> tuple[float, float, float]:
     """(f(x), d1, d2), both derivatives Richardson-refined, from seven samples of f."""
     f0 = f(x)
-    coarse = wings(f, x, h)
-    fine = _halved(f, x, h, coarse)
-    return (
-        f0,
-        richardson(first(coarse, h), first(fine, h / 2.0), order=4),
-        richardson(second(f0, coarse, h), second(f0, fine, h / 2.0), order=4),
-    )
+    samples = [f(p) for p in refined_points(x, h)]
+    return f0, refined_first(samples, h), refined_second(f0, samples, h)

@@ -271,8 +271,11 @@ class TwoIntervalGreen:
         The sigma step shrinks with the distance to the endpoints because the
         operator coefficients blow up there; the eta step is 1e-3 eta.  All
         stencil evaluations share one truncation index so the sampled function
-        is a fixed finite sum.  The residual is divided by eta^2, so an eta
-        whose square overflows or underflows is refused.
+        is a fixed finite sum, and the 13 samples (seven in sigma at eta, six
+        in eta at sigma) come from one Jacobi table; each equals the
+        factored-form `value` at its point bit for bit.  The residual is
+        divided by eta^2, so an eta whose square overflows or underflows is
+        refused.
         """
         if eta <= epsilon:
             raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
@@ -284,15 +287,17 @@ class TwoIntervalGreen:
         if eta_lo <= epsilon:
             raise PreconditionError("eta stencil would cross the source at eta = epsilon")
         n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta_lo))
-
-        def g_of_sigma(s):
-            return self.value(rho, epsilon, s, eta, n_terms=n_terms)
-
-        def g_of_eta(e):
-            return self.value(rho, epsilon, sigma, e, n_terms=n_terms)
-
-        g0, g1, g2 = findiff.extrapolated(g_of_sigma, sigma, sigma_step)
-        deta = findiff.d1_extrapolated(g_of_eta, eta, eta_step)
+        points = [(s, eta) for s in (sigma, *findiff.refined_points(sigma, sigma_step))]
+        points += [(sigma, e) for e in findiff.refined_points(eta, eta_step)]
+        for s, e in points:
+            self._check_point(rho, s, epsilon, e)
+        ks = self.kernel.values(rho, [(s, self.time(epsilon, e)) for s, e in points], n_terms)
+        g = [-self._prefactor(rho, s) * e * (epsilon / e) ** self.lambda0 * k
+             for (s, e), k in zip(points, ks)]
+        g0, sigma_wings, eta_wings = g[0], g[1:7], g[7:]
+        g1 = findiff.refined_first(sigma_wings, sigma_step)
+        g2 = findiff.refined_second(g0, sigma_wings, sigma_step)
+        deta = findiff.refined_first(eta_wings, eta_step)
         terms = self.sigma_operator_terms(g0, g1, g2, sigma)
         terms.append(-eta * deta / (sigma * (1.0 - sigma)))
         residual = sum(terms) / eta**2
@@ -338,11 +343,11 @@ class TwoIntervalGreen:
             raise PreconditionError("every eta must exceed epsilon")
         values = np.empty_like(etas)
         amp = rho**self.dp_1 * (1.0 - rho) ** self.dp_h
+        # f need only take a scalar: it is sampled node by node, once for every eta
+        transformed = np.array([self._transformed(f, s) for s in rule.nodes], dtype=float)
         for i, eta in enumerate(etas):
             t = self.time(epsilon, float(eta))
-            integral = self.kernel.reproducing_integral(
-                rho, t, lambda s: self._transformed(f, s), rule
-            )
+            integral = self.kernel.reproducing_integral(rho, t, lambda s: transformed, rule)
             values[i] = (epsilon / eta) ** self.lambda0 * amp * integral
         return ReproducingRecord(etas=etas, values=values, target=f(rho))
 

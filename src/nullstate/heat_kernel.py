@@ -153,6 +153,27 @@ class HeatKernel:
         total = float(np.sum(decay * table[:, 0] * table[:, 1] / nrm))
         return KernelValue(value=total, tail_bound=tail, n_terms=n_terms)
 
+    def values(self, rho: float, points, n_terms: int) -> list:
+        """K(rho, sigma, t) with n_terms terms at each (sigma, t) of points, from one table.
+
+        Each value is bit for bit `value(rho, sigma, t, n_terms).value`: the
+        table's columns are those of the narrow float path, each distinct t
+        gets one decay row, and each point's terms form one contiguous row
+        with its own pairwise sum.
+        """
+        for _, t in points:
+            _check_time(t)
+        self._ensure(n_terms)
+        row = {t: i for i, t in enumerate(dict.fromkeys(t for _, t in points))}
+        col = {s: j for j, s in enumerate(dict.fromkeys(s for s, _ in points), start=1)}
+        table = self.basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, *(2.0 * s - 1.0 for s in col)])
+        n = np.arange(n_terms, dtype=float)
+        decay = np.exp(-np.array(list(row))[:, None] * n * (n + self.alpha + self.beta + 1.0))
+        nrm = np.array(self._nrm[:n_terms])
+        terms = (decay[[row[t] for _, t in points]] * table[:, 0]
+                 * table.T[[col[s] for s, _ in points]] / nrm)
+        return np.ascontiguousarray(terms).sum(axis=1).tolist()
+
     def grid(self, rhos, sigmas, t: float, n_terms: int | None = None) -> np.ndarray:
         """K on the product grid rhos x sigmas at a single time, vectorized."""
         if n_terms is None:
@@ -185,12 +206,16 @@ class HeatKernel:
         return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
 
     def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
-        """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0."""
+        """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0.
+
+        f is called once, on the array of rule nodes; a scalar result is
+        broadcast over them.
+        """
         if rule.domain != "unit":
             raise DomainError("reproducing integral needs a unit-domain rule")
         n_terms, _ = self.truncation_index(t)
         kvals = self.grid(np.array([rho]), rule.nodes, t, n_terms=n_terms)[0]
-        fvals = np.array([f(s) for s in rule.nodes], dtype=float)
+        fvals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
         return float(np.dot(rule.weights, kvals * fvals))
 
     def mode_coefficient(self, rho: float, t: float, n: int, rule: QuadratureRule) -> float:
@@ -204,7 +229,10 @@ class HeatKernel:
 
 
 def lambda_envelope(theta: float, phi: float, t: float, alpha: float, beta: float) -> float:
-    """[t + sin(th/2) sin(ph/2)]^(-a-1/2) [t + cos(th/2) cos(ph/2)]^(-b-1/2)."""
+    """[t + sin(th/2) sin(ph/2)]^(-a-1/2) [t + cos(th/2) cos(ph/2)]^(-b-1/2).
+
+    The scalar form of the envelope that `bound_ratio_scan` evaluates as arrays.
+    """
     s = t + math.sin(theta / 2.0) * math.sin(phi / 2.0)
     c = t + math.cos(theta / 2.0) * math.cos(phi / 2.0)
     return s ** (-alpha - 0.5) * c ** (-beta - 0.5)
@@ -253,7 +281,8 @@ def bound_ratio_scan(
     whose kernel value sits below the summation cancellation floor (deep
     off-diagonal at small t) are excluded from the extremes and counted in
     n_unresolved; finite positive extremes over the resolved points certify the
-    two-sided bound there.
+    two-sided bound there.  Each time slice is evaluated as arrays on the
+    kernel grid's (phi, theta) layout; rows keep that order.
     """
     for name, value in (("T", T), ("t_min", t_min), ("c1", c1), ("c2", c2)):
         if not 0.0 < value < math.inf:
@@ -264,30 +293,36 @@ def bound_ratio_scan(
     ts = np.geomspace(t_min, T, n_time)
     sigmas = np.cos(thetas / 2.0) ** 2
     rhos = np.cos(phis / 2.0) ** 2
+    # the envelope's angle factors on the kernel grid's (phi, theta) layout
+    theta_grid, phi_grid = np.meshgrid(thetas, phis)
+    sin_prod = np.outer(np.sin(phis / 2.0), np.sin(thetas / 2.0))
+    cos_prod = np.outer(np.cos(phis / 2.0), np.cos(thetas / 2.0))
+    x = theta_grid - phi_grid
+    neg_sq = -x * x
     min_ratio = {c1: math.inf, c2: math.inf}
     max_ratio = {c1: -math.inf, c2: -math.inf}
     rows = []
     n_points = n_unresolved = 0
-    for t in ts:
-        n_terms, _ = kernel.truncation_index(float(t))
-        floor = kernel.cancellation_floor(float(t), n_terms)
-        kgrid = kernel.grid(rhos, sigmas, float(t), n_terms=n_terms)
-        for i, phi in enumerate(phis):
-            for j, theta in enumerate(thetas):
-                k = kgrid[i, j]
-                n_points += 1
-                if abs(k) <= floor:
-                    n_unresolved += 1
-                    continue
-                for c in (c1, c2):
-                    env = lambda_envelope(theta, phi, float(t), a, b) * gaussian_factor(
-                        theta - phi, c, float(t)
-                    )
-                    ratio = k / env
-                    min_ratio[c] = min(min_ratio[c], ratio)
-                    max_ratio[c] = max(max_ratio[c], ratio)
-                    if c == c1:
-                        rows.append((theta, phi, float(t), k, env, ratio))
+    for t in ts.tolist():
+        n_terms, _ = kernel.truncation_index(t)
+        floor = kernel.cancellation_floor(t, n_terms)
+        kgrid = kernel.grid(rhos, sigmas, t, n_terms=n_terms)
+        resolved = ~(np.abs(kgrid) <= floor)
+        n_points += kgrid.size
+        n_unresolved += kgrid.size - int(np.count_nonzero(resolved))
+        k = kgrid[resolved]
+        # float_power calls libm's pow per element, as the scalar envelope does;
+        # np.power may take a SIMD route that differs from it in the last bit
+        lam = (np.float_power(t + sin_prod[resolved], -a - 0.5)
+               * np.float_power(t + cos_prod[resolved], -b - 0.5))
+        for c in (c1, c2):
+            env = lam * (np.exp(neg_sq[resolved] / (c * t)) / math.sqrt(math.pi * c * t))
+            ratio = k / env
+            min_ratio[c] = min(min_ratio[c], float(ratio.min(initial=math.inf)))
+            max_ratio[c] = max(max_ratio[c], float(ratio.max(initial=-math.inf)))
+            if c == c1:
+                rows += zip(theta_grid[resolved].tolist(), phi_grid[resolved].tolist(),
+                            [t] * k.size, k.tolist(), env.tolist(), ratio.tolist())
     k_min, k_max = math.inf, -math.inf
     for t in np.geomspace(T * 1.5, T * 12.0, 4):
         kgrid = kernel.grid(rhos, sigmas, float(t))

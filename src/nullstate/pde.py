@@ -34,6 +34,12 @@ class PointConfig:
             raise DomainError("a configuration needs at least two coordinates")
         if not np.all(np.isfinite(xs)):
             raise DomainError(f"coordinates must be finite, got {self.coords!r}")
+        # x_M - x_1 bounds every gap of increasing coordinates, so np.diff below
+        # cannot overflow on any configuration that passes the next check
+        if abs(float(xs[-1]) - float(xs[0])) == math.inf:
+            raise DomainError(
+                f"coordinates must be finite and so must their span, got {self.coords!r}"
+            )
         gaps = np.diff(xs)
         if not np.all(gaps > 0.0):
             raise DomainError(f"coordinates must be strictly increasing, got {self.coords!r}")

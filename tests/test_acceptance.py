@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import nullstate as ns
 from nullstate import asymptotics as asym

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from nullstate import (
     DomainError,
+    HeatKernel,
     OneIntervalGreen,
     PreconditionError,
     TwoIntervalGreen,
-    delta_minus,
     eigenvalue,
+    findiff,
     kpz,
     leg_weight,
 )
 from nullstate.jacobi import JacobiBasis
+from conftest import KAPPA_GRID
 
 
 def test_j_spot_value():
@@ -125,42 +127,96 @@ def test_adjoint_residual_homogeneous(green):
     assert worst <= 1e-4
 
 
+def _spy(monkeypatch, cls, name, calls):
+    """Record the arguments of every call to cls.name in calls."""
+    original = getattr(cls, name)
+
+    def spied(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spied)
+
+
 def test_adjoint_residual_sample_count(green, monkeypatch):
     # seven samples in sigma give g0 and both refined sigma derivatives; the
     # eta derivative takes six wing samples, the step-h/2 stencil sharing
-    # its outer points eta -+ h with the step-h one
-    value = green.value
-    points = []
-
-    def counted(rho, epsilon, sigma, eta, n_terms=None):
-        points.append((sigma, eta))
-        return value(rho, epsilon, sigma, eta, n_terms=n_terms)
-
-    monkeypatch.setattr(green, "value", counted)
+    # its outer points eta -+ h with the step-h one.  All 13 come from one
+    # Jacobi table over rho and the seven sigmas, none through `value`
+    calls = {"value": [], "eval_table": [], "values": []}
+    _spy(monkeypatch, TwoIntervalGreen, "value", calls["value"])
+    _spy(monkeypatch, JacobiBasis, "eval_table", calls["eval_table"])
+    _spy(monkeypatch, HeatKernel, "values", calls["values"])
     green.adjoint_residual(0.4, 0.5, 0.5, 1.25)
+    assert calls["value"] == []
+    [(_, y)] = calls["eval_table"]
+    assert len(y) == 8 and y[0] == 2.0 * 0.4 - 1.0
+    [(_, points, _)] = calls["values"]
+    centre_t = green.time(0.5, 1.25)
     assert len(points) == 13
-    assert sum(eta == 1.25 for _, eta in points) == 7
-    assert sum(sigma == 0.5 and eta != 1.25 for sigma, eta in points) == 6
+    assert sum(t == centre_t for _, t in points) == 7
+    assert sum(sigma == 0.5 and t != centre_t for sigma, t in points) == 6
 
 
 def test_adjoint_residual_sigma_stencil_leaving_domain(green, monkeypatch):
     # the sigma step is at most a tenth of the distance to the nearer endpoint,
     # so a sigma next to 0 or 1 keeps every stencil sample inside (0, 1); a
     # sigma outside is refused
-    value = green.value
-    sigmas = []
-
-    def counted(rho, epsilon, sigma, eta, n_terms=None):
-        sigmas.append(sigma)
-        return value(rho, epsilon, sigma, eta, n_terms=n_terms)
-
-    monkeypatch.setattr(green, "value", counted)
+    tables = []
+    _spy(monkeypatch, JacobiBasis, "eval_table", tables)
     for sigma in (1e-3, 1.0 - 1e-3):
         assert math.isfinite(green.adjoint_residual(0.4, 0.5, sigma, 1.25).residual)
-    assert len(sigmas) == 26 and all(0.0 < s < 1.0 for s in sigmas)
+    assert len(tables) == 2
+    sigmas = [(y + 1.0) / 2.0 for _, ys in tables for y in ys[1:]]
+    assert len(sigmas) == 14 and all(0.0 < s < 1.0 for s in sigmas)
     for sigma in (0.0, 1.0, 1.2):
         with pytest.raises(DomainError, match="rho and sigma must lie in"):
             green.adjoint_residual(0.4, 0.5, sigma, 1.25)
+
+
+def pointwise_adjoint_residual(g, rho, epsilon, sigma, eta):
+    """(residual, scale, relative) from 13 separate `value` calls: the reference."""
+    sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
+    eta_step = 1e-3 * eta
+    n_terms, _ = g.kernel.truncation_index(g.time(epsilon, eta - 2.0 * eta_step))
+
+    def stencils(f, x, h):
+        coarse = findiff.wings(f, x, h)
+        return coarse, (coarse[1], f(x - h / 2.0), f(x + h / 2.0), coarse[2])
+
+    def refined_d1(coarse, fine, h):
+        return findiff.richardson(findiff.first(coarse, h), findiff.first(fine, h / 2.0), 4)
+
+    def g_of_sigma(s):
+        return g.value(rho, epsilon, s, eta, n_terms=n_terms)
+
+    def g_of_eta(e):
+        return g.value(rho, epsilon, sigma, e, n_terms=n_terms)
+
+    g0 = g_of_sigma(sigma)
+    coarse, fine = stencils(g_of_sigma, sigma, sigma_step)
+    g1 = refined_d1(coarse, fine, sigma_step)
+    g2 = findiff.richardson(findiff.second(g0, coarse, sigma_step),
+                            findiff.second(g0, fine, sigma_step / 2.0), 4)
+    deta = refined_d1(*stencils(g_of_eta, eta, eta_step), eta_step)
+    terms = g.sigma_operator_terms(g0, g1, g2, sigma)
+    terms.append(-eta * deta / (sigma * (1.0 - sigma)))
+    residual = sum(terms) / eta**2
+    scale = max(max(abs(x) for x in terms), 1e-300) / eta**2
+    return residual, scale, abs(residual) / scale
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+@pytest.mark.parametrize("s", (2, 3))
+def test_adjoint_residual_matches_pointwise_reference(kappa, s):
+    # the one-table samples keep each point's arithmetic, so the residual
+    # is the 13-call reference's bit for bit
+    g = TwoIntervalGreen(h=leg_weight(s, kappa), kappa=kappa)
+    for sigma, ratio in ((1e-3, 2.5), (0.2, 1.5), (0.5, 4.0), (0.8, 2.5), (1.0 - 1e-3, 1.5)):
+        rep = g.adjoint_residual(0.4, 0.5, sigma, 0.5 * ratio)
+        got = (rep.residual, rep.scale, rep.relative)
+        want = pointwise_adjoint_residual(g, 0.4, 0.5, sigma, 0.5 * ratio)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_j_annihilation_fd_sample_count(monkeypatch):

@@ -10,6 +10,8 @@ from nullstate import (
     TruncationPolicy,
     collapse_time,
     gauss_jacobi_rule,
+    jacobi_params,
+    leg_weight,
 )
 from nullstate.heat_kernel import bound_ratio_scan, gaussian_factor, lambda_envelope
 from nullstate.jacobi import log_beta
@@ -212,3 +214,86 @@ def test_grid_matches_pointwise(kernel):
             assert grid[i, j] == pytest.approx(
                 kernel.value(float(r), float(s), t, n_terms=n_terms).value, rel=1e-12
             )
+
+
+def pointwise_bound_scan(kernel, T=1.0, c1=3.8, c2=4.25, n_angle=13, n_time=8, t_min=0.05):
+    """(rows, min_ratio, max_ratio, n_points, n_unresolved) point by point: the reference."""
+    a, b = kernel.alpha, kernel.beta
+    thetas = np.linspace(0.0, math.pi, n_angle)
+    phis = np.linspace(0.0, math.pi, n_angle)
+    sigmas = np.cos(thetas / 2.0) ** 2
+    rhos = np.cos(phis / 2.0) ** 2
+    min_ratio = {c1: math.inf, c2: math.inf}
+    max_ratio = {c1: -math.inf, c2: -math.inf}
+    rows = []
+    n_points = n_unresolved = 0
+    for t in np.geomspace(t_min, T, n_time):
+        n_terms, _ = kernel.truncation_index(float(t))
+        floor = kernel.cancellation_floor(float(t), n_terms)
+        kgrid = kernel.grid(rhos, sigmas, float(t), n_terms=n_terms)
+        for i, phi in enumerate(phis):
+            for j, theta in enumerate(thetas):
+                k = kgrid[i, j]
+                n_points += 1
+                if abs(k) <= floor:
+                    n_unresolved += 1
+                    continue
+                for c in (c1, c2):
+                    env = lambda_envelope(theta, phi, float(t), a, b) * gaussian_factor(
+                        theta - phi, c, float(t)
+                    )
+                    ratio = k / env
+                    min_ratio[c] = min(min_ratio[c], ratio)
+                    max_ratio[c] = max(max_ratio[c], ratio)
+                    if c == c1:
+                        rows.append((theta, phi, float(t), k, env, ratio))
+    return rows, min_ratio, max_ratio, n_points, n_unresolved
+
+
+def within_ulps(got, want, n=4):
+    return abs(got - want) <= n * math.ulp(want)
+
+
+KAPPA_03 = jacobi_params(leg_weight(2, 0.3), 0.3)  # the theta2 pair at kappa = 0.3
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(1.0, 1.0 / 3.0), (1.0 / 3.0, 1.0 / 3.0), (KAPPA_03.alpha, KAPPA_03.beta)],
+    ids=("kappa6", "a1/3-b1/3", "kappa0.3"),
+)
+def test_bound_scan_matches_pointwise_reference(alpha, beta):
+    # the angle grid, times and K are the reference's bit for bit; the
+    # envelope's exp runs on arrays, so envelope and ratio may move by an ulp or so
+    kernel = HeatKernel(alpha, beta)
+    scan = bound_ratio_scan(kernel)
+    rows, min_ratio, max_ratio, n_points, n_unresolved = pointwise_bound_scan(kernel)
+    assert (scan.n_points, scan.n_unresolved) == (n_points, n_unresolved)
+    assert 0 < len(scan.rows) == len(rows)
+    for got, want in zip(scan.rows, rows):
+        assert [x.hex() for x in got[:4]] == [float(x).hex() for x in want[:4]]
+        assert within_ulps(got[4], want[4]) and within_ulps(got[5], want[5])
+    for c in (scan.c1, scan.c2):
+        assert within_ulps(scan.min_ratio[c], min_ratio[c])
+        assert within_ulps(scan.max_ratio[c], max_ratio[c])
+
+
+def test_reproducing_integral_calls_f_once_on_the_nodes(kernel):
+    rule = unit_rule(kernel)
+    t, rho = 0.05, 0.31
+    shapes = []
+
+    def f(s):
+        shapes.append(np.shape(s))
+        return s * (1.0 - s)
+
+    got = kernel.reproducing_integral(rho, t, f, rule)
+    assert shapes == [rule.nodes.shape]
+    n_terms, _ = kernel.truncation_index(t)
+    kvals = kernel.grid([rho], rule.nodes, t, n_terms=n_terms)[0]
+    per_node = np.array([f(s) for s in rule.nodes])
+    assert got == float(np.dot(rule.weights, kvals * per_node))
+    # a scalar result is broadcast over the nodes
+    assert kernel.reproducing_integral(rho, t, lambda s: 1.0, rule) == float(
+        np.dot(rule.weights, kvals)
+    )

@@ -1,4 +1,4 @@
-"""Every name a module imports is used in it (package modules and scripts)."""
+"""Every name a module imports is used in it (package modules, scripts and tests)."""
 
 import ast
 from pathlib import Path
@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in (ROOT / "src" / "nullstate").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = (
+    sorted(p for p in (ROOT / "src" / "nullstate").glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "scripts").glob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list:
