@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Interval-collapse spectroscopy of a named candidate field.
 
-Fits the leading collapse exponent, runs the two-leg classification, and the
-two-channel decomposition across a kappa sweep.
+Fits the leading collapse exponent, the two channels A delta^delta_minus +
+B delta^delta_plus, and runs the two-leg classification across a kappa sweep.
 
     python scripts/collapse_study.py --candidate n1
     python scripts/collapse_study.py --candidate "power:1,2=0.4" --kappa 4
@@ -14,13 +14,13 @@ from nullstate import (
     CollapseSpec,
     PointConfig,
     WeightAssignment,
+    collapse_channels,
+    collapse_exponent,
     delta_minus,
     leg_weight,
-    one_interval_decomposition_fit,
     resolve_candidate,
     two_leg_test,
 )
-from nullstate.errors import PreconditionError
 
 
 def main():
@@ -34,20 +34,15 @@ def main():
     for kappa in args.kappa:
         F = resolve_candidate(args.candidate, kappa, M=2)
         spec = CollapseSpec(i=2, weights=WeightAssignment.one_leg(kappa, 2))
-        leg = two_leg_test(F, cfg, spec)
-        est = leg.estimate
+        est = collapse_exponent(F, cfg, spec)
+        fit = collapse_channels(F, cfg, spec)
         th1 = leg_weight(1, kappa)
-        line = (
+        print(
             f"kappa={kappa:<8.4f} p_hat={est.p_hat:+.6f} (stderr {est.stderr:.1e})  "
             f"delta_minus(theta1)={delta_minus(th1, kappa):+.6f}  "
-            f"two_leg={leg.is_two_leg}"
+            f"two_leg={two_leg_test(F, cfg, spec).is_two_leg}  "
+            f"channels (A, B)=({fit.A:+.4f}, {fit.B:+.4f}) misfit {fit.misfit:.1e}"
         )
-        try:
-            fit = one_interval_decomposition_fit(F, cfg, spec)
-            line += f"  channels (A, B)=({fit.A:+.4f}, {fit.B:+.4f})"
-        except PreconditionError:
-            line += "  channels: gap too small to separate"
-        print(line)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,9 @@ from .asymptotics import (
     CollapseSpec,
     ExponentEstimate,
     adjacent_pair_bound_scan,
+    collapse_channels,
     collapse_exponent,
-    ell_limit,
     far_pair_bound_scan,
-    one_interval_decomposition_fit,
     two_leg_test,
 )
 from .errors import DegenerateFitError, DomainError, PreconditionError, TruncationError

@@ -2,9 +2,11 @@
 
 Collapse means sending x_i to x_{i-1}; the effective weight of the collapsing
 pair is h when i is the anomalous index or its right neighbor, theta_1
-otherwise.  "Limit equals zero" is operationalized through the fitted exponent
-with a margin, never through magnitude thresholds, because the fields are scale
-invariant.
+otherwise.  Along the collapse F ~ A delta^delta_minus + B delta^delta_plus,
+and the interval is two-leg when the limit A vanishes.  The fields are scale
+invariant, so "A vanishes" is judged against A's standard error and the
+round-off of the samples, never an absolute threshold; a field the two-channel
+model does not describe is judged by its fitted log-log exponent.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ FIT_DECADES = 8
 FIT_TOP_FRACTION = 1e-2  # largest delta as a fraction of the available room
 TWO_LEG_TOL = 1e-3  # two-leg margin above delta_minus, on top of 3 fit stderr
 STDERR_MAX = 0.01  # a two-leg fit with a larger stderr is indeterminate
-DECOMPOSITION_MIN_GAP = 0.05  # smallest exponent gap that separates the two channels
+MODEL_TOL = 1e-8  # a channel fit with a smaller misfit decides the two-leg verdict by its A
+A_ROUNDOFF = 1e-12  # |A| below this fraction of max |delta^(-delta_minus) F| is round-off
 SLOPE_TOL = 0.005  # pair scans: a per-level sup slope below -SLOPE_TOL is divergent
 
 
@@ -80,10 +83,30 @@ def _batch(config: PointConfig, moves: dict) -> np.ndarray:
     return cols
 
 
-def _collapse_samples(F, config: PointConfig, i: int, deltas) -> tuple[np.ndarray, np.ndarray]:
-    """(effective deltas, F values) with x_i placed at x_{i-1} + delta."""
-    cols = _batch(config, {i: config.x(i - 1) + deltas})
-    return cols[i - 1] - cols[i - 2], F(cols)
+def _collapse_samples(F, config: PointConfig, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(effective deltas, F values) with x_i at x_{i-1} + delta on the default
+    grid, dropping samples where F is zero or not finite (at least 3 must stay)."""
+    cols = _batch(config, {i: config.x(i - 1) + default_delta_grid(config, i)})
+    eff, vals = cols[i - 1] - cols[i - 2], F(cols)
+    keep = np.isfinite(vals) & (vals != 0.0)
+    if np.count_nonzero(keep) < 3:
+        raise DegenerateFitError(f"candidate vanished or diverged on the collapse grid at i={i}")
+    return eff[keep], vals[keep]
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Least squares y = a + b x on centered x: (a, b, stderr a, stderr b, rms residual)."""
+    xm, ym = x.mean(), y.mean()
+    xc = x - xm
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} (an exponent gap of 0?)")
+    b = float(xc @ (y - ym)) / sxx
+    resid = y - ym - b * xc
+    rss = float(resid @ resid)
+    s2 = rss / (x.size - 2)
+    return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / x.size + xm * xm / sxx)),
+            math.sqrt(s2 / sxx), math.sqrt(rss / x.size))
 
 
 @dataclass
@@ -92,98 +115,68 @@ class ExponentEstimate:
     stderr: float
 
 
+def _slope_fit(eff: np.ndarray, vals: np.ndarray) -> ExponentEstimate:
+    _, p_hat, _, stderr, _ = _line_fit(np.log(eff), np.log(np.abs(vals)))
+    return ExponentEstimate(p_hat=p_hat, stderr=stderr)
+
+
 def collapse_exponent(F, config: PointConfig, spec: CollapseSpec) -> ExponentEstimate:
     """Least-squares slope of log |F| against log delta along the collapse."""
-    eff, vals = _collapse_samples(F, config, spec.i, default_delta_grid(config, spec.i))
-    keep = np.isfinite(vals) & (vals != 0.0)
-    if np.count_nonzero(keep) < 3:
-        raise DegenerateFitError(
-            f"candidate vanished or diverged on the collapse grid at i={spec.i}"
-        )
-    lx = np.log(eff[keep])
-    ly = np.log(np.abs(vals[keep]))
-    design = np.column_stack([lx, np.ones_like(lx)])
-    sol, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ sol
-    rss = float(resid @ resid)
-    dof = max(lx.size - 2, 1)
-    cov00 = np.linalg.inv(design.T @ design)[0, 0]
-    stderr = math.sqrt(max(rss / dof * cov00, 0.0))
-    return ExponentEstimate(p_hat=float(sol[0]), stderr=stderr)
+    return _slope_fit(*_collapse_samples(F, config, spec.i))
+
+
+@dataclass
+class ChannelFit:
+    A: float  # the collapse limit of delta^(-delta_minus) F
+    B: float
+    stderr_A: float
+    misfit: float  # rms residual over max |delta^(-delta_minus) F|
+
+
+def _channel_fit(eff: np.ndarray, scaled: np.ndarray, gap: float) -> ChannelFit:
+    A, B, stderr_A, _, rms = _line_fit(eff**gap, scaled)
+    return ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / float(np.max(np.abs(scaled))))
+
+
+def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
+    """Fit delta^(-delta_minus) F = A + B delta^gap along the collapse.
+
+    A is the collapse limit and B the delta_plus channel.  Both exponents are
+    known, so the fit needs any gap above zero; at gap 0 the second channel
+    is delta^delta_minus log delta and DegenerateFitError is raised.
+    """
+    pair = spec.exponents()
+    eff, vals = _collapse_samples(F, config, spec.i)
+    return _channel_fit(eff, vals * eff ** (-pair.delta_minus), pair.gap)
 
 
 @dataclass
 class TwoLegResult:
     is_two_leg: bool
     indeterminate: bool
-    estimate: ExponentEstimate
+    channels: ChannelFit
 
 
 def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
     """True iff the minus-rescaled collapse limit vanishes.
 
-    Operationalized as p_hat > delta_minus(d) + (3 stderr + TWO_LEG_TOL).  A
-    fit with stderr above STDERR_MAX is flagged indeterminate.
-    """
-    est = collapse_exponent(F, config, spec)
-    threshold = spec.exponents().delta_minus + (3.0 * est.stderr + TWO_LEG_TOL)
-    return TwoLegResult(
-        is_two_leg=bool(est.p_hat > threshold),
-        indeterminate=bool(est.stderr > STDERR_MAX),
-        estimate=est,
-    )
-
-
-@dataclass
-class EllLimitRecord:
-    limit: float
-    converged: bool
-
-
-def _sequence_limit(vals: np.ndarray) -> tuple[float, bool]:
-    diffs = np.diff(vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = diffs[1:] / diffs[:-1]
-    ratios = ratios[np.isfinite(ratios)]
-    if diffs.size == 0 or abs(diffs[-1]) <= 1e-13 * max(abs(vals[-1]), 1.0):
-        return float(vals[-1]), True
-    if ratios.size and abs(ratios[-1]) < 0.9:
-        r = ratios[-1]
-        return float(vals[-1] + diffs[-1] * r / (1.0 - r)), True
-    return float(vals[-1]), False
-
-
-def ell_limit(F, config: PointConfig, spec: CollapseSpec) -> EllLimitRecord:
-    """Extrapolated limit of H = delta^(-delta_minus(d)) F as the interval closes."""
-    deltas = default_delta_grid(config, spec.i)[::-1]  # decreasing
-    eff, vals = _collapse_samples(F, config, spec.i, deltas)
-    limit, converged = _sequence_limit(eff ** (-spec.exponents().delta_minus) * vals)
-    return EllLimitRecord(limit=limit, converged=converged)
-
-
-@dataclass
-class DecompositionFit:
-    A: float
-    B: float
-
-
-def one_interval_decomposition_fit(F, config: PointConfig, spec: CollapseSpec) -> DecompositionFit:
-    """Fit F ~ A delta^dm + B delta^dp along the collapse (weighted least squares).
-
-    Rows are scaled by delta^(-dm) so the small-delta samples are not drowned;
-    requires the exponent gap to exceed DECOMPOSITION_MIN_GAP for an
-    identifiable fit.
+    One set of samples feeds two fits.  If the two-channel fit describes F
+    (misfit <= MODEL_TOL), two-leg iff |A| <= 3 stderr_A + A_ROUNDOFF max
+    |delta^(-delta_minus) F|.  Otherwise the log-log slope decides: two-leg iff
+    p_hat > delta_minus + (3 stderr + TWO_LEG_TOL), indeterminate if its
+    stderr exceeds STDERR_MAX.
     """
     pair = spec.exponents()
-    if pair.gap <= DECOMPOSITION_MIN_GAP:
-        raise PreconditionError(
-            f"exponent gap {pair.gap!r} too small to separate the two channels"
-        )
-    eff, vals = _collapse_samples(F, config, spec.i, default_delta_grid(config, spec.i))
+    eff, vals = _collapse_samples(F, config, spec.i)
     scaled = vals * eff ** (-pair.delta_minus)
-    design = np.column_stack([np.ones_like(eff), eff**pair.gap])
-    sol, *_ = np.linalg.lstsq(design, scaled, rcond=None)
-    return DecompositionFit(A=float(sol[0]), B=float(sol[1]))
+    fit = _channel_fit(eff, scaled, pair.gap)
+    if fit.misfit <= MODEL_TOL:
+        floor = 3.0 * fit.stderr_A + A_ROUNDOFF * float(np.max(np.abs(scaled)))
+        return TwoLegResult(is_two_leg=abs(fit.A) <= floor, indeterminate=False, channels=fit)
+    est = _slope_fit(eff, vals)
+    threshold = pair.delta_minus + (3.0 * est.stderr + TWO_LEG_TOL)
+    return TwoLegResult(is_two_leg=est.p_hat > threshold,
+                        indeterminate=est.stderr > STDERR_MAX, channels=fit)
 
 
 # -- two-interval scans ---------------------------------------------------------

@@ -514,14 +514,23 @@ def suite_asymptotics(kappa: float, h: float) -> list:
     checks.append(_is("two_leg_margin_plus", hit.is_two_leg and not hit.indeterminate))
     checks.append(_is("two_leg_margin_minus", (not miss.is_two_leg) and not miss.indeterminate))
 
-    # synthetic two-channel field; the fit needs a moderate exponent gap, so
-    # fall back to the weight with gap exactly 1 when theta_1's is outside it
-    d_used = th1 if 0.05 < gap(th1, kappa) <= 2.0 and th1 > 0.0 else (kappa - 2.0) / (2.0 * kappa)
+    # an exact two-channel field has a nonzero limit A, its delta_plus channel
+    # alone a vanishing one; a slope fit bends past its margin at small gap
+    both = asym.two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 1.0, 1.0), cfg3, spec3)
+    plus = asym.two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 0.0, 1.0), cfg3, spec3)
+    checks.append(_is("two_leg_two_term",
+                      not (both.is_two_leg or both.indeterminate)
+                      and (plus.is_two_leg or plus.indeterminate),
+                      detail=f"A = {both.channels.A!r} and {plus.channels.A!r}"))
+
+    # synthetic two-channel field; above gap 2 the delta_plus channel falls
+    # below round-off and B cannot be identified, so use the weight of gap 1
+    d_used = th1 if gap(th1, kappa) <= 2.0 else (kappa - 2.0) / (2.0 * kappa)
     synthetic = asym.manufactured_two_term(kappa, 3, 2, d_used, 2.0, 3.0)
     spec_syn = asym.CollapseSpec(
         i=2, weights=pde.WeightAssignment(kappa=kappa, iota=2, h=d_used)
     )
-    fit = asym.one_interval_decomposition_fit(synthetic, cfg3, spec_syn)
+    fit = asym.collapse_channels(synthetic, cfg3, spec_syn)
     checks.append(_leq("decomposition_fit",
                        max(abs(fit.A - 2.0), abs(fit.B - 3.0)), 1e-6))
 

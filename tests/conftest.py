@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-KAPPA_GRID = (0.5, 2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0, 20.0 / 3.0, 7.9)
+from nullstate import checks
+
+KAPPA_GRID = checks.KAPPA_GRID
 KAPPA_MODERATE = (2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0)
 
 

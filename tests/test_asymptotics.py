@@ -11,19 +11,19 @@ from nullstate import (
     WeightAssignment,
     adjacent_pair_bound_scan,
     builtin_n1,
+    collapse_channels,
     collapse_exponent,
     delta_minus,
     delta_plus,
     eigenvalue,
-    ell_limit,
     far_pair_bound_scan,
     leg_weight,
-    one_interval_decomposition_fit,
     two_leg_test,
+    weight_floor,
 )
 from nullstate import asymptotics as asym
 from nullstate import pde
-from conftest import KAPPA_GRID, KAPPA_MODERATE
+from conftest import KAPPA_GRID
 
 
 def spec_for(kappa, M=2, i=2):
@@ -58,10 +58,11 @@ def test_constant_field_exponent_zero():
     assert abs(est.p_hat) <= 1e-12
 
 
-def test_degenerate_fit_raises():
+@pytest.mark.parametrize("fit", (collapse_exponent, collapse_channels, two_leg_test))
+def test_degenerate_fit_raises(fit):
     F = pde.CandidateFunction(name="zero", func=lambda xs: np.zeros_like(xs[0]))
     with pytest.raises(DegenerateFitError):
-        collapse_exponent(F, PointConfig.of(0.0, 1.0), spec_for(4.0))
+        fit(F, PointConfig.of(0.0, 1.0), spec_for(4.0))
 
 
 def test_collapse_effective_weight_case_table():
@@ -72,21 +73,55 @@ def test_collapse_effective_weight_case_table():
     assert CollapseSpec(i=5, weights=w).effective_weight == leg_weight(1, 4.0)
 
 
-@pytest.mark.parametrize("kappa", KAPPA_MODERATE)
+def bench_configs(M, seeds=range(10)):
+    """One configuration per seed, drawn as the benchmark draws them:
+    start ~ U(-5, 5), gaps ~ U(0.3, 1.5)."""
+    configs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(-5.0, 5.0)
+        gaps = rng.uniform(0.3, 1.5, size=M - 1)
+        configs.append(PointConfig(tuple(start + np.concatenate([[0.0], np.cumsum(gaps)]))))
+    return configs
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
 @pytest.mark.parametrize("gamma,expected", [(0.05, True), (-0.05, False)])
 def test_two_leg_margin(kappa, gamma, expected):
-    cfg = PointConfig.of(0.0, 1.0, 2.3)
+    # pure powers off both channels: the channel fit does not describe them,
+    # so the slope rule keeps its verdict (the benchmark's two_leg_test ops)
     F = asym.manufactured_two_leg(kappa, 3, 2, gamma)
-    res = two_leg_test(F, cfg, spec_for(kappa, M=3))
-    assert res.is_two_leg is expected
-    assert not res.indeterminate
+    for cfg in [PointConfig.of(0.0, 1.0, 2.3)] + bench_configs(3):
+        res = two_leg_test(F, cfg, spec_for(kappa, M=3))
+        assert res.channels.misfit > asym.MODEL_TOL
+        assert res.is_two_leg is expected
+        assert not res.indeterminate
 
 
-def test_two_leg_plus_channel_true():
-    kappa = 10.0 / 3.0
-    F = collapse_power(3, delta_plus(leg_weight(1, kappa), kappa))
-    res = two_leg_test(F, PointConfig.of(0.0, 1.0, 2.3), spec_for(kappa, M=3))
-    assert res.is_two_leg
+@pytest.mark.parametrize("kappa", KAPPA_GRID + (7.99,))
+def test_two_leg_two_term(kappa):
+    # A delta^dm + B delta^dp: the slope of log|F| bends toward dp at small
+    # gap, which read (1, 1) as two-leg at kappa = 6, 20/3 and 7.9
+    th1 = leg_weight(1, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.3)
+    both = two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 1.0, 1.0), cfg,
+                        spec_for(kappa, M=3))
+    assert not both.is_two_leg and not both.indeterminate
+    assert both.channels.A == pytest.approx(1.0, abs=1e-10)
+    plus = two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 0.0, 1.0), cfg,
+                        spec_for(kappa, M=3))
+    assert plus.is_two_leg or plus.indeterminate
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID + (1.0, 7.99))
+def test_two_leg_plus_channel(kappa):
+    # delta^dp(theta_1) alone: B = 1 and A is round-off, at kappa = 7.9 more
+    # than 3 stderr_A of it, which the A_ROUNDOFF term absorbs
+    F = collapse_power(2, delta_plus(leg_weight(1, kappa), kappa))
+    res = two_leg_test(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
+    assert res.is_two_leg and not res.indeterminate
+    assert res.channels.misfit <= asym.MODEL_TOL
+    assert res.channels.B == pytest.approx(1.0, abs=1e-10)
 
 
 def test_n1_never_two_leg():
@@ -99,54 +134,39 @@ def test_n1_never_two_leg():
     assert not res.is_two_leg
 
 
-@pytest.mark.parametrize("kappa", KAPPA_MODERATE)
-def test_ell_limit_n1_normalization(kappa):
-    F = builtin_n1(kappa)
-    rec = ell_limit(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
-    assert rec.converged
-    assert rec.limit == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("kappa", KAPPA_GRID + (1.0, 7.99))
+def test_channels_n1_pure_minus_channel(kappa):
+    # n1 = delta^(-2 theta_1) = delta^dm: A = 1 is the collapse normalization
+    fit = collapse_channels(builtin_n1(kappa), PointConfig.of(0.0, 1.0), spec_for(kappa))
+    assert fit.A == pytest.approx(1.0, abs=1e-10)
+    assert fit.misfit <= asym.MODEL_TOL
+    if kappa >= 2.0:  # at gap 7 and 15, delta^gap <= 1e-14 is below A's round-off
+        assert fit.B == pytest.approx(0.0, abs=1e-6)
 
 
-def test_ell_limit_two_leg_field_vanishes():
-    kappa = 10.0 / 3.0
-    F = collapse_power(3, delta_plus(leg_weight(1, kappa), kappa))
-    rec = ell_limit(F, PointConfig.of(0.0, 1.0, 2.3), spec_for(kappa, M=3))
-    assert rec.converged
-    assert abs(rec.limit) <= 1e-6
-
-
-def test_decomposition_fit_synthetic():
-    kappa, d = 10.0 / 3.0, leg_weight(1, 10.0 / 3.0)
+@pytest.mark.parametrize("kappa", (10.0 / 3.0, 6.0, 20.0 / 3.0, 7.9, 7.99))
+def test_channels_synthetic(kappa):
+    # no gap precondition: the known exponents separate the channels down to
+    # gap 8/7.99 - 1 = 1.3e-3
+    d = leg_weight(1, kappa)
     F = asym.manufactured_two_term(kappa, 3, 2, d, 2.0, 3.0)
-    cfg = PointConfig.of(0.0, 1.0, 2.3)
     spec = CollapseSpec(i=2, weights=WeightAssignment(kappa=kappa, iota=2, h=d))
-    fit = one_interval_decomposition_fit(F, cfg, spec)
-    assert fit.A == pytest.approx(2.0, abs=1e-6)
-    assert fit.B == pytest.approx(3.0, abs=1e-6)
+    fit = collapse_channels(F, PointConfig.of(0.0, 1.0, 2.3), spec)
+    assert fit.A == pytest.approx(2.0, abs=1e-10)
+    assert fit.B == pytest.approx(3.0, abs=1e-10)
+    assert fit.misfit <= asym.MODEL_TOL
 
 
-@pytest.mark.parametrize("kappa", KAPPA_MODERATE)
-def test_decomposition_n1_pure_minus_channel(kappa):
-    F = builtin_n1(kappa)
-    fit = one_interval_decomposition_fit(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
-    assert fit.A == pytest.approx(1.0, abs=1e-6)
-    assert fit.B == pytest.approx(0.0, abs=1e-6)
-
-
-def test_decomposition_two_leg_field():
-    kappa = 10.0 / 3.0
-    th1 = leg_weight(1, kappa)
-    F = collapse_power(2, delta_plus(th1, kappa))
-    fit = one_interval_decomposition_fit(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
-    assert fit.A == pytest.approx(0.0, abs=1e-6)
-    assert fit.B == pytest.approx(1.0, abs=1e-6)
-
-
-def test_decomposition_rejects_tiny_gap():
-    kappa = 7.9  # gap(theta_1) = 8/7.9 - 1 < 0.05
-    F = builtin_n1(kappa)
-    with pytest.raises(PreconditionError):
-        one_interval_decomposition_fit(F, PointConfig.of(0.0, 1.0), spec_for(kappa))
+def test_channels_refuse_coincident_exponents():
+    # at the weight floor delta_plus = delta_minus: the second channel is
+    # delta^dm log delta, which A + B delta^gap cannot fit
+    kappa = 6.0
+    d = weight_floor(kappa)
+    spec = CollapseSpec(i=2, weights=WeightAssignment(kappa=kappa, iota=2, h=d))
+    assert spec.exponents().gap == 0.0
+    F = asym.manufactured_two_term(kappa, 3, 2, d, 1.0, 0.0)
+    with pytest.raises(DegenerateFitError, match="gap of 0"):
+        collapse_channels(F, PointConfig.of(0.0, 1.0, 2.3), spec)
 
 
 @pytest.mark.parametrize("kappa", (10.0 / 3.0, 6.0))
@@ -286,16 +306,15 @@ def test_adjacent_pair_scan(kappa):
     assert weak.divergent
 
 
-def test_exponent_fit_consistency_with_ell():
-    # when p_hat sits at delta_minus within error, the ell limit is finite nonzero
+def test_exponent_fit_consistency_with_channels():
+    # when p_hat sits at delta_minus within error, the collapse limit is finite nonzero
     kappa = 16.0 / 3.0
     F = builtin_n1(kappa)
     cfg = PointConfig.of(0.0, 1.0)
     est = collapse_exponent(F, cfg, spec_for(kappa))
     dm = delta_minus(leg_weight(1, kappa), kappa)
     assert abs(est.p_hat - dm) <= 3.0 * est.stderr + 1e-3
-    rec = ell_limit(F, cfg, spec_for(kappa))
-    assert rec.converged and abs(rec.limit) > 0.1
+    assert abs(collapse_channels(F, cfg, spec_for(kappa)).A) > 0.1
 
 
 def test_pure_power_range(rng):
