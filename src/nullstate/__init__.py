@@ -47,7 +47,6 @@ from .pde import (
     builtin_power_product,
     resolve_candidate,
     system_residuals,
-    two_point_ward_solvable,
 )
 
 __version__ = "0.1.0"

@@ -18,11 +18,9 @@ from . import asymptotics as asym
 from . import findiff, pde
 from .errors import DomainError
 from .exponents import (
-    delta_minus,
     delta_plus,
     eigenvalue,
     gap,
-    jacobi_params,
     kpz,
     kpz_leg_identity_residual,
     leg_weight,
@@ -36,6 +34,7 @@ KAPPA_GRID = (0.5, 2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0, 20.0 / 3.0, 7.9)
 # the corrupt keys each suite reads; `all` reads every one of them
 SUITE_CORRUPTIONS = {"green": ("lambda0",), "kernel": ("alpha", "beta")}
 SUPPORTED_CORRUPTIONS = tuple(key for keys in SUITE_CORRUPTIONS.values() for key in keys)
+REPORT_SCHEMA = 2  # version of the `verify` and `scan` report layout
 
 
 @dataclass
@@ -63,7 +62,6 @@ class Report:
     checks: list
     wall_time: float
     seed: int
-    schema: int = 2
 
     @property
     def passed(self) -> bool:
@@ -71,7 +69,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "command": self.command,
             "params": self.params,
             "seed": self.seed,
@@ -135,9 +133,7 @@ def suite_exponents(kappas) -> list:
     worst_vieta_sum = 0.0
     worst_vieta_prod = 0.0
     worst_lam0 = 0.0
-    worst_gap = 0.0
     monotone = True
-    params_positive = True
     for kappa in kappas:
         th1 = leg_weight(1, kappa)
         for s in range(1, S_MAX + 1):
@@ -154,22 +150,17 @@ def suite_exponents(kappas) -> list:
             pair = kpz(d, kappa)
             worst_vieta_sum = max(worst_vieta_sum, abs(pair.vieta_sum - (kappa - 4.0) / kappa))
             worst_vieta_prod = max(worst_vieta_prod, abs(pair.vieta_product + 4.0 * d / kappa))
-            worst_gap = max(worst_gap, -pair.gap)
         for s in range(1, H_LEGS + 1):
             h = leg_weight(s, kappa)
             lam0 = eigenvalue(0, h, kappa)
             target = 2.0 * delta_plus(h, kappa) + delta_plus(th1, kappa)
             worst_lam0 = max(worst_lam0, abs(lam0 - target))
-            p = jacobi_params(h, kappa)
-            params_positive &= p.alpha > 0.0 and p.beta > 0.0
             lams = [eigenvalue(n, h, kappa) for n in range(21)]
             monotone &= all(b > a for a, b in zip(lams, lams[1:]))
     checks.append(_leq("kpz_closed_form_residual", worst_closed, 1e-12))
     checks.append(_leq("vieta_sum_residual", worst_vieta_sum, 1e-12))
     checks.append(_leq("vieta_product_residual", worst_vieta_prod, 1e-12))
     checks.append(_leq("lambda0_identity_residual", worst_lam0, 1e-12))
-    checks.append(_leq("gap_nonnegative", worst_gap, 0.0))
-    checks.append(_is("jacobi_params_positive", params_positive))
     checks.append(_is("eigenvalue_monotone", monotone))
     return checks
 
@@ -332,14 +323,12 @@ def suite_green(kappa: float, h: float, corrupt: dict) -> list:
     th1 = leg_weight(1, kappa)
     checks = []
 
-    worst_coincide = 0.0
     worst_slope = 0.0
     worst_ann = 0.0
     worst_ann_fd = 0.0
     weights_to_try = [th1, h] if gap(th1, kappa) > 0.0 else [h]
     for d in weights_to_try:
         g1 = OneIntervalGreen(weight=d, kappa=kappa)
-        worst_coincide = max(worst_coincide, abs(g1.value(1.0, 1.0)), abs(g1.value(2.0, 1.5)))
         for eta in (0.7, 1.0):
             worst_slope = max(
                 worst_slope, abs(g1.coincidence_slope_fd(eta) - (-4.0 / kappa))
@@ -347,20 +336,12 @@ def suite_green(kappa: float, h: float, corrupt: dict) -> list:
             deltas = np.linspace(0.05, 0.95, 10) * eta
             worst_ann = max(worst_ann, g1.annihilation_residual(eta, deltas))
             worst_ann_fd = max(worst_ann_fd, g1.annihilation_residual(eta, deltas, method="fd"))
-    checks.append(_leq("j_zero_at_coincidence", worst_coincide, 0.0))
     checks.append(_leq("j_coincidence_slope", worst_slope, 1e-8))
     checks.append(_leq("j_euler_annihilation", worst_ann, 1e-9))
     checks.append(_leq("j_euler_annihilation_fd", worst_ann_fd, 1e-9))
 
     lambda0 = eigenvalue(0, h, kappa) + corrupt.get("lambda0", 0.0)
     g = TwoIntervalGreen(h=h, kappa=kappa, lambda0=lambda0)
-
-    causal = all(
-        g.value(rho, 1.0, sigma, eta) == 0.0
-        for rho, sigma in ((0.3, 0.6), (0.5, 0.5))
-        for eta in (0.5, 1.0)
-    )
-    checks.append(_is("g_causality", causal))
 
     worst_agree = 0.0
     for rho, eps, sigma, eta in (
@@ -475,13 +456,21 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
         )
     checks.append(_leq("stencil_vs_analytic", worst_stencil, 1e-8))
 
-    th1 = leg_weight(1, kappa)
-    ok_diag, _ = pde.two_point_ward_solvable(th1, th1)
-    ok_five, _ = pde.two_point_ward_solvable(5.0, 5.0)
-    bad, witness = pde.two_point_ward_solvable(th1, leg_weight(3, kappa))
-    checks.append(_is("two_point_solvable_diagonal", ok_diag and ok_five))
-    checks.append(_is("two_point_unsolvable_off_diagonal", not bad,
-                      detail=f"witness {witness!r}"))
+    # the two-point dichotomy: translation and dilation force the ansatz
+    # (x2 - x1)^(-h1-h2), which leaves -(h1 - h2)(x2 - x1) F in the special
+    # conformal identity, so no nonzero solution pairs theta_1 with theta_3
+    th1, th3 = leg_weight(1, kappa), leg_weight(3, kappa)
+    ansatz = pde.builtin_power_product({(1, 2): -th1 - th3}, 2, name="two-point")
+    cfg2 = pde.PointConfig.of(0.3, 1.9)
+    reps = {r.equation: r for r in pde.system_residuals(
+        ansatz, cfg2, pde.WeightAssignment(kappa=kappa, iota=2, h=th3))}
+    conformal = reps["ward_special_conformal"]
+    witness = -(th1 - th3) * (cfg2.x(2) - cfg2.x(1)) * ansatz(cfg2.array)
+    checks.append(_leq(
+        "two_point_ward_witness",
+        max(reps["ward_translation"].relative, reps["ward_dilation"].relative,
+            abs(conformal.residual - witness) / conformal.scale),
+        1e-6, detail=f"special conformal relative residual {conformal.relative!r}"))
 
     if candidate == "n1":
         s = config.x(2) - config.x(1)
@@ -496,9 +485,6 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
 def suite_asymptotics(kappa: float, h: float) -> list:
     th1 = leg_weight(1, kappa)
     checks = []
-
-    checks.append(_leq("minus_two_theta1_is_delta_minus",
-                       abs(-2.0 * th1 - delta_minus(th1, kappa)), 1e-12))
 
     config = pde.PointConfig.of(0.0, 1.0)
     weights = pde.WeightAssignment.one_leg(kappa, 2)
@@ -534,7 +520,7 @@ def suite_asymptotics(kappa: float, h: float) -> list:
     checks.append(_leq("decomposition_fit",
                        max(abs(fit.A - 2.0), abs(fit.B - 3.0)), 1e-6))
 
-    bounded = _pair_collapse("far-pair", "manufactured:bounded", kappa, h)
+    bounded = _pair_collapse("far-pair", "manufactured:normalized", kappa, h)
     checks.append(_is("far_pair_bounded", not bounded.divergent and
                       math.isfinite(bounded.sup_ratio)))
     violating = _pair_collapse("far-pair", "manufactured:violating", kappa, h)
@@ -547,42 +533,39 @@ def suite_asymptotics(kappa: float, h: float) -> list:
     dph = delta_plus(h, kappa)
     checks.append(_leq("adjacent_eps_exponent",
                        abs((normalized.eps_exponent or math.inf) - dph), 1e-6))
-    weak = _pair_collapse("adjacent-pair", "manufactured:weak-eps", kappa, h)
+    weak = _pair_collapse("adjacent-pair", "manufactured:violating", kappa, h)
     checks.append(_is("adjacent_violation_flagged", weak.divergent))
     return checks
 
 
-# manufactured:<shape> -> the argument that selects the field of that shape:
-# `violating` of manufactured_far_pair, `shape` of manufactured_adjacent
-MANUFACTURED_SHAPES = {
-    "far-pair": {"bounded": False, "normalized": False, "violating": True},
-    "adjacent-pair": {"normalized": "normalized", "violating": "weak-eps", "weak-eps": "weak-eps"},
-}
+PAIR_SCANS = ("far-pair", "adjacent-pair")
+MANUFACTURED = ("manufactured:normalized", "manufactured:violating")
 
 
 def _pair_collapse(kind: str, candidate: str, kappa: float, h: float) -> asym.PairScanResult:
     """Collapse scan of one candidate at x = 0, 1, 2, 3, 4 (M = 5).
 
     "far-pair" closes interval j = 2 with the anomalous interval iota = 5;
-    "adjacent-pair" closes the two intervals ending at iota = 4.  The candidate
-    "manufactured:<shape>" names the test field built for that geometry; any
-    other name goes to `pde.resolve_candidate`.
+    "adjacent-pair" closes the two intervals ending at iota = 4.  The
+    candidates "manufactured:normalized" and "manufactured:violating" name the
+    test fields built for that geometry, with a bounded and a divergent
+    normalized ratio; any other name goes to `pde.resolve_candidate`.
     """
-    if kind not in MANUFACTURED_SHAPES:
-        raise DomainError(f"unknown pair scan {kind!r}; expected one of "
-                          f"{tuple(MANUFACTURED_SHAPES)}")
+    if kind not in PAIR_SCANS:
+        raise DomainError(f"unknown pair scan {kind!r}; expected one of {PAIR_SCANS}")
     M = 5
     far = kind == "far-pair"
     iota = 5 if far else 4
     config = pde.PointConfig.of(*range(M))
     weights = pde.WeightAssignment(kappa=kappa, iota=iota, h=h)
     if candidate.startswith("manufactured:"):
-        shape = candidate[len("manufactured:"):]
-        if shape not in MANUFACTURED_SHAPES[kind]:
-            raise DomainError(f"unknown manufactured shape {shape!r} for scan {kind!r}")
-        arg = MANUFACTURED_SHAPES[kind][shape]
-        F = (asym.manufactured_far_pair(kappa, h, M, j=2, iota=iota, violating=arg) if far
-             else asym.manufactured_adjacent(kappa, h, M, iota=iota, shape=arg))
+        if candidate not in MANUFACTURED:
+            raise DomainError(f"unknown manufactured field {candidate!r}; "
+                              f"expected one of {MANUFACTURED}")
+        violating = candidate == "manufactured:violating"
+        F = (asym.manufactured_far_pair(kappa, h, M, j=2, iota=iota, violating=violating) if far
+             else asym.manufactured_adjacent(kappa, h, M, iota=iota,
+                                             shape="weak-eps" if violating else "normalized"))
     else:
         F = pde.resolve_candidate(candidate, kappa, M=M)
     if far:

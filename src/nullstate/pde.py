@@ -206,40 +206,12 @@ def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[
     ]
 
 
-def two_point_ward_solvable(h1: float, h2: float) -> tuple[bool, float]:
-    """Whether the two-point Ward system admits a nonzero solution.
-
-    Translation plus dilation covariance force F = A (x2 - x1)^(-h1-h2); the
-    special-conformal identity applied to that ansatz leaves the residual
-    -(h1 - h2)(x2 - x1) F, so a nonzero solution exists iff h1 = h2.  Returns
-    (solvable, witness) with witness = h1 - h2, solvable when |witness| <= 1e-12.
-    """
-    witness = h1 - h2
-    return abs(witness) <= 1e-12, witness
-
-
 # -- builtin candidates ---------------------------------------------------------
 
 
 def builtin_n1(kappa: float) -> CandidateFunction:
     """The two-point solution (x2 - x1)^(-2 theta_1), unique up to scale."""
-    check_kappa(kappa)
-    th1 = leg_weight(1, kappa)
-    p = -2.0 * th1
-
-    def func(xs):
-        return (xs[1] - xs[0]) ** p
-
-    def grad(xs, k):
-        s = xs[1] - xs[0]
-        d = p * s ** (p - 1.0)
-        return d if k == 2 else -d
-
-    def second(xs, k):
-        s = xs[1] - xs[0]
-        return p * (p - 1.0) * s ** (p - 2.0)
-
-    return CandidateFunction(name="n1", func=func, arity=2, grad=grad, second=second)
+    return builtin_power_product({(1, 2): -2.0 * leg_weight(1, kappa)}, 2, name="n1")
 
 
 def builtin_power_product(mu: dict, M: int, name: str = "power") -> CandidateFunction:

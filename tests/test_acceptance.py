@@ -174,17 +174,26 @@ def test_criterion_5_pde_suite():
             a = rng.uniform(-5.0, 5.0)
             cfg = pde.PointConfig.of(a, a + rng.uniform(0.3, 1.8))
             worst = max(worst, max(r.relative for r in pde.system_residuals(F, cfg, w)))
-    solvable_ok = True
+    # two-point dichotomy: the covariant ansatz (x2 - x1)^(-theta_1 - h) solves
+    # translation and dilation, and leaves -(theta_1 - h)(x2 - x1) F in the
+    # special conformal identity, so it is a solution iff h = theta_1
+    worst_witness = 0.0
+    cfg = pde.PointConfig.of(0.3, 1.9)
     for kappa in (4.0, 6.0):
         th1 = ns.leg_weight(1, kappa)
-        solvable_ok &= ns.two_point_ward_solvable(th1, th1)[0]
-        for N in (2, 3, 4):
-            solvable_ok &= not ns.two_point_ward_solvable(
-                th1, ns.leg_weight(2 * N - 1, kappa)
-            )[0]
-    ok = worst <= 1e-6 and solvable_ok
+        for h in (th1, *(ns.leg_weight(2 * N - 1, kappa) for N in (2, 3, 4))):
+            F = ns.builtin_power_product({(1, 2): -th1 - h}, 2)
+            reps = {r.equation: r for r in pde.system_residuals(
+                F, cfg, pde.WeightAssignment(kappa=kappa, iota=2, h=h))}
+            conformal = reps["ward_special_conformal"]
+            witness = -(th1 - h) * (1.9 - 0.3) * F(cfg.array)
+            worst_witness = max(worst_witness, reps["ward_translation"].relative,
+                                reps["ward_dilation"].relative,
+                                abs(conformal.residual - witness) / max(conformal.scale, 1e-300))
+            assert (conformal.relative <= 1e-6) == (h == th1)
+    ok = worst <= 1e-6 and worst_witness <= 1e-6
     report(5, "pde suite", ok,
-           f"800 configs, worst residual {worst:.2e}, two-point dichotomy {solvable_ok}")
+           f"800 configs, worst residual {worst:.2e}, two-point witness {worst_witness:.2e}")
 
 
 def test_criterion_6_asymptotics_suite():

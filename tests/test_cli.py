@@ -145,6 +145,17 @@ def test_scan_far_pair_violating_flagged(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("scan, field", (("far-pair", "bounded"), ("adjacent-pair", "weak-eps")))
+def test_pair_scan_refuses_other_manufactured_names(scan, field, tmp_path, capsys):
+    out_file = tmp_path / "pair.csv"
+    assert cli.main(["scan", scan, "--kappa", "6", "--candidate", f"manufactured:{field}",
+                     "--output", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown manufactured field 'manufactured:{field}'" in err
+    assert "('manufactured:normalized', 'manufactured:violating')" in err
+    assert not out_file.exists()
+
+
 def test_scan_output_io_failure(capsys):
     code = cli.main(["scan", "green-adjoint", "--kappa", "6",
                      "--output", "/nonexistent-dir/x.csv"])

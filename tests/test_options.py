@@ -1,12 +1,14 @@
-"""Every defaulted parameter in the package is set by a caller outside the tests.
+"""Every defaulted parameter and dataclass field in the package has a caller outside the tests.
 
-A parameter with a default is an option.  It counts as set when a call in the
-package, the scripts or the benchmark passes it, by keyword or by position.
-Calls are matched by name: `f(...)` and `x.f(...)` count for every def named
-`f`, and `C(...)` counts for `C.__init__`.  A call to a function that passes
-its own `**kwargs` on to another call counts for that callee too, so
-`kernel_bound_scan(kernel, T=1.0)` sets `bound_ratio_scan`'s `T`.  Tests are
-not callers: an option only a test sets is a path the program never takes.
+A parameter with a default is an option, and so is a dataclass field with a
+default that `__init__` takes.  It counts as set when a call in the package,
+the scripts or the benchmark passes it, by keyword or by position.  Calls are
+matched by name: `f(...)` and `x.f(...)` count for every def named `f`, and
+`C(...)` counts for `C.__init__` and for the fields of a dataclass `C`.  A
+call to a function that passes its own `**kwargs` on to another call counts
+for that callee too, so `kernel_bound_scan(kernel, T=1.0)` sets
+`bound_ratio_scan`'s `T`.  Tests are not callers: an option only a test sets
+is a path the program never takes.
 """
 
 import ast
@@ -15,6 +17,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nullstate").glob("*.py"))
 CALLERS = PACKAGE + sorted(p for d in ("scripts", "bench") for p in (ROOT / d).glob("*.py"))
+
+# defaulted dataclass fields that no construction sets, kept for a reader
+# outside the package: they can become constants only with a benchmark change
+UNSET_FIELDS_KEPT = {
+    "TruncationPolicy.tail_tol": "bench/tracing.py keys its cache on kernel.policy",
+    "TruncationPolicy.n_max": "bench/tracing.py reads kernel.policy.n_max",
+}
 
 
 def _name(func):
@@ -48,6 +57,33 @@ def declared_options(tree) -> list:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_false(value) -> bool:
+    return (isinstance(value, ast.Call) and _name(value.func) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                    for k in value.keywords))
+
+
+def declared_fields(tree) -> list:
+    """(line, class name, field, position) per defaulted dataclass field `__init__` takes.
+
+    Position counts the fields `__init__` takes, in declaration order.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+            continue
+        init = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name) and not _init_false(stmt.value)]
+        found += [(stmt.lineno, node.name, stmt.target.id, k)
+                  for k, stmt in enumerate(init) if stmt.value is not None]
+    return found
+
+
 def _forwards(trees) -> dict:
     """{function name: names of the calls that receive its **kwargs}."""
     forwards = {}
@@ -77,12 +113,13 @@ def passed(trees) -> set:
 
 
 def unset_options(sources: dict, callers: dict) -> list:
-    """Sorted (module, line, function.parameter) of options that no caller sets."""
+    """Sorted (module, line, name.parameter) of options and fields that no caller sets."""
     seen = passed([ast.parse(s) for s in callers.values()])
     return sorted(
         (module, line, f"{name}.{param}")
         for module, source in sources.items()
-        for line, name, param, pos in declared_options(ast.parse(source))
+        for declared in (declared_options, declared_fields)
+        for line, name, param, pos in declared(ast.parse(source))
         if (name, param) not in seen and (name, pos) not in seen
     )
 
@@ -102,7 +139,22 @@ def test_checker_flags_an_unset_option():
     assert unset_options({"m": src}, {"m": src, "u": "K(0, c=1)\n"})[0] == ("m", 2, "K.b")
 
 
+def test_checker_flags_an_unset_field():
+    src = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(init=False, default=0)\n    e: str = 'x'\n"
+    )
+    assert unset_options({"m": src}, {"m": src}) == [
+        ("m", 5, "P.b"), ("m", 6, "P.c"), ("m", 8, "P.e"),
+    ]
+    assert unset_options({"m": src}, {"m": src, "u": "P(0, 2, e='y')\nP(0, c=[])\n"}) == []
+
+
 def test_every_option_has_a_caller():
     sources = {p.name: p.read_text() for p in PACKAGE}
     callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
-    assert unset_options(sources, callers) == []
+    unset = unset_options(sources, callers)
+    assert [u for u in unset if u[2] not in UNSET_FIELDS_KEPT] == []
+    assert {u[2] for u in unset} == set(UNSET_FIELDS_KEPT)  # no kept entry is stale

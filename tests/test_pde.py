@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nullstate import (
     CandidateFunction,
@@ -17,7 +15,6 @@ from nullstate import (
     leg_weight,
     resolve_candidate,
     system_residuals,
-    two_point_ward_solvable,
 )
 from nullstate import asymptotics as asym
 from nullstate import findiff, pde
@@ -128,27 +125,6 @@ def test_two_point_special_conformal_factor():
     s = 1.9 - 0.3
     want = -(h1 - h2) * s * F(cfg.array)
     assert wsc.residual == pytest.approx(want, rel=1e-7)
-
-
-def test_two_point_solvable():
-    th1 = leg_weight(1, 6.0)
-    assert two_point_ward_solvable(th1, th1) == (True, 0.0)
-    ok, _ = two_point_ward_solvable(5.0, 5.0)
-    assert ok
-    for N in (2, 3, 4):
-        solvable, witness = two_point_ward_solvable(th1, leg_weight(2 * N - 1, 6.0))
-        assert not solvable
-        assert witness != 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(h1=st.floats(min_value=-1.0, max_value=10.0), h2=st.floats(min_value=-1.0, max_value=10.0))
-def test_two_point_solvable_symmetric(h1, h2):
-    a, wa = two_point_ward_solvable(h1, h2)
-    b, wb = two_point_ward_solvable(h2, h1)
-    assert a == b
-    assert wa == -wb
-    assert two_point_ward_solvable(h1, h1)[0]
 
 
 def test_builtin_n1_normalization():
