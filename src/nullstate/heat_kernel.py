@@ -21,6 +21,9 @@ from .jacobi import JacobiBasis, QuadratureRule
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_N_MAX = 2000
+# point sets whose Jacobi table a kernel keeps: the quadrature nodes, a scan's
+# angle grid and the adjoint stencil's columns, with room for a rho or two
+TABLES_KEPT = 6
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,7 @@ class HeatKernel:
         self.policy = TruncationPolicy()
         self._nrm: list[float] = []
         self._coef: list[float] = []  # Pbar_n^2 / nrm_n
+        self._tables: dict = {}  # y bytes -> Jacobi table at y, least recently used first
 
     @property
     def alpha(self) -> float:
@@ -82,6 +86,27 @@ class HeatKernel:
             self._nrm.append(self.basis.shifted_norm_sq(m))
             pbar = self.basis.endpoint_max(m)
             self._coef.append(pbar * pbar / self._nrm[-1])
+
+    def _table(self, n_terms: int, x) -> np.ndarray:
+        """Degrees 0..n_terms-1 of the Jacobi table at y = 2x - 1, for the points x.
+
+        The kernel keeps the tables of its TABLES_KEPT most recently used point
+        sets.  A call that needs fewer degrees takes a row slice; one that
+        needs more goes on with the recurrence from the kept table's last two
+        rows.  Either way the rows are bit for bit those of a fresh table.
+        """
+        y = 2.0 * np.asarray(x, dtype=float).ravel() - 1.0
+        key = y.tobytes()
+        table = self._tables.pop(key, None)
+        if table is None or len(table) < 2 or n_terms < 1:  # eval_table refuses n_terms < 1
+            table = self.basis.eval_table(n_terms - 1, y)
+        elif len(table) < n_terms:
+            table = np.concatenate([table, self.basis.eval_table(n_terms - 1, y, head=table)])
+        table.setflags(write=False)  # callers get views of it
+        self._tables[key] = table
+        if len(self._tables) > TABLES_KEPT:
+            del self._tables[next(iter(self._tables))]
+        return table[:n_terms]
 
     def term_bound(self, n: int, t: float) -> float:
         """B_n = exp(-t n(n+alpha+beta+1)) Pbar_n^2 / nrm_n.
@@ -159,14 +184,15 @@ class HeatKernel:
         Each value is bit for bit `value(rho, sigma, t, n_terms).value`: the
         table's columns are those of the narrow float path, each distinct t
         gets one decay row, and each point's terms form one contiguous row
-        with its own pairwise sum.
+        with its own pairwise sum.  The table over rho and the distinct sigmas
+        is kept (see `_table`).
         """
         for _, t in points:
             _check_time(t)
         self._ensure(n_terms)
         row = {t: i for i, t in enumerate(dict.fromkeys(t for _, t in points))}
         col = {s: j for j, s in enumerate(dict.fromkeys(s for s, _ in points), start=1)}
-        table = self.basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, *(2.0 * s - 1.0 for s in col)])
+        table = self._table(n_terms, [rho, *col])
         n = np.arange(n_terms, dtype=float)
         decay = np.exp(-np.array(list(row))[:, None] * n * (n + self.alpha + self.beta + 1.0))
         nrm = np.array(self._nrm[:n_terms])
@@ -175,16 +201,18 @@ class HeatKernel:
         return np.ascontiguousarray(terms).sum(axis=1).tolist()
 
     def grid(self, rhos, sigmas, t: float, n_terms: int | None = None) -> np.ndarray:
-        """K on the product grid rhos x sigmas at a single time, vectorized."""
+        """K on the product grid rhos x sigmas at a single time, vectorized.
+
+        The Jacobi tables of rhos and of sigmas are kept (see `_table`), so a
+        grid at another time on the same points runs no recurrence from degree 0.
+        """
         if n_terms is None:
             n_terms, _ = self.truncation_index(t)
         else:
             _check_time(t)
             self._ensure(n_terms)
-        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        tr = self.basis.eval_table(n_terms - 1, 2.0 * rhos - 1.0)
-        ts = self.basis.eval_table(n_terms - 1, 2.0 * sigmas - 1.0)
+        tr = self._table(n_terms, rhos)
+        ts = self._table(n_terms, sigmas)
         n = np.arange(n_terms, dtype=float)
         decay = np.exp(-t * n * (n + self.alpha + self.beta + 1.0))
         nrm = np.array(self._nrm[:n_terms])

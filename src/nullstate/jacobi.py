@@ -60,8 +60,8 @@ class JacobiBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _coefficients(self, n_max: int) -> list:
-        """Columns a, b0, b1, c of this basis's recurrence for degrees 2..n_max.
+    def _coefficients(self, n_lo: int, n_max: int) -> list:
+        """Columns a, b0, b1, c of this basis's recurrence for degrees n_lo..n_max, n_lo >= 2.
 
         The table is built with numpy and grows by doubling, so a fresh basis
         builds only the rows it is asked for.  It is kept as float64 (32 bytes
@@ -74,23 +74,30 @@ class JacobiBasis:
             new = _recurrence_coefficients(have + 2, max(need, 2 * have) + 2, self.alpha, self.beta)
             for column, rows in zip(self._coeffs, new):
                 column.frombytes(rows.tobytes())
-        return [column[:need].tolist() for column in self._coeffs]
+        return [column[n_lo - 2:need].tolist() for column in self._coeffs]
 
-    def _rows(self, coeffs: list, n_max: int, y):
-        """P_0(y), ..., P_n_max(y), one degree at a time; y is a Python float or an ndarray."""
-        pm1 = np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
-        yield pm1
-        if n_max == 0:
-            return
-        p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
-        yield p
+    def _rows(self, coeffs: list, n_max: int, y, seed=None):
+        """P_0(y), ..., P_n_max(y), one degree at a time; y is a Python float or an ndarray.
+
+        Given seed = (P_{k-1}(y), P_k(y)) and coeffs from degree k+1 on, the
+        recurrence goes on from those two rows and yields degrees k+1..n_max.
+        """
+        if seed is None:
+            pm1 = np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
+            yield pm1
+            if n_max == 0:
+                return
+            p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
+            yield p
+        else:
+            pm1, p = seed
         for a, b0, b1, c in zip(*coeffs):
             p, pm1 = ((b0 + b1 * y) * p - c * pm1) / a, p
             yield p
 
     def eval(self, n: int, y):
         """P_n^(alpha,beta)(y), the last row of the recurrence; y may be an ndarray."""
-        coeffs = self._coefficients(n)
+        coeffs = self._coefficients(2, n)
         y = np.asarray(y, dtype=float)
         if y.size > NARROW:
             for p in self._rows(coeffs, n, y):
@@ -103,18 +110,26 @@ class JacobiBasis:
             last.append(p)
         return np.array(last).reshape(y.shape) if y.ndim else last[0]
 
-    def eval_table(self, n_max: int, y) -> np.ndarray:
-        """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape."""
-        coeffs = self._coefficients(n_max)
+    def eval_table(self, n_max: int, y, head=None) -> np.ndarray:
+        """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape.
+
+        Given `head`, this basis's table of degrees 0..k at the same y with
+        1 <= k < n_max, the recurrence goes on from its last two rows and the
+        result holds degrees k+1..n_max only, bit for bit a full table's rows.
+        """
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        table = np.empty((n_max + 1,) + y.shape)
+        start = 0 if head is None else len(head)
+        coeffs = self._coefficients(max(start, 2), n_max)
+        table = np.empty((n_max + 1 - start,) + y.shape)
         if y.size > NARROW:
-            for k, p in enumerate(self._rows(coeffs, n_max, y)):
+            seed = None if head is None else (head[-2], head[-1])
+            for k, p in enumerate(self._rows(coeffs, n_max, y, seed)):
                 table[k] = p
             return table
-        columns = table.reshape(n_max + 1, y.size)
-        for j, yj in enumerate(y.ravel().tolist()):
-            columns[:, j] = list(self._rows(coeffs, n_max, yj))
+        columns = table.reshape(len(table), y.size)
+        seeds = [None] * y.size if head is None else head[-2:].reshape(2, y.size).T.tolist()
+        for j, (yj, seed) in enumerate(zip(y.ravel().tolist(), seeds)):
+            columns[:, j] = list(self._rows(coeffs, n_max, yj, seed))
         return table
 
     def eval_explicit_sum(self, n: int, y):

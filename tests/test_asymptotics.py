@@ -113,6 +113,21 @@ def test_two_leg_two_term(kappa):
     assert plus.is_two_leg or plus.indeterminate
 
 
+def test_two_leg_round_off_floor_is_tight():
+    # an A of 1e-10 against B = 1 is far above the round-off floor
+    # (A_ROUNDOFF times max |delta^(-delta_minus) F|), so the field is not
+    # two-leg; only an A that is exactly 0 is
+    kappa = 6.0
+    th1 = leg_weight(1, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.3)
+    spec = CollapseSpec(i=2, weights=WeightAssignment.one_leg(kappa, 3))
+    small = two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 1e-10, 1.0), cfg, spec)
+    assert small.channels.misfit <= asym.MODEL_TOL
+    assert not small.is_two_leg and not small.indeterminate
+    zero = two_leg_test(asym.manufactured_two_term(kappa, 3, 2, th1, 0.0, 1.0), cfg, spec)
+    assert zero.is_two_leg and not zero.indeterminate
+
+
 @pytest.mark.parametrize("kappa", KAPPA_GRID + (1.0, 7.99))
 def test_two_leg_plus_channel(kappa):
     # delta^dp(theta_1) alone: B = 1 and A is round-off, at kappa = 7.9 more

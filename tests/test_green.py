@@ -11,8 +11,11 @@ from nullstate import (
     OneIntervalGreen,
     PreconditionError,
     TwoIntervalGreen,
+    collapse_time,
+    delta_plus,
     eigenvalue,
     findiff,
+    jacobi_params,
     kpz,
     leg_weight,
 )
@@ -116,6 +119,25 @@ def test_series_vs_factored(green):
         a = green.value(*pt)
         b = green.value_series(*pt)
         assert abs(a - b) <= 1e-10 * abs(a)
+
+
+@pytest.mark.parametrize("kappa, s", [(6.0, 2), (10.0 / 3.0, 3), (2.0, 2)])
+def test_factored_value_reads_the_written_out_prefactor(kappa, s):
+    # the factored and series routes share `_prefactor`, so their agreement
+    # cannot see it; here it is written out from the exponents
+    h = leg_weight(s, kappa)
+    p = jacobi_params(h, kappa)
+    dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)
+    lam0 = eigenvalue(0, h, kappa)
+    g = TwoIntervalGreen(h=h, kappa=kappa)
+    kernel = HeatKernel(p.alpha, p.beta)
+    for rho, eps, sigma, eta in ((0.3, 0.5, 0.6, 1.0), (0.5, 0.2, 0.05, 0.5),
+                                 (0.8, 1.0, 0.25, 3.0), (0.1, 0.4, 0.93, 0.9)):
+        prefactor = (sigma ** (p.beta + 1.0) * (1.0 - sigma) ** (p.alpha + 1.0)
+                     * (rho / sigma) ** dp1 * ((1.0 - rho) / (1.0 - sigma)) ** dph)
+        k = kernel.value(rho, sigma, collapse_time(eps, eta, kappa)).value
+        want = prefactor * -eta * (eps / eta) ** lam0 * k
+        assert g.value(rho, eps, sigma, eta) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_adjoint_residual_homogeneous(green):

@@ -13,8 +13,8 @@ from nullstate import (
     jacobi_params,
     leg_weight,
 )
-from nullstate.heat_kernel import bound_ratio_scan, gaussian_factor, lambda_envelope
-from nullstate.jacobi import log_beta
+from nullstate.heat_kernel import TABLES_KEPT, bound_ratio_scan, gaussian_factor, lambda_envelope
+from nullstate.jacobi import NARROW, JacobiBasis, log_beta
 
 PARAMS = [(1.0 / 3.0, 1.0 / 3.0), (2.0, 1.0), (0.5, 1.4)]
 
@@ -297,3 +297,67 @@ def test_reproducing_integral_calls_f_once_on_the_nodes(kernel):
     assert kernel.reproducing_integral(rho, t, lambda s: 1.0, rule) == float(
         np.dot(rule.weights, kvals)
     )
+
+
+# -- kept Jacobi tables ------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", (3, NARROW, NARROW + 1, 120))
+def test_continued_eval_table_is_a_fresh_one(size, rng):
+    # both routes (per-point floats up to NARROW points, arrays above) go on
+    # from a head's last two rows to the rows a fresh table has there
+    y = rng.uniform(-1.0, 1.0, size=size)
+    fresh = JacobiBasis(0.5, 1.4).eval_table(300, y)
+    basis = JacobiBasis(0.5, 1.4)
+    head = basis.eval_table(1, y)
+    for n_max in (2, 40, 300):
+        head = np.concatenate([head, basis.eval_table(n_max, y, head=head)])
+        assert head.tobytes() == fresh[:n_max + 1].tobytes()
+
+
+def _count_continuations(monkeypatch) -> list:
+    heads = []
+    original = JacobiBasis.eval_table
+
+    def spied(self, n_max, y, head=None):
+        if head is not None:
+            heads.append(len(head))
+        return original(self, n_max, y, head=head)
+
+    monkeypatch.setattr(JacobiBasis, "eval_table", spied)
+    return heads
+
+
+def test_grid_at_falling_then_rising_t_is_a_fresh_kernels_grid(kernel, monkeypatch):
+    # falling t needs more degrees, which continues the kept tables; rising t
+    # takes row slices of them.  Every grid is byte for byte a fresh kernel's
+    heads = _count_continuations(monkeypatch)
+    nodes = unit_rule(kernel).nodes
+    rhos = np.array([0.1, 0.37, 0.9])
+    for t in (0.5, 0.05, 5e-3, 1e-3, 0.01, 0.2, 2.0):
+        for x, y in ((rhos, nodes), (nodes[:NARROW], nodes[:NARROW]), (rhos, rhos)):
+            fresh = HeatKernel(kernel.alpha, kernel.beta).grid(x, y, t)
+            assert kernel.grid(x, y, t).tobytes() == fresh.tobytes()
+    assert len(heads) == 3 * 3  # each of the three point sets grew at each falling t
+
+
+def test_values_is_value_bit_for_bit_after_a_continuation(kernel, monkeypatch):
+    heads = _count_continuations(monkeypatch)
+    rho = 0.4
+    points = [(s, t) for s in (0.2, 0.35, 0.61) for t in (0.02, 0.05)]
+    for n_terms in (8, 40, 25, 90):  # grows, slices, grows again
+        got = kernel.values(rho, points, n_terms)
+        want = [kernel.value(rho, s, t, n_terms=n_terms).value for s, t in points]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert heads == [8, 40]
+
+
+def test_kernel_keeps_a_bounded_number_of_tables(rng):
+    k = HeatKernel(1.0, 1.0 / 3.0)
+    for rho, sigma in rng.uniform(0.01, 0.99, size=(1000, 2)):
+        k.value(rho, sigma, 0.05)
+    assert k._tables == {}  # the pointwise route neither reads nor fills them
+    for m in range(TABLES_KEPT + 3):
+        k.grid([0.5], np.linspace(0.1, 0.9, 30 + m), 0.05)
+        assert len(k._tables) <= TABLES_KEPT
+    assert len(k._tables) == TABLES_KEPT
