@@ -104,7 +104,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float,
     b = float(xc @ (y - ym)) / sxx
     resid = y - ym - b * xc
     rss = float(resid @ resid)
-    s2 = rss / (x.size - 2)
+    s2 = rss / (x.size - 2) if x.size > 2 else math.inf  # a line through 2 points: no stderr
     return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / x.size + xm * xm / sxx)),
             math.sqrt(s2 / sxx), math.sqrt(rss / x.size))
 
@@ -182,22 +182,51 @@ def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
 # -- two-interval scans ---------------------------------------------------------
 
 
-def _level_slope(levels: np.ndarray, sups: np.ndarray) -> float:
-    keep = np.isfinite(sups) & (sups > 0.0)
+def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Slope of log y on log x over the finite positive y; NaN (not flat) if under two."""
+    keep = np.isfinite(y) & (y > 0.0)
     if np.count_nonzero(keep) < 2:
-        return 0.0
-    slope, _ = np.polyfit(np.log(levels[keep]), np.log(sups[keep]), 1)
-    return float(slope)
+        return math.nan
+    return _line_fit(np.log(x[keep]), np.log(y[keep]))[1]
 
 
 @dataclass
 class PairScanResult:
     sup_ratio: float
     rows: list  # (delta, eps, |F|, ratio)
-    delta_slope: float
+    delta_slope: float  # log-log slopes of the per-level sups, NaN if not measured
     eps_slope: float
-    divergent: bool
     eps_exponent: Optional[float] = None
+
+    @property
+    def divergent(self) -> bool:
+        return self.delta_slope < -SLOPE_TOL or self.eps_slope < -SLOPE_TOL
+
+    @property
+    def bounded(self) -> bool:
+        """Not divergent, with a finite sup and both slopes measured."""
+        return not self.divergent and all(
+            map(math.isfinite, (self.sup_ratio, self.delta_slope, self.eps_slope)))
+
+
+def _pair_scan(F, config: PointConfig, closing, offsets, normaliser) -> tuple:
+    """Rows (delta, eps, |F|, ratio), the sup ratio and the sups per grid row and column.
+
+    closing = ((i, a), (k, b)) sets x_i = x_a + offsets[0] and x_k = x_b + offsets[1]
+    over one level grid; delta = x_i - x_a, eps = x_k - x_b after rounding, and ratio =
+    |F| / normaliser(delta, eps).  Every sup skips NaN ratios.
+    """
+    (i, a), (k, b) = closing
+    cols = _batch(config, {i: config.x(a) + offsets[0].ravel(),
+                           k: config.x(b) + offsets[1].ravel()})
+    d_eff, e_eff = cols[i - 1] - cols[a - 1], cols[k - 1] - cols[b - 1]
+    vals = np.abs(F(cols))
+    ratio = vals / normaliser(d_eff, e_eff)
+    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
+    grid = ratio.reshape(offsets[0].shape)
+    sup = np.fmax.reduce
+    return (rows, float(sup(ratio, initial=0.0)),
+            sup(grid, axis=1, initial=0.0), sup(grid, axis=0, initial=0.0))
 
 
 def far_pair_bound_scan(
@@ -223,27 +252,12 @@ def far_pair_bound_scan(
     dph = delta_plus(weights.h, weights.kappa)
     deltas = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, j)
     epsilons = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, iota)
-    grid_d, grid_e = np.meshgrid(deltas, epsilons, indexing="ij")  # rows: delta-major
-    moves = {j: config.x(j - 1) + grid_d.ravel(), iota: config.x(iota - 1) + grid_e.ravel()}
-    cols = _batch(config, moves)
-    d_eff = cols[j - 1] - cols[j - 2]
-    e_eff = cols[iota - 1] - cols[iota - 2]
-    vals = np.abs(F(cols))
-    ratio = vals / (d_eff**dp1 * e_eff**dph)
-    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
-    sup = np.fmax.reduce(ratio, initial=0.0)  # fmax skips NaN ratios, as max(sup, r) did
-    grid = ratio.reshape(grid_d.shape)
-    delta_sups = np.fmax.reduce(grid, axis=1, initial=0.0)
-    eps_sups = np.fmax.reduce(grid, axis=0, initial=0.0)
-    d_slope = _level_slope(deltas, delta_sups)
-    e_slope = _level_slope(epsilons, eps_sups)
-    return PairScanResult(
-        sup_ratio=float(sup),
-        rows=rows,
-        delta_slope=d_slope,
-        eps_slope=e_slope,
-        divergent=bool(d_slope < -SLOPE_TOL or e_slope < -SLOPE_TOL),
-    )
+    rows, sup, delta_sups, eps_sups = _pair_scan(
+        F, config, ((j, j - 1), (iota, iota - 1)),
+        np.meshgrid(deltas, epsilons, indexing="ij"),  # rows: delta-major
+        lambda d, e: d**dp1 * e**dph)
+    return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=_log_slope(deltas, delta_sups),
+                          eps_slope=_log_slope(epsilons, eps_sups))
 
 
 def adjacent_pair_bound_scan(
@@ -254,9 +268,10 @@ def adjacent_pair_bound_scan(
     """Sup of |F| / (delta^dp(theta1) eps^dp(h) (eps-delta)^dp(h)) on the triangle.
 
     Configuration shape: x_{iota-1} = x_{iota-2} + delta, x_iota = x_{iota-2} + eps
-    with delta = f eps for f = 0.1, 0.2, ..., 0.9.  Also reports the fitted
-    eps-exponent at the middle fraction, which recovers
-    lambda_0 - dp(theta1) - dp(h) = dp(h) for fields of the optimal-bound shape.
+    with delta = f eps for f = 0.1, 0.2, ..., 0.9.  Only eps is a level axis, so
+    the delta slope is 0.  Also reports the fitted eps-exponent at the middle
+    fraction, which recovers lambda_0 - dp(theta1) - dp(h) = dp(h) for fields of
+    the optimal-bound shape.
     """
     iota = weights.iota
     if iota < 3 or iota > config.M:
@@ -266,33 +281,14 @@ def adjacent_pair_bound_scan(
     epsilons = np.geomspace(1e-6, 1e-2, 7) * collapse_room(config, iota)
     fractions = np.linspace(0.1, 0.9, 9)
     grid_e, grid_f = np.meshgrid(epsilons, fractions, indexing="ij")  # rows: eps-major
-    base = config.x(iota - 2)
-    moves = {iota - 1: base + (grid_f * grid_e).ravel(), iota: base + grid_e.ravel()}
-    cols = _batch(config, moves)
-    d_eff = cols[iota - 2] - base
-    e_eff = cols[iota - 1] - base
-    vals = np.abs(F(cols))
-    ratio = vals / (d_eff**dp1 * e_eff**dph * (e_eff - d_eff) ** dph)
-    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
-    sup = np.fmax.reduce(ratio, initial=0.0)
-    eps_sups = np.fmax.reduce(ratio.reshape(grid_e.shape), axis=1, initial=0.0)
+    rows, sup, eps_sups, _ = _pair_scan(
+        F, config, ((iota - 1, iota - 2), (iota, iota - 2)), (grid_f * grid_e, grid_e),
+        lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
     mid = slice(int(np.argmin(np.abs(fractions - 0.5))), None, len(fractions))
-    mid_eps = e_eff[mid]
-    mid_vals = vals[mid] / (d_eff[mid] ** dp1 * (mid_eps - d_eff[mid]) ** dph)
-    e_slope = _level_slope(epsilons, eps_sups)
-    keep = mid_vals > 0.0
-    eps_exponent = None
-    if np.count_nonzero(keep) >= 2:
-        fit, _ = np.polyfit(np.log(mid_eps[keep]), np.log(mid_vals[keep]), 1)
-        eps_exponent = float(fit)
-    return PairScanResult(
-        sup_ratio=float(sup),
-        rows=rows,
-        delta_slope=0.0,
-        eps_slope=e_slope,
-        divergent=bool(e_slope < -SLOPE_TOL),
-        eps_exponent=eps_exponent,
-    )
+    d, e, vals, _ = np.array(rows[mid]).T
+    return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=0.0,
+                          eps_slope=_log_slope(epsilons, eps_sups),
+                          eps_exponent=_log_slope(e, vals / (d**dp1 * (e - d) ** dph)))
 
 
 # -- manufactured fields ----------------------------------------------------------

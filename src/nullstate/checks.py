@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics as asym
-from . import findiff, pde
+from . import pde
 from .errors import DomainError
 from .exponents import (
     delta_plus,
@@ -434,28 +434,16 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     checks.append(_leq("system_residuals_sweep", worst, 1e-6,
                        detail=f"{candidate} over {n_configs} configurations"))
 
-    # translated coordinates round differently, so the comparison floor is the
-    # stencil noise of the base run rather than a fixed constant
-    config = configs[0]
-    base = max(r.relative for r in pde.system_residuals(F, config, weights))
-    moved = max(r.relative for r in pde.system_residuals(F, config.translated(11.0), weights))
-    checks.append(_leq("translation_invariance", moved, max(1e-8, 10.0 * base)))
-
+    # the partials system_residuals reads, from its own stencil at a wider step
     probe = pde.builtin_power_product({(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}, 3)
     cfg3 = pde.PointConfig.of(-0.7, 0.4, 1.9)
-    step = 1e-3 * cfg3.min_gap
-    worst_stencil = 0.0
-    for k in (1, 2, 3):
-        along = lambda t: probe(cfg3.replace(k, t).array)
-        fd1 = findiff.d1(along, cfg3.x(k), step)
-        fd2 = findiff.d2(along, cfg3.x(k), step)
-        ex1 = probe.grad(cfg3.array, k)
-        ex2 = probe.second(cfg3.array, k)
-        worst_stencil = max(
-            worst_stencil,
-            abs(fd1 - ex1) / max(abs(ex1), 1.0),
-            abs(fd2 - ex2) / max(abs(ex2), 1.0),
-        )
+    _, fd1, fd2 = pde._stencil(probe, cfg3, 1e-3 * cfg3.min_gap)
+    worst_stencil = max(
+        abs(fd - exact) / max(abs(exact), 1.0)
+        for k in (1, 2, 3)
+        for fd, exact in ((fd1[k - 1], probe.grad(cfg3.array, k)),
+                          (fd2[k - 1], probe.second(cfg3.array, k)))
+    )
     checks.append(_leq("stencil_vs_analytic", worst_stencil, 1e-8))
 
     # the two-point dichotomy: translation and dilation force the ansatz
@@ -475,6 +463,7 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
         1e-6, detail=f"special conformal relative residual {conformal.relative!r}"))
 
     if candidate == "n1":
+        config = configs[0]
         s = config.x(2) - config.x(1)
         norm = s ** (2.0 * th1) * F(config.array)
         checks.append(_leq("n1_collapse_normalization", abs(norm - 1.0), 1e-12))
@@ -523,8 +512,7 @@ def suite_asymptotics(kappa: float, h: float) -> list:
                        max(abs(fit.A - 2.0), abs(fit.B - 3.0)), 1e-6))
 
     bounded = _pair_collapse("far-pair", "manufactured:normalized", kappa, h)
-    checks.append(_is("far_pair_bounded", not bounded.divergent and
-                      math.isfinite(bounded.sup_ratio)))
+    checks.append(_is("far_pair_bounded", bounded.bounded))
     violating = _pair_collapse("far-pair", "manufactured:violating", kappa, h)
     checks.append(_is("far_pair_violation_flagged", violating.divergent))
 
@@ -534,7 +522,7 @@ def suite_asymptotics(kappa: float, h: float) -> list:
                        float(np.max(np.abs(ratios - 1.0))), 1e-10))
     dph = delta_plus(h, kappa)
     checks.append(_leq("adjacent_eps_exponent",
-                       abs((normalized.eps_exponent or math.inf) - dph), 1e-6))
+                       abs(normalized.eps_exponent - dph), 1e-6))
     weak = _pair_collapse("adjacent-pair", "manufactured:violating", kappa, h)
     checks.append(_is("adjacent_violation_flagged", weak.divergent))
     return checks
@@ -577,10 +565,11 @@ def _pair_collapse(kind: str, candidate: str, kappa: float, h: float) -> asym.Pa
 
 def pair_scan(kind: str, candidate: str, kappa: float, h: float) -> tuple[list, CheckResult]:
     """A pair collapse scan (see `_pair_collapse`): its rows (delta, epsilon,
-    |F|, ratio) and the check that the normalized ratio stays bounded."""
+    |F|, ratio) and the check that the normalized ratio stays bounded; a NaN
+    slope had fewer than 2 finite positive level sups."""
     scan = _pair_collapse(kind, candidate, kappa, h)
     return scan.rows, _is(
-        "normalized_ratio_bounded", not scan.divergent,
+        "normalized_ratio_bounded", scan.bounded,
         detail=(f"sup ratio {scan.sup_ratio!r}, eps slope {scan.eps_slope!r}, "
                 f"delta slope {scan.delta_slope!r}"),
     )

@@ -2,20 +2,16 @@
 
 The fourth-order five-point formulas are written once, as functions of the
 samples, so a caller that needs several derivatives at one point samples it
-once: `wings` gives the four off-centre samples, `first` and `second` combine
-them (with the centre value for `second`).  The Richardson-refined forms
-read the six samples at `refined_points`: the step-h wings and x -+ h/2, the
-step-h/2 stencil taking its outer samples, x -+ h, from the step-h wings.  A
-caller that evaluates its function on many points at once samples those
-abscissae itself and hands the values to `refined_first` / `refined_second`.
+once: `first` and `second` combine the four off-centre samples (the wings, at
+x - 2h, x - h, x + h, x + 2h), `second` with the centre value too.  The
+Richardson-refined forms read the six samples at `refined_points`: the step-h
+wings and x -+ h/2, the step-h/2 stencil taking its outer samples, x -+ h, from
+the step-h wings.  A caller that evaluates its function on many points at once
+samples the abscissae itself and hands the values to these combinations;
+`extrapolated` samples a scalar function point by point.
 """
 
 from __future__ import annotations
-
-
-def wings(f, x: float, h: float) -> tuple[float, float, float, float]:
-    """f at x - 2h, x - h, x + h, x + 2h: the off-centre samples of the stencil."""
-    return f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
 
 
 def first(w, h: float) -> float:
@@ -28,16 +24,6 @@ def second(f0: float, w, h: float) -> float:
     """Fourth-order second derivative from the centre value and the wing samples."""
     m2, m1, p1, p2 = w
     return (-p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2) / (12.0 * h * h)
-
-
-def d1(f, x: float, h: float) -> float:
-    """Fourth-order first derivative."""
-    return first(wings(f, x, h), h)
-
-
-def d2(f, x: float, h: float) -> float:
-    """Fourth-order second derivative."""
-    return second(f(x), wings(f, x, h), h)
 
 
 def richardson(coarse: float, fine: float, order: int) -> float:

@@ -217,15 +217,13 @@ class TwoIntervalGreen:
             * ((1.0 - rho) / (1.0 - sigma)) ** self.dp_h
         )
 
-    def value(
-        self, rho: float, epsilon: float, sigma: float, eta: float, n_terms: int | None = None
-    ) -> float:
+    def value(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Factored form: prefactor * eta * (eps/eta)^lambda0 * K(rho, sigma, t)."""
         self._check_point(rho, sigma, epsilon, eta)
         if eta <= epsilon:
             return 0.0
         t = self.time(epsilon, eta)
-        k = self.kernel.value(rho, sigma, t, n_terms=n_terms).value
+        k = self.kernel.value(rho, sigma, t).value
         return -self._prefactor(rho, sigma) * eta * (epsilon / eta) ** self.lambda0 * k
 
     def value_series(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:

@@ -156,8 +156,6 @@ class JacobiBasis:
 
         d/dy P_n^(a,b) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1).
         """
-        if order == 0:
-            return self.eval(n, y)
         if n < order:
             y = np.asarray(y, dtype=float)
             out = np.zeros_like(y)

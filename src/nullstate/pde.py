@@ -64,14 +64,6 @@ class PointConfig:
             raise DomainError(f"index {i} outside 1..{self.M}")
         return self.coords[i - 1]
 
-    def replace(self, i: int, value: float) -> "PointConfig":
-        xs = list(self.coords)
-        xs[i - 1] = float(value)
-        return PointConfig(tuple(xs))
-
-    def translated(self, c: float) -> "PointConfig":
-        return PointConfig(tuple(x + c for x in self.coords))
-
 
 @dataclass(frozen=True)
 class WeightAssignment:
@@ -151,7 +143,8 @@ def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
     """F and all its first and second partials at config, from one batch of 1 + 4M samples.
 
     Column 0 is x; columns 1+4k..4+4k move x_k by -2h, -h, +h, +2h.  Every
-    equation of the system reads its partials from them.
+    equation of the system reads its partials from them, and the pde suite's
+    `stencil_vs_analytic` checks them against exact partials.
     """
     M = config.M
     cols = np.repeat(config.array[:, None], 1 + 4 * M, axis=1)

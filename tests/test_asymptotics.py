@@ -190,12 +190,37 @@ def test_far_pair_scan(kappa):
     cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
     w = WeightAssignment(kappa=kappa, iota=5, h=h)
     good = far_pair_bound_scan(asym.manufactured_far_pair(kappa, h, 5, 2, 5), cfg, w, j=2)
-    assert not good.divergent
+    assert not good.divergent and good.bounded
     assert good.sup_ratio == pytest.approx(1.0, rel=1e-10)
     bad = far_pair_bound_scan(
         asym.manufactured_far_pair(kappa, h, 5, 2, 5, violating=True), cfg, w, j=2
     )
-    assert bad.divergent
+    assert bad.divergent and not bad.bounded
+
+
+def test_line_fit_through_two_points():
+    # a line through exactly two points has its slope and no standard error
+    a, b, stderr_a, stderr_b, rms = asym._line_fit(np.array([0.0, 2.0]), np.array([1.0, 4.0]))
+    assert (a, b, rms) == (1.0, 1.5, 0.0)
+    assert stderr_a == stderr_b == math.inf
+
+
+def test_far_pair_scan_needs_two_finite_levels_per_axis():
+    # finite ratios on one eps level only: the eps slope is never measured, so
+    # the scan is not bounded, although it is not divergent and its sup is finite
+    kappa = 6.0
+    h = leg_weight(2, kappa)
+    cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+    w = WeightAssignment(kappa=kappa, iota=5, h=h)
+    base = asym.manufactured_far_pair(kappa, h, 5, 2, 5)
+    F = pde.CandidateFunction(
+        name="one-level", arity=5,
+        func=lambda xs: np.where(xs[4] - xs[3] > 5e-3, base.func(xs), np.nan),
+    )
+    scan = far_pair_bound_scan(F, cfg, w, j=2)
+    assert math.isnan(scan.eps_slope) and math.isfinite(scan.delta_slope)
+    assert math.isfinite(scan.sup_ratio) and not scan.divergent
+    assert not scan.bounded
 
 
 def test_far_pair_two_leg_product_m4():
@@ -208,8 +233,7 @@ def test_far_pair_two_leg_product_m4():
     cfg = PointConfig.of(0.0, 1.0, 2.0, 3.0)
     w = WeightAssignment(kappa=kappa, iota=4, h=h)
     scan = far_pair_bound_scan(F, cfg, w, j=2)
-    assert not scan.divergent
-    assert math.isfinite(scan.sup_ratio)
+    assert scan.bounded
 
 
 def test_far_pair_rejects_adjacent():
@@ -279,7 +303,7 @@ def test_adjacent_pair_scan_matches_pointwise_loop():
 
 
 # at 1e12 one ulp is 1.2e-4, so x_{i-1} + 1e-6 room rounds back onto x_{i-1}
-FAR_OUT = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0).translated(1e12)
+FAR_OUT = PointConfig.of(*(x + 1e12 for x in (0.0, 1.0, 2.0, 3.0, 4.0)))
 
 
 def test_far_pair_rejects_collapse_lost_to_rounding():

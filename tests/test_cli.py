@@ -145,6 +145,24 @@ def test_scan_far_pair_violating_flagged(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("scan, candidate, rows, reason", (
+    # every ratio NaN: no level has a finite positive sup, so no slope is measured
+    ("far-pair", "power:1,2=nan", 25, "(sup ratio 0.0, eps slope nan, delta slope nan)"),
+    # every ratio infinite
+    ("adjacent-pair", "power:3,4=-1e6", 63, "(sup ratio inf, eps slope nan, delta slope 0.0)"),
+))
+def test_pair_scan_non_finite_ratios_are_not_bounded(scan, candidate, rows, reason, tmp_path,
+                                                     capsys):
+    out_file = tmp_path / "pair.csv"
+    code, out = run(capsys, "scan", scan, "--kappa", "6", "--candidate", candidate,
+                    "--output", str(out_file))
+    assert code == 1
+    [line] = [line for line in out.splitlines() if "normalized_ratio_bounded" in line]
+    assert line.startswith("FAIL") and line.endswith(reason)
+    assert len(out_file.read_text().splitlines()) == 1 + rows
+
+
 @pytest.mark.parametrize("scan, field", (("far-pair", "bounded"), ("adjacent-pair", "weak-eps")))
 def test_pair_scan_refuses_other_manufactured_names(scan, field, tmp_path, capsys):
     out_file = tmp_path / "pair.csv"

@@ -82,6 +82,20 @@ def _biased_slope(f):
     return fit
 
 
+def _scaled_partials(f):
+    def stencil(F, config, h):
+        f0, grads, seconds = f(F, config, h)
+        return f0, [g * (1.0 + 1e-7) for g in grads], [s * (1.0 + 1e-7) for s in seconds]
+    return stencil
+
+
+def _biased_line(f):
+    def fit(x, y):
+        a, b, *rest = f(x, y)
+        return (a, b + 1e-2, *rest)
+    return fit
+
+
 def _half_terms(f):
     def index(self, t):
         n_terms, tail = f(self, t)
@@ -151,7 +165,9 @@ FAULTS = {
         findiff, "second", lambda f: lambda f0, w, h: f(f0, w, h) - 2.5e-7 * f0 / (h * h))),
     "findiff.first: coefficient 8 x (1 + 1e-2)": ({}, _wrap(
         findiff, "first", lambda f: lambda w, h: f(w, h) + 8e-2 * (w[2] - w[1]) / (12.0 * h))),
+    "pde._stencil: partials x (1 + 1e-7)": ({}, _wrap(pde, "_stencil", _scaled_partials)),
     "asymptotics._slope_fit: exponent + 1e-2": ({}, _wrap(asym, "_slope_fit", _biased_slope)),
+    "asymptotics._line_fit: slope + 1e-2": ({}, _wrap(asym, "_line_fit", _biased_line)),
     "asymptotics.MODEL_TOL = 1": ({}, _set(asym, "MODEL_TOL", 1.0)),
     "asymptotics.STDERR_MAX = 0": ({}, _set(asym, "STDERR_MAX", 0.0)),
     "asymptotics.SLOPE_TOL = -0.005": ({}, _set(asym, "SLOPE_TOL", -0.005)),
@@ -297,7 +313,12 @@ MATRIX = {
             "pde.stencil_vs_analytic", "pde.system_residuals_sweep", "pde.two_point_ward_witness",
         ),
     ),
+    "pde._stencil: partials x (1 + 1e-7)": _both(
+        "pde.stencil_vs_analytic"),
     "asymptotics._slope_fit: exponent + 1e-2": _both(
+        "asymptotics.n1_collapse_exponent"),
+    "asymptotics._line_fit: slope + 1e-2": _both(
+        "asymptotics.adjacent_eps_exponent", "asymptotics.decomposition_fit",
         "asymptotics.n1_collapse_exponent"),
     "asymptotics.MODEL_TOL = 1": _both(
         "asymptotics.two_leg_margin_plus"),
@@ -326,11 +347,7 @@ MATRIX = {
 }
 
 # checks no fault above fails, and why
-UNCOVERED = {
-    "pde.translation_invariance": "n1 solves the system at every position, so the translated "
-                                  "residual is round-off; F on float32 coordinates or times "
-                                  "1 + 1e-10 x_1^2 fails other pde checks and leaves it",
-}
+UNCOVERED = {}
 
 
 def test_every_check_passes_without_a_fault():
