@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import findiff
 from .errors import DegenerateFitError, DomainError, PreconditionError
 from .exponents import delta_minus, delta_plus, kpz, leg_weight
 from .pde import CandidateFunction, PointConfig, WeightAssignment, builtin_power_product
@@ -94,21 +95,6 @@ def _collapse_samples(F, config: PointConfig, i: int) -> tuple[np.ndarray, np.nd
     return eff[keep], vals[keep]
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Least squares y = a + b x on centered x: (a, b, stderr a, stderr b, rms residual)."""
-    xm, ym = x.mean(), y.mean()
-    xc = x - xm
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} (an exponent gap of 0?)")
-    b = float(xc @ (y - ym)) / sxx
-    resid = y - ym - b * xc
-    rss = float(resid @ resid)
-    s2 = rss / (x.size - 2) if x.size > 2 else math.inf  # a line through 2 points: no stderr
-    return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / x.size + xm * xm / sxx)),
-            math.sqrt(s2 / sxx), math.sqrt(rss / x.size))
-
-
 @dataclass
 class ExponentEstimate:
     p_hat: float
@@ -116,7 +102,7 @@ class ExponentEstimate:
 
 
 def _slope_fit(eff: np.ndarray, vals: np.ndarray) -> ExponentEstimate:
-    _, p_hat, _, stderr, _ = _line_fit(np.log(eff), np.log(np.abs(vals)))
+    _, p_hat, _, stderr, _ = findiff.line_fit(np.log(eff), np.log(np.abs(vals)))
     return ExponentEstimate(p_hat=p_hat, stderr=stderr)
 
 
@@ -134,7 +120,7 @@ class ChannelFit:
 
 
 def _channel_fit(eff: np.ndarray, scaled: np.ndarray, gap: float) -> ChannelFit:
-    A, B, stderr_A, _, rms = _line_fit(eff**gap, scaled)
+    A, B, stderr_A, _, rms = findiff.line_fit(eff**gap, scaled)
     return ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / float(np.max(np.abs(scaled))))
 
 
@@ -187,7 +173,7 @@ def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     keep = np.isfinite(y) & (y > 0.0)
     if np.count_nonzero(keep) < 2:
         return math.nan
-    return _line_fit(np.log(x[keep]), np.log(y[keep]))[1]
+    return findiff.line_fit(np.log(x[keep]), np.log(y[keep]))[1]
 
 
 @dataclass
@@ -214,7 +200,7 @@ def _pair_scan(F, config: PointConfig, closing, offsets, normaliser) -> tuple:
 
     closing = ((i, a), (k, b)) sets x_i = x_a + offsets[0] and x_k = x_b + offsets[1]
     over one level grid; delta = x_i - x_a, eps = x_k - x_b after rounding, and ratio =
-    |F| / normaliser(delta, eps).  Every sup skips NaN ratios.
+    |F| / normaliser(delta, eps).  Every sup skips NaN ratios; a sup of no number is NaN.
     """
     (i, a), (k, b) = closing
     cols = _batch(config, {i: config.x(a) + offsets[0].ravel(),
@@ -225,8 +211,7 @@ def _pair_scan(F, config: PointConfig, closing, offsets, normaliser) -> tuple:
     rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
     grid = ratio.reshape(offsets[0].shape)
     sup = np.fmax.reduce
-    return (rows, float(sup(ratio, initial=0.0)),
-            sup(grid, axis=1, initial=0.0), sup(grid, axis=0, initial=0.0))
+    return rows, float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
 
 
 def far_pair_bound_scan(

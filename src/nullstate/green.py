@@ -21,6 +21,8 @@ from .heat_kernel import HeatKernel, collapse_time
 from .jacobi import gauss_jacobi_rule
 
 ADMISSIBLE_SLOPE_TOL = 0.01  # steepest endpoint divergence a reproduced f may show
+# J finite-difference steps as fractions of delta, each capped at (eta - delta)/8
+STEP_LADDER = np.array([2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4])
 
 
 @dataclass(frozen=True)
@@ -43,80 +45,79 @@ class OneIntervalGreen:
     def gap(self) -> float:
         return self.pair.gap
 
-    def value(self, delta: float, eta: float) -> float:
+    def value(self, delta, eta: float):
         """(4/kappa)/gap * eta * [1 - (delta/eta)^gap] for delta < eta, else 0.
 
-        The bracket is evaluated as -expm1(gap log(delta/eta)), which keeps full
-        relative precision as delta approaches eta.
+        delta may be an array.  The bracket is -expm1(gap log(delta/eta)), which
+        keeps full relative precision as delta approaches eta.
         """
-        if not (0.0 < delta < math.inf and 0.0 < eta < math.inf):
+        d = np.asarray(delta, dtype=float)
+        if not (np.all((0.0 < d) & (d < math.inf)) and 0.0 < eta < math.inf):
             raise DomainError(
                 f"interval lengths must be finite and positive, got delta={delta!r}, eta={eta!r}"
             )
-        if delta >= eta:
-            return 0.0
         g = self.gap
-        return -(4.0 / self.kappa) / g * eta * math.expm1(g * math.log(delta / eta))
+        return _below(d, eta, lambda r: -(4.0 / self.kappa) / g * eta * np.expm1(g * np.log(r)))
 
-    def slope(self, delta: float, eta: float) -> float:
-        """Analytic d/d delta of the kernel; -> -4/kappa at coincidence."""
-        if delta >= eta:
-            return 0.0
-        return -(4.0 / self.kappa) * (delta / eta) ** (self.gap - 1.0)
+    def slope(self, delta, eta: float):
+        """Analytic d/d delta of the kernel, delta may be an array; -> -4/kappa at coincidence."""
+        return _below(delta, eta, lambda r: -(4.0 / self.kappa) * r ** (self.gap - 1.0))
 
     def coincidence_slope_fd(self, eta: float) -> float:
         """One-sided finite-difference slope at delta = eta (from below), Richardson refined."""
+        steps = 1e-6 * eta * np.array([1.0, 0.5])
+        coarse, fine = (self.value(eta, eta) - self.value(eta - steps, eta)) / steps
+        return float(findiff.richardson(coarse, fine, order=1))
 
-        def one_sided(step):
-            return (self.value(eta, eta) - self.value(eta - step, eta)) / step
-
-        step = 1e-6 * eta
-        return findiff.richardson(one_sided(step), one_sided(step / 2.0), order=1)
-
-    def euler_apply(self, u1: float, u2: float, delta: float) -> float:
-        """The transformed Euler operator kappa/4 u'' + (kappa dm/2 + 1) u'/delta.
-
-        This is the operator left after peeling the delta^dm prefactor off the
-        original Euler operator; it annihilates 1 and delta^gap, hence J(., eta).
-        """
-        dm = self.pair.delta_minus
-        return self.kappa / 4.0 * u2 + (self.kappa * dm / 2.0 + 1.0) * u1 / delta
+    def _fd_derivatives(self, u0: np.ndarray, deltas: np.ndarray, eta: float) -> tuple:
+        """Refined (u', u'') of J(., eta) at each delta, from the STEP_LADDER step
+        with the least truncation plus round-off estimate.  Truncation: the h^4
+        term the refinement removes, times (gap h/delta)^2 (each derivative of
+        delta^gap brings about gap/delta).  Round-off: the refined stencil's
+        weight sum times eps |u0| / h^2."""
+        h = np.minimum(STEP_LADDER[:, None] * deltas, (eta - deltas) / 8.0)
+        samples = self.value(np.stack(findiff.refined_points(deltas, h)), eta)
+        u1, u2 = findiff.refined_first(samples, h), findiff.refined_second(u0, samples, h)
+        removed = np.abs(u2 - findiff.second(u0, samples[:4], h))  # samples[:4]: the step-h wings
+        noise = findiff.REFINED_SECOND_GAIN * np.finfo(float).eps * np.abs(u0) / h**2
+        best = np.argmin(removed * (self.gap * h / deltas) ** 2 + noise, axis=0)
+        return u1[best, np.arange(deltas.size)], u2[best, np.arange(deltas.size)]
 
     def annihilation_residual(self, eta: float, deltas, method: str = "analytic") -> float:
-        """max over the grid of the relative Euler-operator residual on J(., eta).
+        """max over the grid of the relative peeled-Euler-operator residual on J(., eta).
 
-        The normalization scale includes the Euler magnitude of J itself,
-        (kappa/4)|J|/delta^2, so the measure stays meaningful where the two
-        operator terms vanish individually (gap = 1 makes the first-derivative
-        coefficient exactly zero) or where J is flat to double precision
-        (large gap at small delta).
+        kappa/4 u'' + (kappa dm/2 + 1) u'/delta is the operator left after
+        peeling the delta^dm prefactor off the original Euler operator; it
+        annihilates 1 and delta^gap, hence J(., eta).  Each route samples J
+        once over the whole grid, as an array.  The normalization scale
+        includes the Euler magnitude of J itself, (kappa/4)|J|/delta^2, so the
+        measure stays meaningful where the two operator terms vanish
+        individually (gap = 1 makes the first-derivative coefficient exactly
+        zero) or where J is flat to double precision (large gap at small delta).
         """
         deltas = np.asarray(deltas, dtype=float)
         if np.any(deltas <= 0.0) or np.any(deltas >= eta):
             raise PreconditionError("delta grid must lie strictly inside (0, eta)")
+        if method not in ("analytic", "fd"):
+            raise DomainError(f"unknown method {method!r}")
         g = self.gap
-        worst = 0.0
-        for delta in deltas:
-            if method == "analytic":
-                u0 = self.value(delta, eta)
-                u1 = self.slope(delta, eta)
-                u2 = -(4.0 / self.kappa) * (g - 1.0) * delta ** (g - 2.0) * eta ** (1.0 - g)
-            elif method == "fd":
-                # step balances stencil truncation against 1/h^2 roundoff growth
-                h = min(5e-3 * delta, (eta - delta) / 8.0)
-                u0, u1, u2 = findiff.extrapolated(lambda s: self.value(s, eta), delta, h)
-            else:
-                raise DomainError(f"unknown method {method!r}")
-            res = self.euler_apply(u1, u2, delta)
-            dm = self.pair.delta_minus
-            scale = max(
-                abs(self.kappa / 4.0 * u2),
-                abs((self.kappa * dm / 2.0 + 1.0) * u1 / delta),
-                self.kappa / 4.0 * abs(u0) / delta**2,
-                1e-300,
-            )
-            worst = max(worst, abs(res) / scale)
-        return worst
+        u0 = self.value(deltas, eta)
+        if method == "analytic":
+            u1 = self.slope(deltas, eta)
+            u2 = -(4.0 / self.kappa) * (g - 1.0) * deltas ** (g - 2.0) * eta ** (1.0 - g)
+        else:
+            u1, u2 = self._fd_derivatives(u0, deltas, eta)
+        c1 = self.kappa * self.pair.delta_minus / 2.0 + 1.0
+        terms = [self.kappa / 4.0 * u2, c1 * u1 / deltas]
+        scale = np.max(np.abs([*terms, self.kappa / 4.0 * u0 / deltas**2]), axis=0)
+        return float(np.max(np.abs(sum(terms)) / np.maximum(scale, 1e-300)))
+
+
+def _below(delta, eta: float, f):
+    """f(delta/eta) where delta < eta and 0 elsewhere; a float for a scalar delta."""
+    d = np.asarray(delta, dtype=float)
+    out = np.where(d < eta, f(np.minimum(d, eta) / eta), 0.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -126,15 +127,15 @@ class SigmaEigenfunction:
     n: int
     green: "TwoIntervalGreen"
 
-    def prefactor(self, sigma: float) -> float:
+    def prefactor(self, sigma):
         g = self.green
         return sigma**g.exp_left * (1.0 - sigma) ** g.exp_right
 
-    def value(self, sigma: float) -> float:
+    def value(self, sigma):
         return self.prefactor(sigma) * self.green.kernel.basis.eval(self.n, 2.0 * sigma - 1.0)
 
-    def derivatives(self, sigma: float) -> tuple[float, float, float]:
-        """(value, d/dsigma, d^2/dsigma^2), all in closed form."""
+    def derivatives(self, sigma) -> tuple:
+        """(value, d/dsigma, d^2/dsigma^2), all in closed form; sigma may be an array."""
         g = self.green
         basis = g.kernel.basis
         y = 2.0 * sigma - 1.0
@@ -152,14 +153,12 @@ class SigmaEigenfunction:
         """max relative residual of [Q* + (lambda_n - 1)/(sigma(1-sigma))] on the mode."""
         g = self.green
         lam = eigenvalue(self.n, g.h, g.kappa)
-        worst = 0.0
-        for sigma in np.asarray(sigmas, dtype=float):
-            v, d1v, d2v = self.derivatives(sigma)
-            terms = g.sigma_operator_terms(v, d1v, d2v, sigma)
-            total = sum(terms) + (lam - 1.0) / (sigma * (1.0 - sigma)) * v
-            scale = max(max(abs(x) for x in terms), 1e-300)
-            worst = max(worst, abs(total) / scale)
-        return worst
+        sigmas = np.asarray(sigmas, dtype=float)
+        v, d1v, d2v = self.derivatives(sigmas)
+        terms = g.sigma_operator_terms(v, d1v, d2v, sigmas)
+        total = sum(terms) + (lam - 1.0) / (sigmas * (1.0 - sigmas)) * v
+        scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
+        return float(np.max(np.abs(total) / scale))
 
 
 @dataclass
@@ -217,14 +216,24 @@ class TwoIntervalGreen:
             * ((1.0 - rho) / (1.0 - sigma)) ** self.dp_h
         )
 
+    def _factored(self, rho: float, epsilon: float, sigma: float, eta: float, k: float) -> float:
+        """The factored form at one point, given the kernel value k there."""
+        return -self._prefactor(rho, sigma) * eta * (epsilon / eta) ** self.lambda0 * k
+
     def value(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Factored form: prefactor * eta * (eps/eta)^lambda0 * K(rho, sigma, t)."""
         self._check_point(rho, sigma, epsilon, eta)
         if eta <= epsilon:
             return 0.0
-        t = self.time(epsilon, eta)
-        k = self.kernel.value(rho, sigma, t).value
-        return -self._prefactor(rho, sigma) * eta * (epsilon / eta) ** self.lambda0 * k
+        k = self.kernel.value(rho, sigma, self.time(epsilon, eta)).value
+        return self._factored(rho, epsilon, sigma, eta, k)
+
+    def _values(self, rho: float, epsilon: float, points, n_terms: int) -> list:
+        """The factored form at each (sigma, eta) of points, from one `HeatKernel.values` call."""
+        for s, e in points:
+            self._check_point(rho, s, epsilon, e)
+        ks = self.kernel.values(rho, [(s, self.time(epsilon, e)) for s, e in points], n_terms)
+        return [self._factored(rho, epsilon, s, e, k) for (s, e), k in zip(points, ks)]
 
     def value_series(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Direct eigenvalue series with per-mode powers (eps/eta)^lambda_n."""
@@ -287,11 +296,7 @@ class TwoIntervalGreen:
         n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta_lo))
         points = [(s, eta) for s in (sigma, *findiff.refined_points(sigma, sigma_step))]
         points += [(sigma, e) for e in findiff.refined_points(eta, eta_step)]
-        for s, e in points:
-            self._check_point(rho, s, epsilon, e)
-        ks = self.kernel.values(rho, [(s, self.time(epsilon, e)) for s, e in points], n_terms)
-        g = [-self._prefactor(rho, s) * e * (epsilon / e) ** self.lambda0 * k
-             for (s, e), k in zip(points, ks)]
+        g = self._values(rho, epsilon, points, n_terms)
         g0, sigma_wings, eta_wings = g[0], g[1:7], g[7:]
         g1 = findiff.refined_first(sigma_wings, sigma_step)
         g2 = findiff.refined_second(g0, sigma_wings, sigma_step)
@@ -321,7 +326,7 @@ class TwoIntervalGreen:
                 continue
             if np.any(vals == 0.0):
                 raise PreconditionError("transformed integrand changes support near an endpoint")
-            slope, _ = np.polyfit(np.log(s), np.log(vals), 1)
+            slope = findiff.line_fit(np.log(s), np.log(vals))[1]
             if slope < -ADMISSIBLE_SLOPE_TOL:
                 raise PreconditionError(
                     "f(sigma) sigma^{-dp(theta1)} (1-sigma)^{-dp(h)} does not extend "
@@ -355,14 +360,18 @@ class TwoIntervalGreen:
         """Log-log slope of |G| as sigma approaches an endpoint.
 
         side="left" fits sigma -> 0 (expected dp(theta1) + 4/kappa);
-        side="right" fits sigma -> 1 (expected dp(h) + 4/kappa).
+        side="right" fits sigma -> 1 (expected dp(h) + 4/kappa).  The seven
+        samples share one time and come from one `HeatKernel.values` call.
         """
         if side not in ("left", "right"):
             raise DomainError(f"side must be 'left' or 'right', got {side!r}")
         s = np.geomspace(1e-6, 1e-3, 7)
-        sigmas = s if side == "left" else 1.0 - s
-        vals = np.array([abs(self.value(rho, epsilon, sig, eta)) for sig in sigmas])
+        points = [(sig, eta) for sig in (s if side == "left" else 1.0 - s).tolist()]
+        self._check_point(rho, points[0][0], epsilon, eta)
+        if eta <= epsilon:
+            raise DomainError("kernel vanished on the fit grid")
+        n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
+        vals = np.abs(self._values(rho, epsilon, points, n_terms))
         if np.any(vals == 0.0):
             raise DomainError("kernel vanished on the fit grid")
-        slope, _ = np.polyfit(np.log(s), np.log(vals), 1)
-        return float(slope)
+        return findiff.line_fit(np.log(s), np.log(vals))[1]

@@ -219,8 +219,9 @@ def builtin_power_product(mu: dict, M: int, name: str = "power") -> CandidateFun
 
     def func(xs):
         acc = 1.0
-        for (i, j), e in pairs:
-            acc *= (xs[j] - xs[i]) ** e
+        with np.errstate(over="ignore"):  # the checks name an infinite product; no warning
+            for (i, j), e in pairs:
+                acc *= (xs[j] - xs[i]) ** e
         return acc
 
     def dlog(xs, k0):

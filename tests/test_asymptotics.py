@@ -22,7 +22,7 @@ from nullstate import (
     weight_floor,
 )
 from nullstate import asymptotics as asym
-from nullstate import pde
+from nullstate import findiff, pde
 from conftest import KAPPA_GRID
 
 
@@ -200,7 +200,7 @@ def test_far_pair_scan(kappa):
 
 def test_line_fit_through_two_points():
     # a line through exactly two points has its slope and no standard error
-    a, b, stderr_a, stderr_b, rms = asym._line_fit(np.array([0.0, 2.0]), np.array([1.0, 4.0]))
+    a, b, stderr_a, stderr_b, rms = findiff.line_fit(np.array([0.0, 2.0]), np.array([1.0, 4.0]))
     assert (a, b, rms) == (1.0, 1.5, 0.0)
     assert stderr_a == stderr_b == math.inf
 

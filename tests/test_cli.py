@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,10 +149,10 @@ def test_scan_far_pair_violating_flagged(tmp_path, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scan, candidate, rows, reason", (
-    # every ratio NaN: no level has a finite positive sup, so no slope is measured
-    ("far-pair", "power:1,2=nan", 25, "(sup ratio 0.0, eps slope nan, delta slope nan)"),
+    # every ratio NaN: the sup of no number is NaN, and no slope is measured
+    ("far-pair", "power:1,2=nan", 25, "(sup ratio nan, eps slope nan, delta slope nan)"),
     # every ratio infinite
     ("adjacent-pair", "power:3,4=-1e6", 63, "(sup ratio inf, eps slope nan, delta slope 0.0)"),
 ))
@@ -161,6 +165,23 @@ def test_pair_scan_non_finite_ratios_are_not_bounded(scan, candidate, rows, reas
     [line] = [line for line in out.splitlines() if "normalized_ratio_bounded" in line]
     assert line.startswith("FAIL") and line.endswith(reason)
     assert len(out_file.read_text().splitlines()) == 1 + rows
+
+
+def test_overflowing_candidate_fails_by_name_without_a_warning(tmp_path):
+    # every sample of the product overflows to inf: the named FAIL is the only
+    # report, with no numpy RuntimeWarning on stderr before it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "nullstate.cli", "scan", "adjacent-pair",
+         "--kappa", "6", "--candidate", "power:3,4=-1e6", "--output", str(tmp_path / "adj.csv")],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = [line for line in proc.stdout.splitlines() if "normalized_ratio_bounded" in line]
+    assert line.startswith("FAIL")
+    assert line.endswith("(sup ratio inf, eps slope nan, delta slope 0.0)")
 
 
 @pytest.mark.parametrize("scan, field", (("far-pair", "bounded"), ("adjacent-pair", "weak-eps")))

@@ -167,7 +167,7 @@ FAULTS = {
         findiff, "first", lambda f: lambda w, h: f(w, h) + 8e-2 * (w[2] - w[1]) / (12.0 * h))),
     "pde._stencil: partials x (1 + 1e-7)": ({}, _wrap(pde, "_stencil", _scaled_partials)),
     "asymptotics._slope_fit: exponent + 1e-2": ({}, _wrap(asym, "_slope_fit", _biased_slope)),
-    "asymptotics._line_fit: slope + 1e-2": ({}, _wrap(asym, "_line_fit", _biased_line)),
+    "findiff.line_fit: slope + 1e-2": ({}, _wrap(findiff, "line_fit", _biased_line)),
     "asymptotics.MODEL_TOL = 1": ({}, _set(asym, "MODEL_TOL", 1.0)),
     "asymptotics.STDERR_MAX = 0": ({}, _set(asym, "STDERR_MAX", 0.0)),
     "asymptotics.SLOPE_TOL = -0.005": ({}, _set(asym, "SLOPE_TOL", -0.005)),
@@ -317,7 +317,7 @@ MATRIX = {
         "pde.stencil_vs_analytic"),
     "asymptotics._slope_fit: exponent + 1e-2": _both(
         "asymptotics.n1_collapse_exponent"),
-    "asymptotics._line_fit: slope + 1e-2": _both(
+    "findiff.line_fit: slope + 1e-2": _both(
         "asymptotics.adjacent_eps_exponent", "asymptotics.decomposition_fit",
         "asymptotics.n1_collapse_exponent"),
     "asymptotics.MODEL_TOL = 1": _both(

@@ -19,6 +19,7 @@ from nullstate import (
     kpz,
     leg_weight,
 )
+from nullstate.green import STEP_LADDER
 from nullstate.jacobi import JacobiBasis
 from conftest import KAPPA_GRID
 
@@ -246,18 +247,39 @@ def test_adjoint_residual_matches_pointwise_reference(kappa, s):
 
 
 def test_j_annihilation_fd_sample_count(monkeypatch):
-    # the centre value returned by the stencil also sets the scale: 7 per delta
+    # J is sampled twice, each time as one array: the grid itself (the centre
+    # values, which also set the scale), then six refined samples per delta at
+    # every step of the ladder
     value = OneIntervalGreen.value
-    calls = []
+    sizes = []
 
     def counted(self, delta, eta):
-        calls.append(delta)
+        sizes.append(np.size(delta))
         return value(self, delta, eta)
 
     monkeypatch.setattr(OneIntervalGreen, "value", counted)
     g = OneIntervalGreen(weight=leg_weight(1, 6.0), kappa=6.0)
     g.annihilation_residual(1.0, [0.3, 0.5, 0.7], method="fd")
-    assert len(calls) == 7 * 3
+    assert sizes == [3, 6 * len(STEP_LADDER) * 3]
+
+
+@pytest.mark.parametrize("kappa", (0.3, *KAPPA_GRID))
+def test_j_array_value_is_its_scalar_calls_bit_for_bit(kappa):
+    g = OneIntervalGreen(weight=leg_weight(2, kappa), kappa=kappa)
+    deltas = np.concatenate([np.geomspace(1e-9, 0.9999, 61), [0.95, 1.0, 1.7]])
+    for eta in (0.7, 1.0):
+        got = g.value(deltas * eta, eta).tolist()
+        assert [x.hex() for x in got] == [g.value(float(d), eta).hex() for d in deltas * eta]
+        block = g.value(np.reshape(deltas[:60] * eta, (3, 4, 5)), eta)
+        assert block.ravel().tolist() == got[:60]
+
+
+def test_j_fd_residual_where_the_step_cap_binds():
+    # kappa = 0.3, h = theta_2 has gap 39.  At delta = 0.95 eta the cap (eta - delta)/8
+    # binds, and the former fixed step 5e-3 delta read 4.9e-9 here
+    g = OneIntervalGreen(weight=leg_weight(2, 0.3), kappa=0.3)
+    assert g.annihilation_residual(1.0, [0.95], method="fd") <= 1e-9
+    assert g.annihilation_residual(1.0, np.linspace(0.05, 0.95, 10), method="fd") <= 1e-9
 
 
 def test_value_series_reads_one_table(green, monkeypatch):
@@ -300,6 +322,22 @@ def test_boundary_exponents(green):
     right = green.boundary_exponent_fit("right", rho=0.4, epsilon=0.5, eta=1.0)
     assert abs(left - green.exp_left) <= 1e-2
     assert abs(right - green.exp_right) <= 1e-2
+
+
+def test_boundary_exponent_fit_reads_one_values_call(green, monkeypatch):
+    # the seven samples share one time: one `HeatKernel.values` call gives them,
+    # none through `value`, and each equals `value` at its point bit for bit,
+    # so the slope is the line fit of the pointwise samples exactly
+    s = np.geomspace(1e-6, 1e-3, 7)
+    for side, sigmas in (("left", s), ("right", 1.0 - s)):
+        calls = {"value": [], "values": []}
+        with monkeypatch.context() as m:
+            _spy(m, TwoIntervalGreen, "value", calls["value"])
+            _spy(m, HeatKernel, "values", calls["values"])
+            slope = green.boundary_exponent_fit(side, rho=0.4, epsilon=0.5, eta=1.0)
+        assert calls["value"] == [] and len(calls["values"]) == 1
+        vals = np.abs([green.value(0.4, 0.5, sig, 1.0) for sig in sigmas.tolist()])
+        assert slope == findiff.line_fit(np.log(s), np.log(vals))[1]
 
 
 def test_reproducing_limit_pure_mode(green):
