@@ -191,13 +191,13 @@ def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
     rule = gauss_jacobi_rule(2 * N_ORTHO + 10, basis)
     table = basis.eval_table(N_ORTHO, rule.nodes)
     grams = (table * rule.weights) @ table.T
+    norms = [basis.norm_sq(n) for n in range(N_ORTHO + 1)]
     worst_off = 0.0
     worst_norm = 0.0
-    for n in range(N_ORTHO + 1):
-        hn = basis.norm_sq(n)
+    for n, hn in enumerate(norms):
         worst_norm = max(worst_norm, abs(grams[n, n] - hn) / hn)
         for m in range(n):
-            worst_off = max(worst_off, abs(grams[m, n]) / math.sqrt(basis.norm_sq(m) * hn))
+            worst_off = max(worst_off, abs(grams[m, n]) / math.sqrt(norms[m] * hn))
     checks.append(_leq("orthogonality", worst_off, 1e-10))
     checks.append(_leq("norm_vs_closed_form", worst_norm, 1e-10))
 
@@ -220,8 +220,7 @@ def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
 
     grid = np.linspace(-0.95, 0.95, 41)
     worst_op = 0.0
-    for n in range(N_OPERATOR + 1):
-        res = basis.operator_residual(n, grid)
+    for n, res in enumerate(basis.operator_residual(N_OPERATOR, grid).tolist()):
         worst_op = max(worst_op, res / basis.endpoint_max(n))
     checks.append(_leq("operator_eigen_residual", worst_op, 1e-9))
 
@@ -251,15 +250,18 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) ->
         worst_mass = max(worst_mass, abs(float(np.dot(rule.weights, kvals)) - 1.0))
     checks.append(_leq("mass_conservation", worst_mass, 1e-9))
 
-    pts = rng.uniform(0.05, 0.95, size=(6, 2))
-    worst_sym = 0.0
+    pts = rng.uniform(0.05, 0.95, size=(6, 2)).tolist()
+    times = {t: kernel.truncation_index(t)[0] for t in (1e-2, 0.5)}
+    worst_sym, at = 0.0, None
     for rho, sigma in pts:
-        for t in (1e-2, 0.5):
-            n_terms, _ = kernel.truncation_index(t)
+        for t, n_terms in times.items():
             a = kernel.value(rho, sigma, t, n_terms=n_terms).value
             b = kernel.value(sigma, rho, t, n_terms=n_terms).value
-            worst_sym = max(worst_sym, abs(a - b) / max(abs(a), 1.0))
-    checks.append(_leq("symmetry", worst_sym, 1e-8))
+            err = abs(a - b) / max(abs(a), 1.0)
+            if err > worst_sym:
+                worst_sym, at = err, (rho, sigma, t)
+    checks.append(_leq("symmetry", worst_sym, 1e-8,
+                       detail=f"worst at (rho, sigma, t) = {at!r}"))
 
     worst_semi = 0.0
     srule = gauss_jacobi_rule(80, true_basis, domain="unit")
@@ -400,10 +402,16 @@ def adjoint_scan(g: TwoIntervalGreen, rho: float, epsilon: float, sigmas, ratios
 # -- pde ---------------------------------------------------------------------------
 
 
-def _random_config(rng, M: int) -> pde.PointConfig:
-    start = rng.uniform(-5.0, 5.0)
-    gaps = rng.uniform(0.3, 1.5, size=M - 1)
-    return pde.PointConfig(tuple(start + np.concatenate([[0.0], np.cumsum(gaps)])))
+def _random_configs(rng, B: int, M: int) -> np.ndarray:
+    """B configurations as the rows of a (B, M) array, from one block of draws.
+
+    Each row takes M draws in turn, as `rng.uniform` would take them: its start
+    from U(-5, 5), then its M - 1 gaps from U(0.3, 1.5).
+    """
+    u = rng.random((B, M))
+    start = -5.0 + 10.0 * u[:, :1]  # low + (high - low) u, as rng.uniform computes it
+    gaps = 0.3 + (1.5 - 0.3) * u[:, 1:]
+    return start + np.concatenate([np.zeros((B, 1)), np.cumsum(gaps, axis=1)], axis=1)
 
 
 def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
@@ -413,18 +421,18 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     M = F.arity or 2
     weights = pde.WeightAssignment.one_leg(kappa, M)
 
-    configs = [_random_config(rng, M) for _ in range(n_configs)]
-    worst = max(
-        max(r.relative for r in pde.system_residuals(F, config, weights))
-        for config in configs
-    )
-    checks.append(_leq("system_residuals_sweep", worst, 1e-6,
-                       detail=f"{candidate} over {n_configs} configurations"))
+    configs = _random_configs(rng, n_configs, M)
+    rows = pde.batch_residuals(F, configs, weights)
+    worst = [max(row, key=lambda r: r.relative) for row in rows]
+    at = max(range(n_configs), key=lambda b: worst[b].relative)
+    checks.append(_leq("system_residuals_sweep", worst[at].relative, 1e-6,
+                       detail=f"{candidate} over {n_configs} configurations, worst "
+                              f"{worst[at].equation} at x = {tuple(configs[at].tolist())!r}"))
 
     # the partials system_residuals reads, from its own stencil at a wider step
     probe = pde.builtin_power_product({(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}, 3)
     cfg3 = pde.PointConfig.of(-0.7, 0.4, 1.9)
-    _, fd1, fd2 = pde._stencil(probe, cfg3, 1e-3 * cfg3.min_gap)
+    _, fd1, fd2 = pde._stencil(probe, cfg3.array[None], [1e-3 * cfg3.min_gap])[0]
     worst_stencil = max(
         abs(fd - exact) / max(abs(exact), 1.0)
         for k in (1, 2, 3)
@@ -450,9 +458,8 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
         1e-6, detail=f"special conformal relative residual {conformal.relative!r}"))
 
     if candidate == "n1":
-        config = configs[0]
-        s = config.x(2) - config.x(1)
-        norm = s ** (2.0 * th1) * F(config.array)
+        x1, x2 = configs[0].tolist()
+        norm = (x2 - x1) ** (2.0 * th1) * F(configs[0])
         checks.append(_leq("n1_collapse_normalization", abs(norm - 1.0), 1e-12))
     return checks
 

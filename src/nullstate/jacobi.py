@@ -151,21 +151,31 @@ class JacobiBasis:
             acc = acc + coeff * half**m
         return acc if acc.ndim else float(acc)
 
-    def deriv(self, n: int, y, order: int = 1):
+    def deriv(self, n, y, order: int = 1):
         """Exact derivative via the shifted-parameter identity.
 
-        d/dy P_n^(a,b) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1).
+        d/dy P_n^(a,b) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1).  n is one degree, or
+        a 1-d array of degrees whose rows the result holds, all read from one
+        table of the shifted basis.
         """
+        shifted = self._shifted.get(order)
+        if shifted is None:  # kept, so its coefficient table is built once
+            shifted = self._shifted[order] = JacobiBasis(self.alpha + order, self.beta + order)
+        factor = 1.0
+        for j in range(order):
+            factor *= (n + self.alpha + self.beta + 1.0 + j) / 2.0
+        if np.ndim(n):
+            y = np.asarray(y, dtype=float)
+            lower = np.asarray(n) - order
+            top = int(lower.max(initial=0))
+            table = shifted.eval_table(top, y).reshape((top + 1,) + y.shape)
+            rows = table[np.maximum(lower, 0)] * factor.reshape((-1,) + (1,) * y.ndim)
+            rows[lower < 0] = 0.0
+            return rows
         if n < order:
             y = np.asarray(y, dtype=float)
             out = np.zeros_like(y)
             return out if out.ndim else float(out)
-        factor = 1.0
-        for j in range(order):
-            factor *= (n + self.alpha + self.beta + 1.0 + j) / 2.0
-        shifted = self._shifted.get(order)
-        if shifted is None:  # kept, so its coefficient table is built once
-            shifted = self._shifted[order] = JacobiBasis(self.alpha + order, self.beta + order)
         return factor * shifted.eval(n - order, y)
 
     # -- scalars ------------------------------------------------------------
@@ -209,8 +219,11 @@ class JacobiBasis:
 
     # -- the differential operator ------------------------------------------
 
-    def operator_apply(self, n: int, y):
-        """The Jacobi operator (1-y^2) d^2 + [beta-alpha-(alpha+beta+2)y] d on P_n."""
+    def operator_apply(self, n, y):
+        """The Jacobi operator (1-y^2) d^2 + [beta-alpha-(alpha+beta+2)y] d on P_n.
+
+        n is one degree, or a 1-d array of degrees whose rows the result holds.
+        """
         y = np.asarray(y, dtype=float)
         d1 = self.deriv(n, y, 1)
         d2 = self.deriv(n, y, 2)
@@ -218,16 +231,19 @@ class JacobiBasis:
             self.beta - self.alpha - (self.alpha + self.beta + 2.0) * y
         ) * d1
 
-    def operator_residual(self, n: int, y_grid) -> float:
-        """max |J[P_n] + n(n+alpha+beta+1) P_n| over the grid.
+    def operator_residual(self, n_max: int, y_grid) -> np.ndarray:
+        """max |J[P_n] + n(n+alpha+beta+1) P_n| over a 1-d grid, for n = 0..n_max.
 
         P_n is an eigenfunction of the operator with eigenvalue
-        -n(n+alpha+beta+1), so this vanishes to round-off.
+        -n(n+alpha+beta+1), so each entry vanishes to round-off.  Three tables
+        serve every degree: this basis's and those of its order-1 and order-2
+        shifted bases.
         """
         y = np.asarray(y_grid, dtype=float)
+        n = np.arange(n_max + 1)
         lam = n * (n + self.alpha + self.beta + 1.0)
-        res = self.operator_apply(n, y) + lam * self.eval(n, y)
-        return float(np.max(np.abs(res)))
+        res = self.operator_apply(n, y) + lam[:, None] * self.eval_table(n_max, y)
+        return np.max(np.abs(res), axis=1)
 
 
 @dataclass(frozen=True)

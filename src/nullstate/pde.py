@@ -8,6 +8,7 @@ solution produces exactly the catastrophic cancellation the residual measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,6 +22,37 @@ from .exponents import check_kappa, leg_weight
 STEP_FACTOR = 1e-4  # stencil step as a fraction of the minimum gap
 
 
+def _min_gaps(X: np.ndarray) -> np.ndarray:
+    """The minimum gap of each row of a (B, M) array of configurations.
+
+    PointConfig and `batch_residuals` both refuse rows here, with the same
+    text: fewer than two coordinates, a coordinate that is not finite, a span
+    that overflows, or coordinates that are not strictly increasing.
+    """
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise DomainError("a configuration needs at least two coordinates")
+    ok = np.isfinite(X).all(axis=1)
+    if not ok.all():
+        raise DomainError(f"coordinates must be finite, got {_first_bad(X, ok)!r}")
+    # x_M - x_1 bounds every gap of increasing coordinates, so np.diff below
+    # cannot overflow on any row that passes the next check
+    with np.errstate(over="ignore"):
+        ok = np.abs(X[:, -1] - X[:, 0]) < math.inf
+    if not ok.all():
+        raise DomainError(
+            f"coordinates must be finite and so must their span, got {_first_bad(X, ok)!r}"
+        )
+    gaps = np.diff(X, axis=1)
+    ok = (gaps > 0.0).all(axis=1)
+    if not ok.all():
+        raise DomainError(f"coordinates must be strictly increasing, got {_first_bad(X, ok)!r}")
+    return gaps.min(axis=1)
+
+
+def _first_bad(X: np.ndarray, ok: np.ndarray) -> tuple:
+    return tuple(X[np.argmin(ok)].tolist())
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Strictly increasing coordinates x_1 < x_2 < ... < x_M."""
@@ -30,21 +62,9 @@ class PointConfig:
 
     def __post_init__(self):
         xs = np.asarray(self.coords, dtype=float)
-        if xs.ndim != 1 or xs.size < 2:
-            raise DomainError("a configuration needs at least two coordinates")
-        if not np.all(np.isfinite(xs)):
-            raise DomainError(f"coordinates must be finite, got {self.coords!r}")
-        # x_M - x_1 bounds every gap of increasing coordinates, so np.diff below
-        # cannot overflow on any configuration that passes the next check
-        if abs(float(xs[-1]) - float(xs[0])) == math.inf:
-            raise DomainError(
-                f"coordinates must be finite and so must their span, got {self.coords!r}"
-            )
-        gaps = np.diff(xs)
-        if not np.all(gaps > 0.0):
-            raise DomainError(f"coordinates must be strictly increasing, got {self.coords!r}")
-        object.__setattr__(self, "coords", tuple(float(x) for x in xs))
-        object.__setattr__(self, "min_gap", float(np.min(gaps)))
+        gap = _min_gaps(xs[None]).item()
+        object.__setattr__(self, "coords", tuple(xs.tolist()))
+        object.__setattr__(self, "min_gap", gap)
 
     @classmethod
     def of(cls, *xs) -> "PointConfig":
@@ -139,19 +159,41 @@ class CandidateFunction:
 # -- stencils -----------------------------------------------------------------
 
 
-def _stencil(F, config: PointConfig, h: float) -> tuple[float, list, list]:
-    """F and all its first and second partials at config, from one batch of 1 + 4M samples.
+@functools.lru_cache(maxsize=16)  # building it costs more than a one-row stencil's set-up
+def _wing_pattern(M: int) -> np.ndarray:
+    """(M, 1 + 4M) step multiples: column 1 + 4k + s moves x_k by (-2, -1, 1, 2)[s] steps.
 
-    Column 0 is x; columns 1+4k..4+4k move x_k by -2h, -h, +h, +2h.  Every
-    equation of the system reads its partials from them, and the pde suite's
-    `stencil_vs_analytic` checks them against exact partials.
+    The zeros carry the signs of 0 * (-2, -1, 1, 2), and column 0 is -0.0, so
+    x + pattern * h leaves every unmoved coordinate bit for bit as it is.
     """
-    M = config.M
-    cols = np.repeat(config.array[:, None], 1 + 4 * M, axis=1)
-    cols[:, 1:] += (np.eye(M)[:, :, None] * [-2.0 * h, -h, h, 2.0 * h]).reshape(M, -1)
-    vals = F(cols).tolist()
-    f0, wings = vals[0], [vals[1 + 4 * k : 5 + 4 * k] for k in range(M)]
-    return f0, [findiff.first(w, h) for w in wings], [findiff.second(f0, w, h) for w in wings]
+    wings = (np.eye(M)[:, :, None] * [-2.0, -1.0, 1.0, 2.0]).reshape(M, 4 * M)
+    pattern = np.concatenate([np.full((M, 1), -0.0), wings], axis=1)
+    pattern.setflags(write=False)
+    return pattern
+
+
+def _stencil(F, X: np.ndarray, hs: list) -> list[tuple[float, list, list]]:
+    """F and all its first and second partials at each row of X, from one F call.
+
+    X is a (B, M) array of configurations and hs their B steps.  Row b owns
+    1 + 4M columns of the batch: x first, then x with x_k moved by -2h, -h, +h,
+    +2h for k = 1..M.  Returns one (F, first partials, second partials) per
+    row, on Python floats.  Every equation of the system reads its partials
+    from here, and the pde suite's `stencil_vs_analytic` checks them against
+    exact partials.
+    """
+    B, M = X.shape
+    n = 1 + 4 * M
+    # (M, B, 1 + 4M): coordinate, row, sample
+    cols = X.T[:, :, None] + _wing_pattern(M)[:, None, :] * np.array(hs)[:, None]
+    vals = F(cols.reshape(M, B * n)).tolist()
+    out = []
+    for b, h in enumerate(hs):
+        f0 = vals[b * n]
+        wings = [vals[b * n + 1 + 4 * k : b * n + 5 + 4 * k] for k in range(M)]
+        out.append((f0, [findiff.first(w, h) for w in wings],
+                    [findiff.second(f0, w, h) for w in wings]))
+    return out
 
 
 # -- residuals ----------------------------------------------------------------
@@ -165,38 +207,60 @@ def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[
     with w_k = weights.weight(k); there is none on the anomalous index unless
     h = theta_1.  Every equation reads from one shared set of 1 + 4M samples of
     F with step STEP_FACTOR * min_gap.  Each residual is the fsum of its terms,
-    reported against the largest |term|.
+    reported against the largest |term|.  This is `batch_residuals` on one row.
     """
-    M = config.M
+    return _residuals(F, config.array[None], [config.min_gap], weights)[0]
+
+
+def batch_residuals(F, X, weights: WeightAssignment) -> list[list[ResidualReport]]:
+    """`system_residuals` at each row of a (B, M) array of configurations.
+
+    A row is refused as PointConfig refuses it.  The B (1 + 4M) stencil
+    samples of every row go to F in one call; each row's equations are then
+    assembled on its own, exactly as `system_residuals` assembles them.
+    """
+    X = np.asarray(X, dtype=float)
+    return _residuals(F, X, _min_gaps(X).tolist(), weights)
+
+
+def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
+    """The reports of every row of X, whose minimum gaps are `gaps`."""
+    M = X.shape[1]
     if weights.iota > M:
         raise DomainError(f"iota={weights.iota} outside 1..{M}")
-    gap = config.min_gap
-    h = STEP_FACTOR * gap
-    if not 0.0 < 4.0 * h < gap:
-        raise PreconditionError(f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}")
-    fval, grads, seconds = _stencil(F, config, h)
-    xs = config.coords
+    hs = [STEP_FACTOR * gap for gap in gaps]
+    for h, gap in zip(hs, gaps):
+        if not 0.0 < 4.0 * h < gap:
+            raise PreconditionError(
+                f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}")
     ws = [weights.weight(k) for k in range(1, M + 1)]
-    equations = []
-    for j in range(M):
-        if j + 1 == weights.iota and not weights.homogeneous:
-            continue
-        terms = [weights.kappa / 4.0 * seconds[j]]
-        for k in range(M):
-            if k != j:
-                dx = xs[k] - xs[j]
-                terms += (grads[k] / dx, -ws[k] * fval / dx**2)
-        equations.append((f"null_state[{j + 1}]", terms))
-    equations += [
-        ("ward_translation", grads),
-        ("ward_dilation", [x * g for x, g in zip(xs, grads)] + [w * fval for w in ws]),
-        ("ward_special_conformal",
-         [x**2 * g for x, g in zip(xs, grads)] + [2.0 * w * x * fval for w, x in zip(ws, xs)]),
-    ]
-    return [
-        ResidualReport(name, math.fsum(terms), max((abs(t) for t in terms), default=0.0), h)
-        for name, terms in equations
-    ]
+    js = [j for j in range(M) if weights.homogeneous or j + 1 != weights.iota]
+    names = [f"null_state[{j + 1}]" for j in js]
+    names += ["ward_translation", "ward_dilation", "ward_special_conformal"]
+    rows = []
+    quarter = weights.kappa / 4.0
+    for xs, (fval, grad, second), h in zip(X.tolist(), _stencil(F, X, hs), hs):
+        potentials = [-w * fval for w in ws]
+        equations = []
+        for j in js:
+            xj = xs[j]
+            terms = [quarter * second[j]]
+            for k in range(M):
+                if k != j:
+                    dx = xs[k] - xj
+                    terms.append(grad[k] / dx)
+                    terms.append(potentials[k] / dx**2)
+            equations.append(terms)
+        equations += [
+            grad,
+            [x * g for x, g in zip(xs, grad)] + [w * fval for w in ws],
+            [x**2 * g for x, g in zip(xs, grad)] + [2.0 * w * x * fval for w, x in zip(ws, xs)],
+        ]
+        rows.append([
+            ResidualReport(name, math.fsum(terms), max(map(abs, terms), default=0.0), h)
+            for name, terms in zip(names, equations)
+        ])
+    return rows
 
 
 # -- builtin candidates ---------------------------------------------------------

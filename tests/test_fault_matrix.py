@@ -83,9 +83,9 @@ def _biased_slope(f):
 
 
 def _scaled_partials(f):
-    def stencil(F, config, h):
-        f0, grads, seconds = f(F, config, h)
-        return f0, [g * (1.0 + 1e-7) for g in grads], [s * (1.0 + 1e-7) for s in seconds]
+    def stencil(F, X, hs):
+        return [(f0, [g * (1.0 + 1e-7) for g in grads], [s * (1.0 + 1e-7) for s in seconds])
+                for f0, grads, seconds in f(F, X, hs)]
     return stencil
 
 

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from nullstate import (
     jacobi_params,
     leg_weight,
 )
+from nullstate import checks
 from nullstate.heat_kernel import TABLES_KEPT, bound_ratio_scan, gaussian_factor, lambda_envelope
 from nullstate.jacobi import NARROW, JacobiBasis, log_beta
 
@@ -128,6 +130,22 @@ def test_symmetry(kernel, rng):
         a = kernel.value(rho, sigma, 0.05, n_terms=n_terms).value
         b = kernel.value(sigma, rho, 0.05, n_terms=n_terms).value
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("kappa", (1.0, 6.0))
+def test_symmetry_check_names_its_worst_point(kappa):
+    # kappa 1 is where the check fails (cancellation at a point the global
+    # floor counts as resolved); the named point reproduces the value
+    params = jacobi_params(leg_weight(2, kappa), kappa)
+    suite = checks.suite_kernel(params.alpha, params.beta, (1e-3, 1e-2, 0.1, 1.0, 10.0), {}, 0)
+    check = next(c for c in suite if c.name == "symmetry")
+    rho, sigma, t = ast.literal_eval(check.detail.removeprefix("worst at (rho, sigma, t) = "))
+    kernel = HeatKernel(params.alpha, params.beta)
+    n_terms, _ = kernel.truncation_index(t)
+    a = kernel.value(rho, sigma, t, n_terms=n_terms).value
+    b = kernel.value(sigma, rho, t, n_terms=n_terms).value
+    assert abs(a - b) / max(abs(a), 1.0) == check.value
+    assert check.passed == (kappa != 1.0)
 
 
 def test_semigroup(kernel):

@@ -82,18 +82,18 @@ def test_shifted_norm_relation(alpha, beta):
 def test_operator_residual_trivial_cases():
     b = JacobiBasis(0.0, 0.0)
     grid = np.linspace(-0.9, 0.9, 19)
-    assert b.operator_residual(0, grid) == 0.0
+    assert b.operator_residual(0, grid).tolist() == [0.0]
     # J[y] = -2y for Legendre degree one
     assert np.allclose(b.operator_apply(1, grid), -2.0 * grid, atol=1e-14)
-    assert b.operator_residual(1, grid) <= 1e-11
+    assert b.operator_residual(1, grid)[1] <= 1e-11
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 def test_operator_eigen_relation(alpha, beta):
     b = JacobiBasis(alpha, beta)
     grid = np.linspace(-0.95, 0.95, 41)
-    for n in range(21):
-        assert b.operator_residual(n, grid) <= 1e-9 * b.endpoint_max(n)
+    for n, res in enumerate(b.operator_residual(20, grid)):
+        assert res <= 1e-9 * b.endpoint_max(n)
 
 
 def test_operator_residual_fd_oracle():
@@ -233,3 +233,36 @@ def test_deriv_matches_finite_differences_either_width(size, rng):
             fd = (lower(n, ys + h) - lower(n, ys - h)) / (2 * h)
             scale = b.endpoint_max(n) * (n * (n + b.alpha + b.beta + 1.0)) ** order
             assert np.max(np.abs(exact - fd)) <= 1e-6 * scale
+
+
+def _operator_residual_per_degree(b, n, y):
+    """The eigen-relation residual of degree n alone, from its own deriv and eval calls."""
+    d1 = b.deriv(n, y, 1)
+    d2 = b.deriv(n, y, 2)
+    res = ((1.0 - y * y) * d2 + (b.beta - b.alpha - (b.alpha + b.beta + 2.0) * y) * d1
+           + n * (n + b.alpha + b.beta + 1.0) * b.eval(n, y))
+    return float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("size", (NARROW - 5, 41))
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+def test_operator_residual_table_route_is_per_degree_bitwise(alpha, beta, size):
+    # three tables give every degree's residual, bit for bit the per-degree
+    # recurrences on either side of the narrow/wide crossover
+    grid = np.linspace(-0.95, 0.95, size)
+    got = JacobiBasis(alpha, beta).operator_residual(20, grid)
+    b = JacobiBasis(alpha, beta)
+    want = [_operator_residual_per_degree(b, n, grid) for n in range(21)]
+    assert got.shape == (21,)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_deriv_of_a_degree_array_is_its_rows(order, rng):
+    b = JacobiBasis(0.9, 0.2)
+    for y in (rng.uniform(-0.95, 0.95, size=7), rng.uniform(-0.95, 0.95, size=NARROW + 3), 0.3):
+        degrees = np.array([0, 1, 2, 5, 3, 40])
+        rows = b.deriv(degrees, y, order)
+        assert rows.shape == (len(degrees),) + np.shape(y)
+        for n, row in zip(degrees.tolist(), rows):
+            assert np.asarray(b.deriv(n, y, order)).tobytes() == row.tobytes()

@@ -16,8 +16,9 @@ from nullstate import (
     resolve_candidate,
     system_residuals,
 )
+from nullstate.pde import batch_residuals
 from nullstate import asymptotics as asym
-from nullstate import findiff, pde
+from nullstate import checks, findiff, pde
 from conftest import KAPPA_GRID, KAPPA_MODERATE
 
 
@@ -261,7 +262,7 @@ def _reference_reports(F, config, weights):
     """
     M = config.M
     h = pde.STEP_FACTOR * float(np.min(np.diff(config.array)))
-    fval, grads, seconds = pde._stencil(F, config, h)
+    [(fval, grads, seconds)] = pde._stencil(F, config.array[None], [h])
 
     def report(name, terms):
         scale = max((abs(t) for t in terms), default=0.0)
@@ -384,3 +385,114 @@ def test_n1_residual_sweep_full_grid(rng):
             cfg = PointConfig.of(a, a + rng.uniform(0.3, 1.8))
             worst = max(worst, max(r.relative for r in system_residuals(F, cfg, w)))
         assert worst <= 1e-6, kappa
+
+
+# -- batched sweeps -------------------------------------------------------------
+
+
+def _alternating_power(M):
+    pairs = [(i, j) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
+    return builtin_power_product({(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i, j in pairs}, M)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("M", (2, 3, 5, 8))
+def test_batch_rows_are_system_residuals(M, weighting, rng):
+    # every row of one batched sweep reports what system_residuals reports on
+    # that configuration alone, bit for bit, from a single F call
+    base = _alternating_power(M)
+    calls = []
+
+    def func(xs):
+        calls.append(xs.shape)
+        return base.func(xs)
+
+    F = CandidateFunction(name="counted", func=func, arity=M)
+    X = _increasing_batch(rng, M, B=6).T
+    for kappa in sorted(set(KAPPA_GRID) | {0.3, 1.0, 7.99}):
+        w = WEIGHTINGS[weighting](kappa, M)
+        calls.clear()
+        rows = batch_residuals(F, X, w)
+        assert calls == [(M, 6 * (1 + 4 * M))]
+        assert len(rows) == 6
+        for x, row in zip(X, rows):
+            want = [_bits(r) for r in system_residuals(base, PointConfig(tuple(x)), w)]
+            assert [_bits(r) for r in row] == want
+
+
+def _random_config(rng, M):
+    """The pde suite's draw of one configuration, as it drew them one at a time."""
+    start = rng.uniform(-5.0, 5.0)
+    gaps = rng.uniform(0.3, 1.5, size=M - 1)
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@pytest.mark.parametrize("M", (2, 3, 5))
+@pytest.mark.parametrize("n_configs", (1, 100, 2000))
+def test_config_block_is_the_per_config_draws(n_configs, M):
+    # one rng.random block reproduces the per-configuration uniform draws bit
+    # for bit and leaves the generator where they left it
+    old, new = np.random.default_rng(7), np.random.default_rng(7)
+    want = np.array([_random_config(old, M) for _ in range(n_configs)])
+    got = checks._random_configs(new, n_configs, M)
+    assert got.shape == (n_configs, M)
+    assert got.tobytes() == want.tobytes()
+    assert new.random() == old.random()
+
+
+def _refusal(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing span warns nothing
+        with pytest.raises((DomainError, PreconditionError)) as info:
+            call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        (0.0, math.nan, 1.0),
+        (-math.inf, 0.0, 1.0),
+        (0.0, 1.0, math.inf),
+        (-1e308, 0.0, 1e308),
+        (0.0, 1.0, 1.0),
+        (0.0, 2.0, 1.0),
+    ),
+    ids=("nan", "-inf", "+inf", "span-overflow", "repeated", "decreasing"),
+)
+def test_batch_refuses_a_row_as_point_config_does(bad):
+    # one validation routine: the bad row among good ones raises PointConfig's
+    # DomainError text, and F is never called
+    F = CandidateFunction(name="never", func=lambda xs: pytest.fail("F was called"))
+    X = np.array([(-1.0, 0.5, 2.0), bad, (3.0, 4.0, 5.5)])
+    kind, text = _refusal(lambda: PointConfig(bad))
+    assert kind is DomainError
+    assert _refusal(lambda: batch_residuals(F, X, WeightAssignment.one_leg(4.0, 3))) == (kind, text)
+
+
+@pytest.mark.parametrize("shape", ((3, 1), (3,), (2, 3, 2)))
+def test_batch_refuses_a_shape_with_no_configurations(shape):
+    F = CandidateFunction(name="never", func=lambda xs: pytest.fail("F was called"))
+    with pytest.raises(DomainError, match="at least two coordinates"):
+        batch_residuals(F, np.ones(shape), WeightAssignment.one_leg(4.0, 2))
+
+
+def test_batch_refuses_a_row_whose_step_leaves_the_gap():
+    # the subnormal gap rounds its step to 0; the message is system_residuals'
+    F = CandidateFunction(name="never", func=lambda xs: pytest.fail("F was called"))
+    X = np.array([(0.0, 1.0), (0.0, 5e-324), (2.0, 3.5)])
+    w = WeightAssignment.one_leg(4.0, 2)
+    kind, text = _refusal(lambda: batch_residuals(F, X, w))
+    assert kind is PreconditionError
+    assert (kind, text) == _refusal(lambda: system_residuals(F, PointConfig.of(0.0, 5e-324), w))
+    assert text.startswith("stencil step 0.0 must satisfy 0 < 4*step < minimum gap 5e-324")
+
+
+def test_sweep_detail_names_its_worst_configuration_and_equation():
+    kappa = 16.0 / 3.0
+    sweep = checks.suite_pde(kappa, "n1", 100, 0)[0]
+    where = sweep.detail.split("worst ")[1]
+    equation, coords = where.split(" at x = ")
+    F, w = builtin_n1(kappa), WeightAssignment.one_leg(kappa, 2)
+    reps = residuals(F, PointConfig(tuple(float(x) for x in coords.strip("()").split(", "))), w)
+    assert reps[equation].relative == sweep.value
