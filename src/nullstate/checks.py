@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +46,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,6 +83,21 @@ def _is(name: str, ok: bool, detail: str = "") -> CheckResult:
                        passed=bool(ok), detail=detail)
 
 
+def _worst(errors, at=None):
+    """The largest of errors: NaN if any of them is NaN, 0.0 if there are none.
+
+    Every check that reduces several errors reduces them here, so a NaN among
+    them fails it; Python's max and min keep their first argument when the
+    comparison with a NaN is false, so a running max would drop it.  Given
+    labels `at`, one per error, also returns the label of the error chosen:
+    the first NaN, else the first maximum (None for no errors).
+    """
+    errs = np.fromiter(errors, dtype=float)
+    i = int(np.argmax(errs)) if errs.size else None
+    worst = 0.0 if i is None else float(errs[i])
+    return worst if at is None else (worst, None if i is None else at[i])
+
+
 # -- exponents -----------------------------------------------------------------
 
 
@@ -103,7 +112,6 @@ def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
     fusion identity over them.
     """
     rows = []
-    worst = 0.0
     for kappa in kappas:
         for s in range(1, smax + 1):
             ths = leg_weight(s, kappa)
@@ -122,47 +130,34 @@ def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
                     "residual_minus": res_m,
                 }
             )
-            worst = max(worst, abs(res_p), abs(res_m))
+    worst = _worst(abs(r[key]) for r in rows for key in ("residual_plus", "residual_minus"))
     return rows, _leq("kpz_leg_identity_residual", worst, 1e-12)
 
 
 def suite_exponents(kappas) -> list:
-    _, leg_check = exponent_table(kappas, S_MAX)
-    checks = [leg_check]
-    worst_closed = 0.0
-    worst_vieta_sum = 0.0
-    worst_vieta_prod = 0.0
-    worst_lam0 = 0.0
-    monotone = True
-    for kappa in kappas:
-        th1 = leg_weight(1, kappa)
-        for s in range(1, S_MAX + 1):
-            pair = kpz(leg_weight(s, kappa), kappa)
-            worst_closed = max(
-                worst_closed,
-                abs(pair.delta_plus - 2.0 * s / kappa),
-                abs(pair.delta_minus - (1.0 - (2.0 * s + 4.0) / kappa)),
-            )
-        floor = weight_floor(kappa)
-        ds = [leg_weight(s, kappa) for s in range(0, S_MAX + 1)]
-        ds += [floor + 0.1, 0.7, 5.0, 25.0]
-        for d in ds:
-            pair = kpz(d, kappa)
-            worst_vieta_sum = max(worst_vieta_sum, abs(pair.vieta_sum - (kappa - 4.0) / kappa))
-            worst_vieta_prod = max(worst_vieta_prod, abs(pair.vieta_product + 4.0 * d / kappa))
-        for s in range(1, H_LEGS + 1):
-            h = leg_weight(s, kappa)
-            lam0 = eigenvalue(0, h, kappa)
-            target = 2.0 * delta_plus(h, kappa) + delta_plus(th1, kappa)
-            worst_lam0 = max(worst_lam0, abs(lam0 - target))
-            lams = [eigenvalue(n, h, kappa) for n in range(21)]
-            monotone &= all(b > a for a, b in zip(lams, lams[1:]))
-    checks.append(_leq("kpz_closed_form_residual", worst_closed, 1e-12))
-    checks.append(_leq("vieta_sum_residual", worst_vieta_sum, 1e-12))
-    checks.append(_leq("vieta_product_residual", worst_vieta_prod, 1e-12))
-    checks.append(_leq("lambda0_identity_residual", worst_lam0, 1e-12))
-    checks.append(_is("eigenvalue_monotone", monotone))
-    return checks
+    rows, leg_check = exponent_table(kappas, S_MAX)
+    closed = _worst(
+        abs(r[key] - want) for r in rows
+        for key, want in (("delta_plus", 2.0 * r["s"] / r["kappa"]),
+                          ("delta_minus", 1.0 - (2.0 * r["s"] + 4.0) / r["kappa"])))
+    pairs = [(kappa, d, kpz(d, kappa)) for kappa in kappas
+             for d in [leg_weight(s, kappa) for s in range(0, S_MAX + 1)]
+             + [weight_floor(kappa) + 0.1, 0.7, 5.0, 25.0]]
+    legs = [(kappa, leg_weight(s, kappa)) for kappa in kappas for s in range(1, H_LEGS + 1)]
+    lam0 = _worst(abs(eigenvalue(0, h, kappa)
+                      - (2.0 * delta_plus(h, kappa) + delta_plus(leg_weight(1, kappa), kappa)))
+                  for kappa, h in legs)
+    lams = [[eigenvalue(n, h, kappa) for n in range(21)] for kappa, h in legs]
+    return [
+        leg_check,
+        _leq("kpz_closed_form_residual", closed, 1e-12),
+        _leq("vieta_sum_residual",
+             _worst(abs(p.vieta_sum - (kappa - 4.0) / kappa) for kappa, _, p in pairs), 1e-12),
+        _leq("vieta_product_residual",
+             _worst(abs(p.vieta_product + 4.0 * d / kappa) for kappa, d, p in pairs), 1e-12),
+        _leq("lambda0_identity_residual", lam0, 1e-12),
+        _is("eigenvalue_monotone", all(b > a for ls in lams for a, b in zip(ls, ls[1:]))),
+    ]
 
 
 # -- jacobi ----------------------------------------------------------------------
@@ -181,48 +176,35 @@ def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
 
     ys = rng.uniform(-1.0, 1.0, size=50)
     table = basis.eval_table(N_SUM, ys)
-    worst = 0.0
-    for n in range(N_SUM + 1):
-        ref = max(basis.endpoint_max(n), 1.0)
-        diff = np.max(np.abs(table[n] - basis.eval_explicit_sum(n, ys)))
-        worst = max(worst, diff / ref)
+    worst = _worst(np.max(np.abs(table[n] - basis.eval_explicit_sum(n, ys)))
+                   / max(basis.endpoint_max(n), 1.0) for n in range(N_SUM + 1))
     checks.append(_leq("recurrence_vs_gamma_sum", worst, 1e-10))
 
     rule = gauss_jacobi_rule(2 * N_ORTHO + 10, basis)
     table = basis.eval_table(N_ORTHO, rule.nodes)
     grams = (table * rule.weights) @ table.T
     norms = [basis.norm_sq(n) for n in range(N_ORTHO + 1)]
-    worst_off = 0.0
-    worst_norm = 0.0
-    for n, hn in enumerate(norms):
-        worst_norm = max(worst_norm, abs(grams[n, n] - hn) / hn)
-        for m in range(n):
-            worst_off = max(worst_off, abs(grams[m, n]) / math.sqrt(norms[m] * hn))
-    checks.append(_leq("orthogonality", worst_off, 1e-10))
-    checks.append(_leq("norm_vs_closed_form", worst_norm, 1e-10))
+    checks.append(_leq("orthogonality", _worst(
+        abs(grams[m, n]) / math.sqrt(norms[m] * hn)
+        for n, hn in enumerate(norms) for m in range(n)), 1e-10))
+    checks.append(_leq("norm_vs_closed_form", _worst(
+        abs(grams[n, n] - hn) / hn for n, hn in enumerate(norms)), 1e-10))
 
     unit = gauss_jacobi_rule(2 * N_ORTHO + 10, basis, domain="unit")
     table = basis.eval_table(N_ORTHO, 2.0 * unit.nodes - 1.0)
-    worst_shift = 0.0
-    for n in range(N_ORTHO + 1):
-        q = float(np.dot(unit.weights, table[n] ** 2))
-        ref = basis.shifted_norm_sq(n)
-        worst_shift = max(worst_shift, abs(q - ref) / ref)
-    checks.append(_leq("shifted_norm_relation", worst_shift, 1e-10))
+    refs = [basis.shifted_norm_sq(n) for n in range(N_ORTHO + 1)]
+    checks.append(_leq("shifted_norm_relation", _worst(
+        abs(float(np.dot(unit.weights, table[n] ** 2)) - ref) / ref
+        for n, ref in enumerate(refs)), 1e-10))
 
     table, flipped_table = basis.eval_table(N_ORTHO, -ys), flipped.eval_table(N_ORTHO, ys)
-    worst_sym = 0.0
-    for n in range(N_ORTHO + 1):
-        ref = max(basis.endpoint_max(n), 1.0)
-        diff = np.max(np.abs(table[n] - (-1.0) ** n * flipped_table[n]))
-        worst_sym = max(worst_sym, diff / ref)
-    checks.append(_leq("parameter_symmetry", worst_sym, 1e-12))
+    checks.append(_leq("parameter_symmetry", _worst(
+        np.max(np.abs(table[n] - (-1.0) ** n * flipped_table[n]))
+        / max(basis.endpoint_max(n), 1.0) for n in range(N_ORTHO + 1)), 1e-12))
 
-    grid = np.linspace(-0.95, 0.95, 41)
-    worst_op = 0.0
-    for n, res in enumerate(basis.operator_residual(N_OPERATOR, grid).tolist()):
-        worst_op = max(worst_op, res / basis.endpoint_max(n))
-    checks.append(_leq("operator_eigen_residual", worst_op, 1e-9))
+    residuals = basis.operator_residual(N_OPERATOR, np.linspace(-0.95, 0.95, 41)).tolist()
+    checks.append(_leq("operator_eigen_residual", _worst(
+        res / basis.endpoint_max(n) for n, res in enumerate(residuals)), 1e-9))
 
     beta_exact = math.exp(log_beta(beta + 1.0, alpha + 1.0))
     q = unit.integrate(lambda s: np.ones_like(s))
@@ -244,52 +226,41 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) ->
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst_mass = 0.0
-    for t in t_list:
-        kvals = kernel.grid(np.array([0.37]), rule.nodes, t)[0]
-        worst_mass = max(worst_mass, abs(float(np.dot(rule.weights, kvals)) - 1.0))
-    checks.append(_leq("mass_conservation", worst_mass, 1e-9))
+    masses = (float(np.dot(rule.weights, kernel.grid(np.array([0.37]), rule.nodes, t)[0]))
+              for t in t_list)
+    checks.append(_leq("mass_conservation", _worst(abs(m - 1.0) for m in masses), 1e-9))
 
     pts = rng.uniform(0.05, 0.95, size=(6, 2)).tolist()
     times = {t: kernel.truncation_index(t)[0] for t in (1e-2, 0.5)}
-    worst_sym, at = 0.0, None
-    for rho, sigma in pts:
-        for t, n_terms in times.items():
-            a = kernel.value(rho, sigma, t, n_terms=n_terms).value
-            b = kernel.value(sigma, rho, t, n_terms=n_terms).value
-            err = abs(a - b) / max(abs(a), 1.0)
-            if err > worst_sym:
-                worst_sym, at = err, (rho, sigma, t)
+    at = [(rho, sigma, t) for rho, sigma in pts for t in times]
+    values = ((kernel.value(rho, sigma, t, n_terms=times[t]).value,
+               kernel.value(sigma, rho, t, n_terms=times[t]).value) for rho, sigma, t in at)
+    worst_sym, where = _worst((abs(a - b) / max(abs(a), 1.0) for a, b in values), at=at)
     checks.append(_leq("symmetry", worst_sym, 1e-8,
-                       detail=f"worst at (rho, sigma, t) = {at!r}"))
+                       detail=f"worst at (rho, sigma, t) = {where!r}"))
 
-    worst_semi = 0.0
     srule = gauss_jacobi_rule(80, true_basis, domain="unit")
-    for t1, t2 in ((0.05, 0.05), (0.1, 0.3)):
-        rhos = np.array([0.2, 0.55, 0.9])
-        sigmas = np.array([0.3, 0.7])
+    rhos, sigmas = np.array([0.2, 0.55, 0.9]), np.array([0.3, 0.7])
+
+    def semigroup_error(t1, t2):
         left = kernel.grid(rhos, srule.nodes, t1)
         right = kernel.grid(srule.nodes, sigmas, t2)
         composed = (left * srule.weights) @ right
         direct = kernel.grid(rhos, sigmas, t1 + t2)
         scale = max(1.0, float(np.max(np.abs(direct))))
-        worst_semi = max(worst_semi, float(np.max(np.abs(composed - direct))) / scale)
-    checks.append(_leq("semigroup", worst_semi, 1e-8))
+        return float(np.max(np.abs(composed - direct))) / scale
+
+    checks.append(_leq("semigroup", _worst(
+        semigroup_error(t1, t2) for t1, t2 in ((0.05, 0.05), (0.1, 0.3))), 1e-8))
 
     grid = np.linspace(0.0, 1.0, 21)
-    t_grid = np.geomspace(0.1, 10.0, 8)
-    kmin = math.inf
-    for t in t_grid:
-        kmin = min(kmin, float(kernel.grid(grid, grid, t).min()))
+    kmin = -_worst(-float(kernel.grid(grid, grid, t).min()) for t in np.geomspace(0.1, 10.0, 8))
     checks.append(_is("positivity_grid", kmin > 0.0, detail=f"min K = {kmin!r}"))
 
-    worst_mode = 0.0
-    for n in (0, 1, 3, 6):
-        for rho, t in ((0.25, 0.05), (0.7, 0.5)):
-            got = kernel.mode_coefficient(rho, t, n, rule)
-            want = math.exp(-t * kernel.decay_rate(n)) * true_basis.eval(n, 2.0 * rho - 1.0)
-            worst_mode = max(worst_mode, abs(got - want))
-    checks.append(_leq("single_mode_decay", worst_mode, 1e-9))
+    checks.append(_leq("single_mode_decay", _worst(
+        abs(kernel.mode_coefficient(rho, t, n, rule)
+            - math.exp(-t * kernel.decay_rate(n)) * true_basis.eval(n, 2.0 * rho - 1.0))
+        for n in (0, 1, 3, 6) for rho, t in ((0.25, 0.05), (0.7, 0.5))), 1e-9))
 
     f = lambda s: s * (1.0 - s)
     errs = [abs(kernel.reproducing_integral(0.5, t, f, rule) - f(0.5))
@@ -310,8 +281,8 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) ->
 def kernel_bound_scan(kernel: HeatKernel, **grid) -> tuple[list, CheckResult]:
     """`bound_ratio_scan` on the given grid: its c1 rows and the two-sided verdict."""
     scan = bound_ratio_scan(kernel, **grid)
-    lo = min(float(v) for v in scan.min_ratio.values())
-    hi = max(float(v) for v in scan.max_ratio.values())
+    lo = -_worst(-float(v) for v in scan.min_ratio.values())
+    hi = _worst(float(v) for v in scan.max_ratio.values())
     return scan.rows, _is(
         "bound_two_sided_on_grid", scan.two_sided_on_grid,
         detail=f"ratios in [{lo:.3e}, {hi:.3e}], K in [{scan.k_min_large_t:.3e}, "
@@ -329,33 +300,27 @@ def suite_green(kappa: float, h: float, corrupt: dict) -> list:
 
     cases = [(OneIntervalGreen(weight=d, kappa=kappa), eta)
              for d in ([th1, h] if gap(th1, kappa) > 0.0 else [h]) for eta in (0.7, 1.0)]
-    worst_slope = max(abs(g1.coincidence_slope_fd(eta) + 4.0 / kappa) for g1, eta in cases)
+    worst_slope = _worst(abs(g1.coincidence_slope_fd(eta) + 4.0 / kappa) for g1, eta in cases)
     checks.append(_leq("j_coincidence_slope", worst_slope, 1e-8))
     for name, method in (("j_euler_annihilation", "analytic"), ("j_euler_annihilation_fd", "fd")):
-        worst = max(g1.annihilation_residual(eta, np.linspace(0.05, 0.95, 10) * eta, method)
-                    for g1, eta in cases)
+        worst = _worst(g1.annihilation_residual(eta, np.linspace(0.05, 0.95, 10) * eta, method)
+                       for g1, eta in cases)
         checks.append(_leq(name, worst, 1e-9))
 
     lambda0 = eigenvalue(0, h, kappa) + corrupt.get("lambda0", 0.0)
     g = TwoIntervalGreen(h=h, kappa=kappa, lambda0=lambda0)
 
-    worst_agree = 0.0
-    for rho, eps, sigma, eta in (
-        (0.3, 0.5, 0.6, 1.0),
-        (0.5, 0.2, 0.5, 0.5),
-        (0.8, 1.0, 0.25, 3.0),
-    ):
-        a = g.value(rho, eps, sigma, eta)
-        b = g.value_series(rho, eps, sigma, eta)
-        worst_agree = max(worst_agree, abs(a - b) / max(abs(a), 1e-300))
-    checks.append(_leq("greenfunc_vs_greenfuncalt", worst_agree, 1e-10))
+    points = ((0.3, 0.5, 0.6, 1.0), (0.5, 0.2, 0.5, 0.5), (0.8, 1.0, 0.25, 3.0))
+    values = ((g.value(*p), g.value_series(*p)) for p in points)
+    checks.append(_leq("greenfunc_vs_greenfuncalt", _worst(
+        abs(a - b) / max(abs(a), 1e-300) for a, b in values), 1e-10))
 
     _, adjoint_check = adjoint_scan(g, rho=0.4, epsilon=0.5, sigmas=np.linspace(0.2, 0.8, 5),
                                     ratios=(1.5, 2.5, 4.0), tol=1e-4)
     checks.append(adjoint_check)
 
-    worst_eig = max(g.eigenfunction(n).equation_residual(np.linspace(0.1, 0.9, 9))
-                    for n in (0, 1, 5))
+    worst_eig = _worst(g.eigenfunction(n).equation_residual(np.linspace(0.1, 0.9, 9))
+                       for n in (0, 1, 5))
     checks.append(_leq("sigma_eigenfunction_residual", worst_eig, 1e-6))
 
     left = g.boundary_exponent_fit("left", rho=0.4, epsilon=0.5, eta=1.0)
@@ -386,15 +351,12 @@ def adjoint_scan(g: TwoIntervalGreen, rho: float, epsilon: float, sigmas, ratios
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    rows = []
-    worst, at = 0.0, None
-    for sigma in map(float, sigmas):
-        for ratio in ratios:
-            eta = epsilon * float(ratio)
-            rep = g.adjoint_residual(rho=rho, epsilon=epsilon, sigma=sigma, eta=eta)
-            rows.append((rho, epsilon, sigma, eta, rep.residual, rep.scale))
-            if rep.relative > worst:
-                worst, at = rep.relative, (sigma, eta)
+    points = [(float(sigma), epsilon * float(ratio)) for sigma in sigmas for ratio in ratios]
+    reps = [g.adjoint_residual(rho=rho, epsilon=epsilon, sigma=sigma, eta=eta)
+            for sigma, eta in points]
+    rows = [(rho, epsilon, sigma, eta, rep.residual, rep.scale)
+            for (sigma, eta), rep in zip(points, reps)]
+    worst, at = _worst((rep.relative for rep in reps), at=points)
     return rows, _leq("adjoint_residual_homogeneous", worst, tol,
                       detail=f"worst at (sigma, eta) = {at!r}")
 
@@ -422,18 +384,18 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     weights = pde.WeightAssignment.one_leg(kappa, M)
 
     configs = _random_configs(rng, n_configs, M)
-    rows = pde.batch_residuals(F, configs, weights)
-    worst = [max(row, key=lambda r: r.relative) for row in rows]
-    at = max(range(n_configs), key=lambda b: worst[b].relative)
-    checks.append(_leq("system_residuals_sweep", worst[at].relative, 1e-6,
+    reports = [(b, r) for b, row in enumerate(pde.batch_residuals(F, configs, weights))
+               for r in row]
+    worst, (b, rep) = _worst((r.relative for _, r in reports), at=reports)
+    checks.append(_leq("system_residuals_sweep", worst, 1e-6,
                        detail=f"{candidate} over {n_configs} configurations, worst "
-                              f"{worst[at].equation} at x = {tuple(configs[at].tolist())!r}"))
+                              f"{rep.equation} at x = {tuple(configs[b].tolist())!r}"))
 
     # the partials system_residuals reads, from its own stencil at a wider step
     probe = pde.builtin_power_product({(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}, 3)
     cfg3 = pde.PointConfig.of(-0.7, 0.4, 1.9)
     _, fd1, fd2 = pde._stencil(probe, cfg3.array[None], [1e-3 * cfg3.min_gap])[0]
-    worst_stencil = max(
+    worst_stencil = _worst(
         abs(fd - exact) / max(abs(exact), 1.0)
         for k in (1, 2, 3)
         for fd, exact in ((fd1[k - 1], probe.grad(cfg3.array, k)),
@@ -453,8 +415,8 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     witness = -(th1 - th3) * (cfg2.x(2) - cfg2.x(1)) * ansatz(cfg2.array)
     checks.append(_leq(
         "two_point_ward_witness",
-        max(reps["ward_translation"].relative, reps["ward_dilation"].relative,
-            abs(conformal.residual - witness) / conformal.scale),
+        _worst((reps["ward_translation"].relative, reps["ward_dilation"].relative,
+                abs(conformal.residual - witness) / conformal.scale)),
         1e-6, detail=f"special conformal relative residual {conformal.relative!r}"))
 
     if candidate == "n1":
@@ -503,7 +465,7 @@ def suite_asymptotics(kappa: float, h: float) -> list:
     )
     fit = asym.collapse_channels(synthetic, cfg3, spec_syn)
     checks.append(_leq("decomposition_fit",
-                       max(abs(fit.A - 2.0), abs(fit.B - 3.0)), 1e-6))
+                       _worst((abs(fit.A - 2.0), abs(fit.B - 3.0))), 1e-6))
 
     bounded = _pair_collapse("far-pair", "manufactured:normalized", kappa, h)
     checks.append(_is("far_pair_bounded", bounded.bounded))

@@ -309,8 +309,9 @@ def bound_ratio_scan(
     whose kernel value sits below the summation cancellation floor (deep
     off-diagonal at small t) are excluded from the extremes and counted in
     n_unresolved; finite positive extremes over the resolved points certify the
-    two-sided bound there.  Each time slice is evaluated as arrays on the
-    kernel grid's (phi, theta) layout; rows keep that order.
+    two-sided bound there, and a NaN kernel value leaves a NaN extreme, which
+    does not.  Each time slice is evaluated as arrays on the kernel grid's
+    (phi, theta) layout; rows keep that order.
     """
     for name, value in (("T", T), ("t_min", t_min), ("c1", c1), ("c2", c2)):
         if not 0.0 < value < math.inf:
@@ -346,16 +347,16 @@ def bound_ratio_scan(
         for c in (c1, c2):
             env = lam * (np.exp(neg_sq[resolved] / (c * t)) / math.sqrt(math.pi * c * t))
             ratio = k / env
-            min_ratio[c] = min(min_ratio[c], float(ratio.min(initial=math.inf)))
-            max_ratio[c] = max(max_ratio[c], float(ratio.max(initial=-math.inf)))
+            min_ratio[c] = float(np.minimum(min_ratio[c], ratio.min(initial=math.inf)))
+            max_ratio[c] = float(np.maximum(max_ratio[c], ratio.max(initial=-math.inf)))
             if c == c1:
                 rows += zip(theta_grid[resolved].tolist(), phi_grid[resolved].tolist(),
                             [t] * k.size, k.tolist(), env.tolist(), ratio.tolist())
     k_min, k_max = math.inf, -math.inf
     for t in np.geomspace(T * 1.5, T * 12.0, 4):
         kgrid = kernel.grid(rhos, sigmas, float(t))
-        k_min = min(k_min, float(kgrid.min()))
-        k_max = max(k_max, float(kgrid.max()))
+        k_min = float(np.minimum(k_min, kgrid.min()))
+        k_max = float(np.maximum(k_max, kgrid.max()))
     return BoundScanResult(
         c1=c1,
         c2=c2,

@@ -206,8 +206,9 @@ def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[
     kappa/4 d_j^2 F + sum_{k != j} [d_k F/(x_k - x_j) - w_k F/(x_k - x_j)^2]
     with w_k = weights.weight(k); there is none on the anomalous index unless
     h = theta_1.  Every equation reads from one shared set of 1 + 4M samples of
-    F with step STEP_FACTOR * min_gap.  Each residual is the fsum of its terms,
-    reported against the largest |term|.  This is `batch_residuals` on one row.
+    F with step STEP_FACTOR * min_gap.  Each residual is the fsum of its terms
+    (NaN if they hold both +inf and -inf), reported against the largest |term|.
+    This is `batch_residuals` on one row.
     """
     return _residuals(F, config.array[None], [config.min_gap], weights)[0]
 
@@ -221,6 +222,14 @@ def batch_residuals(F, X, weights: WeightAssignment) -> list[list[ResidualReport
     """
     X = np.asarray(X, dtype=float)
     return _residuals(F, X, _min_gaps(X).tolist(), weights)
+
+
+def _fsum(terms: list) -> float:
+    """math.fsum of the terms, or NaN if they hold both +inf and -inf."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
 
 
 def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
@@ -257,7 +266,7 @@ def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
             [x**2 * g for x, g in zip(xs, grad)] + [2.0 * w * x * fval for w, x in zip(ws, xs)],
         ]
         rows.append([
-            ResidualReport(name, math.fsum(terms), max(map(abs, terms), default=0.0), h)
+            ResidualReport(name, _fsum(terms), max(map(abs, terms), default=0.0), h)
             for name, terms in zip(names, equations)
         ])
     return rows

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
 import pytest
 
-from nullstate import cli
+from nullstate import checks, cli
 
 
 def run(capsys, *argv):
@@ -273,3 +275,66 @@ def test_scan_green_adjoint_names_its_worst_row(tmp_path, capsys):
     assert check["name"] == "adjoint_residual_homogeneous"
     assert check["value"] == abs(worst["residual"]) / worst["scale"]
     assert check["detail"] == f"worst at (sigma, eta) = ({worst['sigma']!r}, {worst['eta']!r})"
+
+
+# -- the worst-case reduction every check uses -----------------------------------
+
+
+@pytest.mark.parametrize("errors, worst, label", (
+    ([1.0, math.nan, 3.0, math.nan], math.nan, "b"),
+    ([math.nan, 5.0, 1.0, 2.0], math.nan, "a"),
+    ([1.0, 2.0, 3.0, math.nan], math.nan, "d"),
+    ([1.0, 3.0, 2.0, 3.0], 3.0, "b"),
+    ([0.0, 0.0, 0.0, 0.0], 0.0, "a"),
+    ([1.0, math.inf, math.inf, 2.0], math.inf, "b"),
+))
+def test_worst_is_nan_if_any_error_is_and_else_the_first_maximum(errors, worst, label):
+    # a running max(worst, err) from 0.0 would read 3.0, 5.0 and 3.0 on the first three
+    got, at = checks._worst(iter(errors), at="abcd")
+    assert got == worst or (math.isnan(got) and math.isnan(worst))
+    assert at == label
+    got_alone = checks._worst(errors)
+    assert got_alone == worst or (math.isnan(got_alone) and math.isnan(worst))
+
+
+def test_worst_of_no_errors_is_zero():
+    assert checks._worst([]) == 0.0
+    assert checks._worst(iter(()), at=[]) == (0.0, None)
+
+
+# the worst point each check's detail names at the defaults of `verify` at three kappa
+WORST_POINTS = {
+    "1": {
+        "symmetry": "worst at (rho, sigma, t) = (0.7842681987093789, 0.052464650153133285, 0.01)",
+        "adjoint_residual_homogeneous": "worst at (sigma, eta) = (0.5, 1.25)",
+        "system_residuals_sweep": "n1 over 100 configurations, worst null_state[2] at "
+                                  "x = (-3.5123598776750207, -2.0452053010874747)",
+    },
+    "6": {
+        "symmetry": "worst at (rho, sigma, t) = (0.7842681987093789, 0.052464650153133285, 0.01)",
+        "adjoint_residual_homogeneous": "worst at (sigma, eta) = (0.35000000000000003, 1.25)",
+        "system_residuals_sweep": "n1 over 100 configurations, worst null_state[1] at "
+                                  "x = (1.369616873214543, 1.9933609297311874)",
+    },
+    "5.333333333333333": {
+        "symmetry": "worst at (rho, sigma, t) = (0.5959721981904619, 0.7065469048855986, 0.01)",
+        "adjoint_residual_homogeneous": "worst at (sigma, eta) = (0.5, 0.75)",
+        "system_residuals_sweep": "n1 over 100 configurations, worst null_state[2] at "
+                                  "x = (0.23434727394919896, 0.6410700422447253)",
+    },
+}
+
+
+@pytest.mark.parametrize("kappa", WORST_POINTS)
+def test_worst_point_details_are_unchanged(kappa, capsys):
+    details = {}
+    for suite in ("kernel", "green", "pde"):
+        _, out = run(capsys, "verify", suite, "--kappa", kappa, "--format", "json")
+        details.update((c["name"], c["detail"]) for c in json.loads(out)["checks"])
+    assert {name: details[name] for name in WORST_POINTS[kappa]} == WORST_POINTS[kappa]
+
+
+def test_check_result_dict_keeps_its_field_order():
+    result = checks.CheckResult("x", 1.5, 2.0, True, "d")
+    assert list(result.to_dict().items()) == [
+        ("name", "x"), ("value", 1.5), ("tolerance", 2.0), ("passed", True), ("detail", "d")]

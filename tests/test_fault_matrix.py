@@ -17,6 +17,7 @@ another check catches, is a candidate for deletion.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from nullstate import asymptotics as asym
@@ -96,6 +97,17 @@ def _biased_line(f):
     return fit
 
 
+def _nan_at(cell):
+    """A patch of a function with an array result: NaN at its flat index cell(size)."""
+    def make(f):
+        def g(*args, **kwargs):
+            out = np.array(f(*args, **kwargs), dtype=float)
+            out.flat[cell(out.size)] = np.nan
+            return out
+        return g
+    return make
+
+
 def _half_terms(f):
     def index(self, t):
         n_terms, tail = f(self, t)
@@ -128,6 +140,8 @@ FAULTS = {
     "JacobiBasis.deriv: x (1 + 1e-4)": ({}, _wrap(
         jacobi.JacobiBasis, "deriv",
         lambda f: lambda self, n, y, order=1: f(self, n, y, order) * (1.0 + 1e-4))),
+    "JacobiBasis.operator_residual: NaN at degree 5": ({}, _wrap(
+        jacobi.JacobiBasis, "operator_residual", _nan_at(lambda size: 5))),
     "HeatKernel.decay_rate: index n + 1": ({}, _wrap(
         heat_kernel.HeatKernel, "decay_rate", lambda f: lambda self, n: f(self, n + 1))),
     "HeatKernel.truncation_index: half the terms": ({}, _wrap(
@@ -141,6 +155,8 @@ FAULTS = {
     "HeatKernel.grid: t floored at 1e-2": ({}, _wrap(
         heat_kernel.HeatKernel, "grid", lambda f: lambda self, rhos, sigmas, t, n_terms=None:
         f(self, rhos, sigmas, max(t, 1e-2), n_terms))),
+    "HeatKernel.grid: NaN at the middle cell": ({}, _wrap(
+        heat_kernel.HeatKernel, "grid", _nan_at(lambda size: size // 2))),
     "OneIntervalGreen.value: x (1 + 1e-6)": ({}, _wrap(
         green.OneIntervalGreen, "value",
         lambda f: lambda self, delta, eta: f(self, delta, eta) * (1.0 + 1e-6))),
@@ -253,6 +269,8 @@ MATRIX = {
         "kernel.semigroup", "kernel.single_mode_decay"),
     "JacobiBasis.deriv: x (1 + 1e-4)": _both(
         "green.sigma_eigenfunction_residual", "jacobi.operator_eigen_residual"),
+    "JacobiBasis.operator_residual: NaN at degree 5": _both(
+        "jacobi.operator_eigen_residual"),
     "HeatKernel.decay_rate: index n + 1": _both(
         "kernel.single_mode_decay"),
     "HeatKernel.truncation_index: half the terms": (
@@ -272,6 +290,11 @@ MATRIX = {
         "kernel.reproducing_error_small_t", "kernel.single_mode_decay"),
     "HeatKernel.grid: t floored at 1e-2": _both(
         "kernel.reproducing_error_monotone"),
+    "HeatKernel.grid: NaN at the middle cell": _both(
+        "green.reproducing_limit_error", "green.reproducing_mass_identity",
+        "kernel.bound_two_sided_on_grid", "kernel.mass_conservation", "kernel.positivity_grid",
+        "kernel.reproducing_error_monotone", "kernel.reproducing_error_small_t",
+        "kernel.semigroup", "kernel.single_mode_decay"),
     "OneIntervalGreen.value: x (1 + 1e-6)": _both(
         "green.j_coincidence_slope"),
     "OneIntervalGreen.gap: + 1e-6": _both(

@@ -221,6 +221,27 @@ def test_bound_scan_two_sided_example():
     assert gaussian_factor(theta - phi, scan.c1, t) > 0.0
 
 
+@pytest.mark.parametrize("call", (3, 7))
+def test_bound_scan_fails_on_a_nan_cell_in_one_slice(call, monkeypatch):
+    # one NaN cell in one scan slice (call 3 a small-t slice, call 7 a t > T
+    # one) leaves NaN extremes, so the two-sided certificate fails by name
+    grid, calls = HeatKernel.grid, []
+
+    def nan_once(self, rhos, sigmas, t, n_terms=None):
+        out = grid(self, rhos, sigmas, t, n_terms)
+        calls.append(t)
+        if len(calls) == call:
+            out = out.copy()
+            out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(HeatKernel, "grid", nan_once)
+    _, check = checks.kernel_bound_scan(HeatKernel(1.0, 0.5), T=1.0, n_angle=9, n_time=5)
+    assert len(calls) == 9
+    assert check.name == "bound_two_sided_on_grid" and not check.passed
+    assert "nan" in check.detail
+
+
 def test_grid_matches_pointwise(kernel):
     rhos = np.array([0.1, 0.6])
     sigmas = np.array([0.25, 0.9])

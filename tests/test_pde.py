@@ -496,3 +496,19 @@ def test_sweep_detail_names_its_worst_configuration_and_equation():
     F, w = builtin_n1(kappa), WeightAssignment.one_leg(kappa, 2)
     reps = residuals(F, PointConfig(tuple(float(x) for x in coords.strip("()").split(", "))), w)
     assert reps[equation].relative == sweep.value
+
+
+def test_terms_overflowing_both_ways_give_a_nan_residual_and_a_failed_sweep():
+    # (x2 - x1)^-650 overflows, so its partials hold +inf and -inf together,
+    # which math.fsum refuses; finite term lists keep their fsum
+    kappa = 2.0
+    F = pde.resolve_candidate("power:1,2=-650", kappa, M=2)
+    reps = residuals(F, PointConfig.of(-4.590264760638053, -4.270431598003818),
+                     WeightAssignment.one_leg(kappa, 2))
+    assert math.isnan(reps["null_state[1]"].residual)
+    assert math.isnan(reps["null_state[1]"].relative)
+    assert pde._fsum([1e16, 1.0, -1e16]) == math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert pde._fsum([math.inf, 1.0]) == math.inf
+    sweep = checks.suite_pde(kappa, "power:1,2=-650", 100, 0)[0]
+    assert sweep.name == "system_residuals_sweep"
+    assert math.isnan(sweep.value) and not sweep.passed
