@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -552,7 +552,7 @@ def run_suite(
     """Run one named suite (or all of them) and return its checks.
 
     A corrupt key the suite does not read is refused, so a fault injection
-    never passes as a silent no-op.
+    never passes as a silent no-op; each suite reads its own keys of corrupt.
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; expected one of {SUITES}")
@@ -561,29 +561,17 @@ def run_suite(
     if unread:
         raise DomainError(f"suite {name!r} reads no corruption keys {unread!r}; "
                           f"it reads {reads}")
-    if name == "exponents":
-        return suite_exponents(kappas=(kappa,))
-    if name == "jacobi":
-        return suite_jacobi(alpha, beta, seed=seed)
-    if name == "kernel":
-        return suite_kernel(alpha, beta, t_list=t_list, corrupt=corrupt, seed=seed)
-    if name == "green":
-        return suite_green(kappa, h=h, corrupt=corrupt)
-    if name == "pde":
-        return suite_pde(kappa, candidate=candidate, n_configs=n_configs, seed=seed)
-    if name == "asymptotics":
-        return suite_asymptotics(kappa, h=h)
-    checks = []
-    for sub in ("exponents", "jacobi", "kernel", "green", "pde", "asymptotics"):
-        sub_checks = run_suite(
-            sub, kappa, h=h, alpha=alpha, beta=beta, candidate=candidate,
-            n_configs=n_configs, seed=seed, t_list=t_list,
-            corrupt={k: v for k, v in corrupt.items() if k in SUITE_CORRUPTIONS.get(sub, ())},
-        )
-        for c in sub_checks:
-            c.name = f"{sub}.{c.name}"
-        checks.extend(sub_checks)
-    return checks
+    runners = {
+        "exponents": lambda: suite_exponents(kappas=(kappa,)),
+        "jacobi": lambda: suite_jacobi(alpha, beta, seed=seed),
+        "kernel": lambda: suite_kernel(alpha, beta, t_list=t_list, corrupt=corrupt, seed=seed),
+        "green": lambda: suite_green(kappa, h=h, corrupt=corrupt),
+        "pde": lambda: suite_pde(kappa, candidate=candidate, n_configs=n_configs, seed=seed),
+        "asymptotics": lambda: suite_asymptotics(kappa, h=h),
+    }
+    if name != "all":
+        return runners[name]()
+    return [replace(c, name=f"{sub}.{c.name}") for sub, run in runners.items() for c in run()]
 
 
 def build_report(command: str, params: dict, checks: list, started: float, seed: int) -> Report:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import checks
-from .errors import DomainError, PreconditionError, TruncationError
+from .errors import DegenerateFitError, DomainError, PreconditionError, TruncationError
 from .exponents import jacobi_params, leg_weight
 from .green import TwoIntervalGreen
 from .heat_kernel import HeatKernel
@@ -228,27 +228,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="grid scans with CSV output")
-    p_scan.add_argument("name", choices=("kernel-bounds", "green-adjoint",
-                                         "far-pair", "adjacent-pair"))
-    p_scan.add_argument("--kappa", type=float, required=True)
-    p_scan.add_argument("--h", default="theta2")
-    p_scan.add_argument("--alpha", type=float, default=None)
-    p_scan.add_argument("--beta", type=float, default=None)
-    p_scan.add_argument("--T", type=float, default=1.0)
-    p_scan.add_argument("--t-min", type=float, default=0.05)
-    p_scan.add_argument("--c1", type=float, default=3.8)
-    p_scan.add_argument("--c2", type=float, default=4.25)
-    p_scan.add_argument("--n-angle", type=positive_int, default=13)
-    p_scan.add_argument("--n-time", type=positive_int, default=8)
-    p_scan.add_argument("--n-sigma", type=positive_int, default=5)
-    p_scan.add_argument("--n-eta", type=positive_int, default=4)
-    p_scan.add_argument("--rho", type=float, default=0.4)
-    p_scan.add_argument("--epsilon", type=float, default=0.5)
-    p_scan.add_argument("--tol", type=float, default=1e-4)
-    p_scan.add_argument("--candidate", default="manufactured:normalized")
-    p_scan.add_argument("--format", choices=("text", "json"), default="text")
-    p_scan.add_argument("--output", required=True)
     p_scan.set_defaults(func=cmd_scan)
+    scans = p_scan.add_subparsers(dest="name", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # each scan takes only what it reads
+    shared.add_argument("--kappa", type=float, required=True)
+    shared.add_argument("--h", default="theta2")
+    shared.add_argument("--format", choices=("text", "json"), default="text")
+    shared.add_argument("--output", required=True)
+    p_kb = scans.add_parser("kernel-bounds", parents=[shared])
+    p_kb.add_argument("--alpha", type=float, default=None)
+    p_kb.add_argument("--beta", type=float, default=None)
+    p_kb.add_argument("--T", type=float, default=1.0)
+    p_kb.add_argument("--t-min", type=float, default=0.05)
+    p_kb.add_argument("--c1", type=float, default=3.8)
+    p_kb.add_argument("--c2", type=float, default=4.25)
+    p_kb.add_argument("--n-angle", type=positive_int, default=13)
+    p_kb.add_argument("--n-time", type=positive_int, default=8)
+    p_ga = scans.add_parser("green-adjoint", parents=[shared])
+    p_ga.add_argument("--n-sigma", type=positive_int, default=5)
+    p_ga.add_argument("--n-eta", type=positive_int, default=4)
+    p_ga.add_argument("--rho", type=float, default=0.4)
+    p_ga.add_argument("--epsilon", type=float, default=0.5)
+    p_ga.add_argument("--tol", type=float, default=1e-4)
+    for pair in ("far-pair", "adjacent-pair"):
+        scans.add_parser(pair, parents=[shared]).add_argument(
+            "--candidate", default="manufactured:normalized")
     return parser
 
 
@@ -257,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError) as exc:
+    except (DomainError, PreconditionError, DegenerateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TruncationError as exc:

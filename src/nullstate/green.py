@@ -248,7 +248,10 @@ class TwoIntervalGreen:
         for n, (p_rho, p_sigma) in enumerate(table.tolist()):
             lam = eigenvalue(n, self.h, self.kappa)
             total += ratio**lam * p_rho * p_sigma / basis.shifted_norm_sq(n)
-        return -self._prefactor(rho, sigma) * eta * total
+        # `_prefactor` written out, so that comparing this route with `value` checks it
+        prefactor = (sigma ** (self.beta + 1.0) * (1.0 - sigma) ** (self.alpha + 1.0)
+                     * (rho / sigma) ** self.dp_1 * ((1.0 - rho) / (1.0 - sigma)) ** self.dp_h)
+        return -prefactor * eta * total
 
     @staticmethod
     def _check_point(rho, sigma, epsilon, eta):

@@ -42,6 +42,14 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _endpoint_value(n: int, q: float) -> float:
+    """|P_n| at the endpoint whose parameter is q: Gamma(n+q+1)/(n! Gamma(q+1))."""
+    try:
+        return math.exp(math.lgamma(n + q + 1.0) - math.lgamma(n + 1.0) - math.lgamma(q + 1.0))
+    except OverflowError:
+        raise DomainError(f"|P_{n}| at the endpoint of parameter {q!r} overflows a float") from None
+
+
 @dataclass(frozen=True)
 class JacobiBasis:
     """Parameter pair (alpha, beta) with alpha, beta > -1."""
@@ -96,19 +104,10 @@ class JacobiBasis:
             yield p
 
     def eval(self, n: int, y):
-        """P_n^(alpha,beta)(y), the last row of the recurrence; y may be an ndarray."""
-        coeffs = self._coefficients(2, n)
+        """P_n^(alpha,beta)(y), row n of `eval_table`; y may be an ndarray."""
         y = np.asarray(y, dtype=float)
-        if y.size > NARROW:
-            for p in self._rows(coeffs, n, y):
-                pass
-            return p
-        last = []
-        for yj in y.ravel().tolist():
-            for p in self._rows(coeffs, n, yj):
-                pass
-            last.append(p)
-        return np.array(last).reshape(y.shape) if y.ndim else last[0]
+        p = self.eval_table(n, y)[n]
+        return p if y.ndim else float(p[0])
 
     def eval_table(self, n_max: int, y, head=None) -> np.ndarray:
         """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape.
@@ -156,50 +155,30 @@ class JacobiBasis:
 
         d/dy P_n^(a,b) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1).  n is one degree, or
         a 1-d array of degrees whose rows the result holds, all read from one
-        table of the shifted basis.
+        table of the shifted basis; rows of degree n < order are zeros.
         """
         shifted = self._shifted.get(order)
         if shifted is None:  # kept, so its coefficient table is built once
             shifted = self._shifted[order] = JacobiBasis(self.alpha + order, self.beta + order)
-        factor = 1.0
+        n = np.asarray(n)
+        factor = np.ones(n.shape)
         for j in range(order):
             factor *= (n + self.alpha + self.beta + 1.0 + j) / 2.0
-        if np.ndim(n):
-            y = np.asarray(y, dtype=float)
-            lower = np.asarray(n) - order
-            top = int(lower.max(initial=0))
-            table = shifted.eval_table(top, y).reshape((top + 1,) + y.shape)
-            rows = table[np.maximum(lower, 0)] * factor.reshape((-1,) + (1,) * y.ndim)
-            rows[lower < 0] = 0.0
-            return rows
-        if n < order:
-            y = np.asarray(y, dtype=float)
-            out = np.zeros_like(y)
-            return out if out.ndim else float(out)
-        return factor * shifted.eval(n - order, y)
+        y = np.asarray(y, dtype=float)
+        lower = n - order
+        top = int(lower.max(initial=0))
+        table = shifted.eval_table(top, y).reshape((top + 1,) + y.shape)
+        per_degree = n.shape + (1,) * y.ndim
+        rows = np.where((lower < 0).reshape(per_degree), 0.0,
+                        table[np.maximum(lower, 0)] * factor.reshape(per_degree))
+        return rows if rows.ndim else float(rows)
 
     # -- scalars ------------------------------------------------------------
 
-    def value_at_one(self, n: int) -> float:
-        """P_n(1) = Gamma(n+alpha+1)/(n! Gamma(alpha+1)) > 0."""
-        return math.exp(
-            math.lgamma(n + self.alpha + 1.0)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(self.alpha + 1.0)
-        )
-
-    def value_at_minus_one(self, n: int) -> float:
-        """P_n(-1) = (-1)^n Gamma(n+beta+1)/(n! Gamma(beta+1))."""
-        mag = math.exp(
-            math.lgamma(n + self.beta + 1.0)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(self.beta + 1.0)
-        )
-        return -mag if n % 2 else mag
-
     def endpoint_max(self, n: int) -> float:
         """max(|P_n(1)|, |P_n(-1)|); equals max over [-1,1] for alpha,beta >= -1/2."""
-        return max(self.value_at_one(n), abs(self.value_at_minus_one(n)))
+        # not the value at max(alpha, beta): lgamma rounding can order close ones either way
+        return max(_endpoint_value(n, self.alpha), _endpoint_value(n, self.beta))
 
     def norm_sq(self, n: int) -> float:
         """h_n, the squared L^2 norm against (1-y)^alpha (1+y)^beta on [-1, 1]."""

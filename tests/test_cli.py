@@ -338,3 +338,58 @@ def test_check_result_dict_keeps_its_field_order():
     result = checks.CheckResult("x", 1.5, 2.0, True, "d")
     assert list(result.to_dict().items()) == [
         ("name", "x"), ("value", 1.5), ("tolerance", 2.0), ("passed", True), ("detail", "d")]
+
+
+# -- dispatch: one table of suites, one table of scan options ----------------------
+
+
+def test_run_suite_all_is_every_suite_in_order():
+    args = dict(h=2.0 / 3.0, alpha=1.0 / 3.0, beta=1.0, candidate="n1", n_configs=20, seed=0,
+                corrupt={}, t_list=(1e-2, 1.0))
+    got = [c.name for c in checks.run_suite("all", 6.0, **args)]
+    want = [f"{sub}.{c.name}" for sub in checks.SUITES[:-1]
+            for c in checks.run_suite(sub, 6.0, **args)]
+    assert got == want
+    assert checks.SUITES[-1] == "all"
+
+
+SCAN_OPTIONS = {
+    "kernel-bounds": {"alpha": "1", "beta": "1", "T": "1", "t-min": "0.05", "c1": "3.8",
+                      "c2": "4.25", "n-angle": "3", "n-time": "2"},
+    "green-adjoint": {"n-sigma": "2", "n-eta": "2", "rho": "0.4", "epsilon": "0.5", "tol": "1e-4"},
+    "far-pair": {"candidate": "manufactured:normalized"},
+    "adjacent-pair": {"candidate": "manufactured:normalized"},
+}
+
+
+@pytest.mark.parametrize("scan", SCAN_OPTIONS)
+def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
+    out_file = str(tmp_path / "scan.csv")
+    own = [a for k, v in SCAN_OPTIONS[scan].items() for a in (f"--{k}", v)]
+    code, out = run(capsys, "scan", scan, "--kappa", "6", *own, "--format", "json",
+                    "--output", out_file)
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert set(params) == {"command", "name", "kappa", "h", "format", "output"} | {
+        k.replace("-", "_") for k in SCAN_OPTIONS[scan]}
+    others = {k: v for name, opts in SCAN_OPTIONS.items() for k, v in opts.items()
+              if k not in SCAN_OPTIONS[scan]}
+    for key, value in others.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", scan, "--kappa", "6", f"--{key}", value, "--output", out_file])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, kappa, message", (
+    ("asymptotics", "0.05", "candidate vanished or diverged on the collapse grid"),
+    ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
+    ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
+    ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
+    ("all", "0.02", "|P_447| at the endpoint of parameter 599.0 overflows"),
+))
+def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
+    assert cli.main(["verify", suite, "--kappa", kappa]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

@@ -169,6 +169,9 @@ FAULTS = {
     "TwoIntervalGreen._prefactor: x sigma^0.2": ({}, _wrap(
         green.TwoIntervalGreen, "_prefactor",
         lambda f: lambda self, rho, sigma: f(self, rho, sigma) * sigma**0.2)),
+    "TwoIntervalGreen._prefactor: x sigma^1e-6": ({}, _wrap(
+        green.TwoIntervalGreen, "_prefactor",
+        lambda f: lambda self, rho, sigma: f(self, rho, sigma) * sigma**1e-6)),
     "TwoIntervalGreen._transformed: x sigma^0.2": ({}, _wrap(
         green.TwoIntervalGreen, "_transformed",
         lambda f: lambda self, fn, sigma: f(self, fn, sigma) * sigma**0.2)),
@@ -305,7 +308,10 @@ MATRIX = {
         "green.sigma_decay_exponent_left", "green.sigma_decay_exponent_right",
         "green.sigma_eigenfunction_residual"),
     "TwoIntervalGreen._prefactor: x sigma^0.2": _both(
-        "green.adjoint_residual_homogeneous", "green.sigma_decay_exponent_left"),
+        "green.adjoint_residual_homogeneous", "green.greenfunc_vs_greenfuncalt",
+        "green.sigma_decay_exponent_left"),
+    "TwoIntervalGreen._prefactor: x sigma^1e-6": _both(
+        "green.greenfunc_vs_greenfuncalt"),
     "TwoIntervalGreen._transformed: x sigma^0.2": _both(
         "green.reproducing_limit_error", "green.reproducing_mass_identity"),
     "pde.leg_weight: theta_1 + 1e-2": _both(

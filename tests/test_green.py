@@ -124,8 +124,7 @@ def test_series_vs_factored(green):
 
 @pytest.mark.parametrize("kappa, s", [(6.0, 2), (10.0 / 3.0, 3), (2.0, 2)])
 def test_factored_value_reads_the_written_out_prefactor(kappa, s):
-    # the factored and series routes share `_prefactor`, so their agreement
-    # cannot see it; here it is written out from the exponents
+    # `value` reads `_prefactor`; here it is written out from the exponents
     h = leg_weight(s, kappa)
     p = jacobi_params(h, kappa)
     dp1, dph = delta_plus(leg_weight(1, kappa), kappa), delta_plus(h, kappa)

@@ -266,3 +266,60 @@ def test_deriv_of_a_degree_array_is_its_rows(order, rng):
         assert rows.shape == (len(degrees),) + np.shape(y)
         for n, row in zip(degrees.tolist(), rows):
             assert np.asarray(b.deriv(n, y, order)).tobytes() == row.tobytes()
+
+
+def _one_degree_deriv(alpha, beta, n, y, order):
+    """The single-degree formula `deriv` had: zeros below `order`, else the
+    factor times the shifted basis's degree n - order."""
+    y = np.asarray(y, dtype=float)
+    if n < order:
+        out = np.zeros_like(y)
+        return out if out.ndim else float(out)
+    factor = 1.0
+    for j in range(order):
+        factor *= (n + alpha + beta + 1.0 + j) / 2.0
+    p = _reference_table(alpha + order, beta + order, n - order, y)[-1]
+    return factor * (p if p.ndim else float(p))
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+def test_one_degree_deriv_is_the_shifted_row_bitwise(alpha, beta, order, rng):
+    b = JacobiBasis(alpha, beta)
+    for y in (0.3, rng.uniform(-1.0, 1.0, size=NARROW), rng.uniform(-1.0, 1.0, size=NARROW + 1),
+              rng.uniform(-1.0, 1.0, size=(3, 4))):
+        for n in (0, 1, 2, 3, 40):
+            got, want = b.deriv(n, y, order), _one_degree_deriv(alpha, beta, n, y, order)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(y)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _closed_form_endpoint_max(alpha, beta, n):
+    """max(|P_n(1)|, |P_n(-1)|) from the two closed forms, each written out."""
+    at_one = math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
+                      - math.lgamma(alpha + 1.0))
+    mag = math.exp(math.lgamma(n + beta + 1.0) - math.lgamma(n + 1.0) - math.lgamma(beta + 1.0))
+    at_minus_one = -mag if n % 2 else mag
+    return max(at_one, abs(at_minus_one))
+
+
+def test_endpoint_max_is_the_two_closed_forms_bitwise(rng):
+    # equal and one-ulp-apart parameters included: there lgamma rounding can
+    # order the two endpoints either way
+    alphas = rng.uniform(-0.5, 40.0, size=100)
+    pairs = [(a, b) for a, b in zip(alphas, rng.uniform(-0.5, 40.0, size=100))]
+    pairs += [(a, a) for a in alphas[:40]]
+    pairs += [(a, np.nextafter(a, np.inf)) for a in alphas[40:70]]
+    pairs += [(np.nextafter(a, np.inf), a) for a in alphas[70:]]
+    for alpha, beta in pairs:
+        b = JacobiBasis(float(alpha), float(beta))
+        for n in (0, 1, 2, 3, 10, 57, 300, 1000):
+            want = _closed_form_endpoint_max(float(alpha), float(beta), n)
+            assert b.endpoint_max(n).hex() == want.hex()
+
+
+def test_endpoint_max_that_overflows_is_domain_error():
+    # alpha = 239 is the theta2 pair at kappa = 0.05
+    with pytest.raises(DomainError, match=r"\|P_1622\| at the endpoint of parameter 239\.0"):
+        JacobiBasis(239.0, 1.0).endpoint_max(1622)
