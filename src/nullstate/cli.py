@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -156,11 +157,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _Reprs(dict):
+    """repr of each float asked for, kept for values that recur in a column."""
+
+    def __missing__(self, value):
+        text = repr(value)
+        if value:  # 0.0 and -0.0 are one key, so neither is kept
+            self[value] = text
+        return text
+
+
 def _write_csv(path: str, header, rows) -> None:
+    """The bytes csv.writer writes for a header of plain names and rows of floats."""
+    text = _Reprs().__getitem__
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([",".join(map(text, row)) + "\r\n" for row in rows]))
 
 
 def cmd_scan(args) -> int:
@@ -193,6 +205,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+@functools.cache  # built on first use, once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullstate",
@@ -257,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, PreconditionError, DegenerateFitError) as exc:

@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -183,18 +184,30 @@ class JacobiBasis:
     def norm_sq(self, n: int) -> float:
         """h_n, the squared L^2 norm against (1-y)^alpha (1+y)^beta on [-1, 1]."""
         apb = self.alpha + self.beta
-        return math.exp(
-            (apb + 1.0) * math.log(2.0)
-            + math.lgamma(n + self.alpha + 1.0)
-            + math.lgamma(n + self.beta + 1.0)
-            - math.log(2.0 * n + apb + 1.0)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(n + apb + 1.0)
-        )
+        try:
+            value = math.exp(
+                (apb + 1.0) * math.log(2.0)
+                + math.lgamma(n + self.alpha + 1.0)
+                + math.lgamma(n + self.beta + 1.0)
+                - math.log(2.0 * n + apb + 1.0)
+                - math.lgamma(n + 1.0)
+                - math.lgamma(n + apb + 1.0)
+            )
+        except OverflowError:
+            value = math.inf
+        return self._representable("squared norm", n, value)
 
     def shifted_norm_sq(self, n: int) -> float:
         """Squared norm of P_n(2s-1) against s^beta (1-s)^alpha on [0, 1]."""
-        return 2.0 ** (-self.alpha - self.beta - 1.0) * self.norm_sq(n)
+        value = 2.0 ** (-self.alpha - self.beta - 1.0) * self.norm_sq(n)
+        return self._representable("shifted squared norm", n, value)
+
+    def _representable(self, what: str, n: int, value: float) -> float:
+        """value, a norm every caller divides by, unless it left the positive floats."""
+        if 0.0 < value < math.inf:
+            return value
+        raise DomainError(f"{what} of P_{n} for (alpha, beta) = ({self.alpha!r}, {self.beta!r}) "
+                          f"{'underflows' if value == 0.0 else 'overflows'} a float")
 
     # -- the differential operator ------------------------------------------
 
@@ -242,14 +255,37 @@ def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> 
     """m-point Gauss-Jacobi rule via the Golub-Welsch eigenproblem.
 
     domain="symmetric" integrates f(y) (1-y)^alpha (1+y)^beta over [-1, 1];
-    domain="unit" integrates g(s) s^beta (1-s)^alpha over [0, 1].
+    domain="unit" integrates g(s) s^beta (1-s)^alpha over [0, 1].  Both read
+    one kept eigenproblem per (m, alpha, beta); the symmetric rule's arrays are
+    read-only, since every caller of that rule shares them.
     """
     if m < 1:
         raise DomainError(f"rule size must be >= 1, got {m!r}")
     if domain not in ("symmetric", "unit"):
         raise DomainError(f"unknown quadrature domain {domain!r}")
     a, b = basis.alpha, basis.beta
+    nodes, weights = _golub_welsch(m, a, b, math.copysign(1.0, b - a))
+    if domain == "unit":
+        nodes = (nodes + 1.0) / 2.0
+        weights = weights * 2.0 ** (-(a + b) - 1.0)
+    return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
+
+
+# One `verify all` builds rules of three sizes (m = 40, 120, 80) on one basis.
+@functools.lru_cache(maxsize=4)
+def _golub_welsch(m: int, a: float, b: float, zero_sign: float) -> tuple:
+    """Read-only nodes and weights of the m-point symmetric rule.
+
+    zero_sign, the sign of b - a, is read by the cache key only: at alpha =
+    beta = 0, diag[0] is the signed zero b - a, and a key of values cannot tell
+    0.0 from -0.0.
+    """
     apb = a + b
+    try:
+        mu0 = math.exp((apb + 1.0) * math.log(2.0) + log_beta(a + 1.0, b + 1.0))
+    except OverflowError:
+        raise DomainError(f"the weight mass of the {m}-point rule for (alpha, beta) = "
+                          f"({a!r}, {b!r}) overflows a float") from None
     diag = np.empty(m)
     diag[0] = (b - a) / (apb + 2.0)
     if m > 1:
@@ -267,14 +303,10 @@ def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> 
     if m > 1:
         jac += np.diag(sub, 1) + np.diag(sub, -1)
     try:
-        vals, vecs = np.linalg.eigh(jac)
+        nodes, vecs = np.linalg.eigh(jac)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on tridiagonal is tame
         raise DomainError(f"quadrature eigenproblem failed for m={m}, "
                           f"(alpha, beta)=({a}, {b}): {exc}") from exc
-    mu0 = math.exp((apb + 1.0) * math.log(2.0) + log_beta(a + 1.0, b + 1.0))
-    nodes = vals
     weights = mu0 * vecs[0, :] ** 2
-    if domain == "unit":
-        nodes = (nodes + 1.0) / 2.0
-        weights = weights * 2.0 ** (-apb - 1.0)
-    return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

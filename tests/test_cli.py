@@ -1,11 +1,11 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-
-import math
 
 import pytest
 
@@ -383,6 +383,13 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
 
 @pytest.mark.parametrize("suite, kappa, message", (
     ("asymptotics", "0.05", "candidate vanished or diverged on the collapse grid"),
+    ("jacobi", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
+    ("kernel", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
+    ("all", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
+    ("jacobi", "1e-9", "the weight mass of the 40-point rule for (alpha, beta) = "
+                       "(11999999999.0, 7999999998.999999) overflows"),
+    ("kernel", "1e-9", "the weight mass of the 120-point rule for (alpha, beta) = "
+                       "(11999999999.0, 7999999998.999999) overflows"),
     ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
@@ -393,3 +400,39 @@ def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def _run_masked(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, re.sub(r'"wall_time": [^,\n]*', '"wall_time": 0', capsys.readouterr().out)
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, capsys):
+    out_file = str(tmp_path / "kb.csv")
+    commands = (["scan", "kernel-bounds", "--kappa", "6", "--output", out_file],
+                ["scan", "far-pair", "--kappa", "6", "--tol", "1e-9", "--output", out_file],
+                ["verify", "exponents", "--kappa", "6", "--format", "json"],
+                ["verify", "all", "--kappa", "2", "--format", "json"])
+    alone = []
+    for argv in commands:
+        cli.build_parser.cache_clear()  # a parser that has parsed nothing yet
+        alone.append(_run_masked(argv, capsys))
+    assert [code for code, _ in alone] == [0, 2, 0, 0]
+    assert [_run_masked(argv, capsys) for argv in commands] == alone
+    for _, text in alone[2:]:
+        assert set(json.loads(text)["params"]) == {
+            "suite", "kappa", "h", "alpha", "beta", "candidate", "configs", "t_list", "corrupt"}
+
+
+def test_write_csv_is_the_csv_writer_byte_for_byte(tmp_path):
+    values = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324, 0.1, 1.0)
+    rows = [(a, b, -b, 0.0) for a in values for b in values] + [(-0.0, 0.0, -0.0, -0.0)]
+    header = ("theta", "phi", "t", "K")
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    cli._write_csv(str(ours), header, rows)
+    with open(reference, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert ours.read_bytes() == reference.read_bytes()

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullstate import DomainError, JacobiBasis, gauss_jacobi_rule, jacobi_params, leg_weight
+from nullstate import DomainError, JacobiBasis, gauss_jacobi_rule, jacobi, jacobi_params, leg_weight
 from nullstate.jacobi import NARROW, log_beta
 
 PARAM_GRID = [
@@ -323,3 +324,61 @@ def test_endpoint_max_that_overflows_is_domain_error():
     # alpha = 239 is the theta2 pair at kappa = 0.05
     with pytest.raises(DomainError, match=r"\|P_1622\| at the endpoint of parameter 239\.0"):
         JacobiBasis(239.0, 1.0).endpoint_max(1622)
+
+
+def test_norm_that_leaves_the_floats_is_domain_error():
+    # (1199, 799) is the theta2 pair at kappa = 0.01
+    with pytest.raises(DomainError, match=r"^shifted squared norm of P_0 for \(alpha, beta\) = "
+                                          r"\(1199\.0, 799\.0\) underflows"):
+        JacobiBasis(1199.0, 799.0).shifted_norm_sq(0)
+    with pytest.raises(DomainError, match=r"^squared norm of P_3 for \(alpha, beta\) = "
+                                          r"\(2000\.0, 0\.0\) overflows"):
+        JacobiBasis(2000.0, 0.0).norm_sq(3)
+
+
+def test_rule_whose_weight_mass_overflows_is_domain_error():
+    with pytest.raises(DomainError, match=r"weight mass of the 3-point rule for \(alpha, beta\) = "
+                                          r"\(2000\.0, 0\.0\) overflows"):
+        gauss_jacobi_rule(3, JacobiBasis(2000.0, 0.0), domain="unit")
+
+
+def test_rules_of_one_size_and_basis_share_one_eigenproblem(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    jacobi._golub_welsch.cache_clear()
+    b = JacobiBasis(2.0, 1.0)
+    for domain in ("symmetric", "unit", "symmetric", "unit"):
+        gauss_jacobi_rule(17, b, domain=domain)
+    gauss_jacobi_rule(17, JacobiBasis(2.0, 1.0), domain="unit")
+    assert calls == [17]
+
+
+def test_rule_arrays_are_read_only():
+    rule = gauss_jacobi_rule(5, JacobiBasis(2.0, 1.0))
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", PARAM_GRID)
+def test_unit_rule_is_the_mapped_symmetric_rule_bitwise(alpha, beta):
+    b = JacobiBasis(alpha, beta)
+    jacobi._golub_welsch.cache_clear()
+    symmetric, unit = gauss_jacobi_rule(40, b), gauss_jacobi_rule(40, b, domain="unit")
+    assert unit.nodes.tobytes() == ((symmetric.nodes + 1.0) / 2.0).tobytes()
+    assert unit.weights.tobytes() == (symmetric.weights * 2.0 ** (-alpha - beta - 1.0)).tobytes()
+    jacobi._golub_welsch.cache_clear()
+    assert gauss_jacobi_rule(40, b, domain="unit").weights.tobytes() == unit.weights.tobytes()
+
+
+def test_signed_zero_parameters_keep_their_own_rule():
+    # at alpha = beta = 0 the one-point node is the signed zero (beta - alpha) / 2
+    plus = gauss_jacobi_rule(1, JacobiBasis(0.0, 0.0)).nodes[0]
+    minus = gauss_jacobi_rule(1, JacobiBasis(0.0, -0.0)).nodes[0]
+    assert (math.copysign(1.0, plus), math.copysign(1.0, minus)) == (1.0, -1.0)
+
+
+def test_gauss_jacobi_rule_is_a_plain_function():
+    # the benchmark's tracer wraps plain functions only, so its rule counts need one
+    assert inspect.isfunction(gauss_jacobi_rule)
