@@ -352,8 +352,7 @@ def adjoint_scan(g: TwoIntervalGreen, rho: float, epsilon: float, sigmas, ratios
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     points = [(float(sigma), epsilon * float(ratio)) for sigma in sigmas for ratio in ratios]
-    reps = [g.adjoint_residual(rho=rho, epsilon=epsilon, sigma=sigma, eta=eta)
-            for sigma, eta in points]
+    reps = g.adjoint_residual(rho, epsilon, [s for s, _ in points], [e for _, e in points])
     rows = [(rho, epsilon, sigma, eta, rep.residual, rep.scale)
             for (sigma, eta), rep in zip(points, reps)]
     worst, at = _worst((rep.relative for rep in reps), at=points)

@@ -56,13 +56,14 @@ def parse_corrupt(items) -> dict:
 
 
 def _print_report(report: checks.Report, fmt: str, output: str | None) -> None:
-    text = json.dumps(report.to_dict(), indent=2)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    if fmt == "json":
-        print(text)
-        return
+    if output or fmt == "json":  # json.dumps with an indent runs the pure-Python encoder
+        text = json.dumps(report.to_dict(), indent=2)
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        if fmt == "json":
+            print(text)
+            return
     print(f"# {report.command}")
     for key, value in sorted(report.params.items()):
         print(f"#   {key} = {value!r}")
@@ -124,35 +125,35 @@ def jacobi_pair(args, h: float) -> tuple[float, float]:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    opts = vars(args)  # the options of args.suite only
     kappa = args.kappa
-    h = parse_weight(args.h, kappa)
-    corrupt = parse_corrupt(args.corrupt)
-    alpha, beta = jacobi_pair(args, h)
-    t_list = tuple(args.t) if args.t else (args.t_min, 1e-2, 0.1, 1.0, 10.0)
+    h = parse_weight(args.h, kappa) if "h" in opts else None
+    corrupt = parse_corrupt(opts.get("corrupt"))
+    alpha, beta = jacobi_pair(args, h) if "alpha" in opts else (None, None)
+    t_list = None
+    if "t" in opts:
+        t_list = tuple(args.t) if args.t else (args.t_min, 1e-2, 0.1, 1.0, 10.0)
+    seed = opts.get("seed", 0)
     results = checks.run_suite(
         args.suite,
         kappa,
         h=h,
         alpha=alpha,
         beta=beta,
-        candidate=args.candidate,
-        n_configs=args.configs,
-        seed=args.seed,
+        candidate=opts.get("candidate"),
+        n_configs=opts.get("configs"),
+        seed=seed,
         corrupt=corrupt,
         t_list=t_list,
     )
-    params = {
-        "suite": args.suite,
-        "kappa": kappa,
-        "h": args.h,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "candidate": args.candidate,
-        "configs": args.configs,
-        "t_list": list(t_list),
-        "corrupt": corrupt,
-    }
-    report = checks.build_report("verify", params, results, started, seed=args.seed)
+    params = {"suite": args.suite, "kappa": kappa}
+    params.update((key, opts[key]) for key in ("h", "alpha", "beta", "candidate", "configs")
+                  if key in opts)
+    if t_list is not None:
+        params["t_list"] = list(t_list)
+    if "corrupt" in opts:
+        params["corrupt"] = corrupt
+    report = checks.build_report("verify", params, results, started, seed=seed)
     _print_report(report, args.format, args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -221,24 +222,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_exponents)
 
     p_ver = sub.add_parser("verify", help="run a module's invariant suite")
-    p_ver.add_argument("suite", choices=checks.SUITES)
-    p_ver.add_argument("--kappa", type=float, required=True)
-    p_ver.add_argument("--h", default="theta2",
-                       help="anomalous weight: 'theta<N>' or a float (default theta2)")
-    p_ver.add_argument("--alpha", type=float, default=None)
-    p_ver.add_argument("--beta", type=float, default=None)
-    p_ver.add_argument("--candidate", default="n1",
-                       help="n1 | one | power:<i,j=mu;...> (pde suite)")
-    p_ver.add_argument("--configs", type=positive_int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--t", type=float, nargs="+", default=None,
-                       help="kernel times (default t-min, 1e-2, 0.1, 1, 10)")
-    p_ver.add_argument("--t-min", type=float, default=1e-3)
-    p_ver.add_argument("--corrupt", nargs="+", default=None, metavar="KEY=OFFSET",
-                       help=f"fault injection; keys: {checks.SUPPORTED_CORRUPTIONS}")
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--output", default=None)
     p_ver.set_defaults(func=cmd_verify)
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # each suite takes only what it reads
+    shared.add_argument("--kappa", type=float, required=True)
+    shared.add_argument("--format", choices=("text", "json"), default="text")
+    shared.add_argument("--output", default=None)
+    weight = argparse.ArgumentParser(add_help=False)
+    weight.add_argument("--h", default="theta2",
+                        help="anomalous weight: 'theta<N>' or a float (default theta2)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--alpha", type=float, default=None)
+    pair.add_argument("--beta", type=float, default=None)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--candidate", default="n1", help="n1 | one | power:<i,j=mu;...>")
+    sweep.add_argument("--configs", type=positive_int, default=100)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    times = argparse.ArgumentParser(add_help=False)
+    times.add_argument("--t", type=float, nargs="+", default=None,
+                       help="kernel times (default t-min, 1e-2, 0.1, 1, 10)")
+    times.add_argument("--t-min", type=float, default=1e-3)
+    reads = {
+        "exponents": (),
+        "jacobi": (weight, pair, seed),
+        "kernel": (weight, pair, seed, times),
+        "green": (weight,),
+        "pde": (sweep, seed),
+        "asymptotics": (weight,),
+        "all": (weight, pair, sweep, seed, times),
+    }
+    for suite in checks.SUITES:
+        # no abbreviations: --h would otherwise be --help for a suite without --h
+        p_suite = suites.add_parser(suite, parents=[shared, *reads[suite]], allow_abbrev=False)
+        keys = checks.SUPPORTED_CORRUPTIONS if suite == "all" else checks.SUITE_CORRUPTIONS.get(suite)
+        if keys:
+            p_suite.add_argument("--corrupt", nargs="+", default=None, metavar="KEY=OFFSET",
+                                 help=f"fault injection; keys: {keys}")
 
     p_scan = sub.add_parser("scan", help="grid scans with CSV output")
     p_scan.set_defaults(func=cmd_scan)

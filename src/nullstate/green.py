@@ -9,6 +9,7 @@ series and factored forms are kept as independent evaluation routes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -113,6 +114,16 @@ class OneIntervalGreen:
         return float(np.max(np.abs(sum(terms)) / np.maximum(scale, 1e-300)))
 
 
+def _pow(x, y):
+    """x**y by libm's pow, for a float or elementwise for an array.
+
+    np.float_power calls pow per element, as a float's ** does; an array's **
+    may take numpy's SIMD route (x*x for y = 2), which can differ from it in
+    the last bit.  So a sample's arithmetic is the same in a batch as alone.
+    """
+    return np.float_power(x, y) if isinstance(x, np.ndarray) else x**y
+
+
 def _below(delta, eta: float, f):
     """f(delta/eta) where delta < eta and 0 elsewhere; a float for a scalar delta."""
     d = np.asarray(delta, dtype=float)
@@ -208,17 +219,18 @@ class TwoIntervalGreen:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _prefactor(self, rho: float, sigma: float) -> float:
+    def _prefactor(self, rho: float, sigma):
+        """The algebraic factor of G; sigma may be an array."""
         return (
-            sigma ** (self.beta + 1.0)
-            * (1.0 - sigma) ** (self.alpha + 1.0)
-            * (rho / sigma) ** self.dp_1
-            * ((1.0 - rho) / (1.0 - sigma)) ** self.dp_h
+            _pow(sigma, self.beta + 1.0)
+            * _pow(1.0 - sigma, self.alpha + 1.0)
+            * _pow(rho / sigma, self.dp_1)
+            * _pow((1.0 - rho) / (1.0 - sigma), self.dp_h)
         )
 
-    def _factored(self, rho: float, epsilon: float, sigma: float, eta: float, k: float) -> float:
-        """The factored form at one point, given the kernel value k there."""
-        return -self._prefactor(rho, sigma) * eta * (epsilon / eta) ** self.lambda0 * k
+    def _factored(self, rho: float, epsilon: float, sigma, eta, k):
+        """The factored form given the kernel value k; sigma, eta and k may be arrays."""
+        return -self._prefactor(rho, sigma) * eta * _pow(epsilon / eta, self.lambda0) * k
 
     def value(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Factored form: prefactor * eta * (eps/eta)^lambda0 * K(rho, sigma, t)."""
@@ -228,26 +240,40 @@ class TwoIntervalGreen:
         k = self.kernel.value(rho, sigma, self.time(epsilon, eta)).value
         return self._factored(rho, epsilon, sigma, eta, k)
 
-    def _values(self, rho: float, epsilon: float, points, n_terms: int) -> list:
-        """The factored form at each (sigma, eta) of points, from one `HeatKernel.values` call."""
-        for s, e in points:
-            self._check_point(rho, s, epsilon, e)
-        ks = self.kernel.values(rho, [(s, self.time(epsilon, e)) for s, e in points], n_terms)
-        return [self._factored(rho, epsilon, s, e, k) for (s, e), k in zip(points, ks)]
+    def _values(self, rho: float, epsilon: float, sigma: np.ndarray, eta: np.ndarray,
+                n_terms: list) -> np.ndarray:
+        """The factored form at each (sigma, eta) of two (points, samples) arrays, unchecked.
+
+        Row j holds the samples of point j, which take n_terms[j] terms; the
+        points that share an n_terms are adjacent, and each such run is one
+        `HeatKernel.values` call.  Each distinct eta is turned into a time once.
+        """
+        etas = eta.ravel().tolist()
+        times = {e: self.time(epsilon, e) for e in set(etas)}
+        pts = np.stack([sigma.ravel(), [times[e] for e in etas]], axis=1)
+        k, start = [], 0
+        for n, run in itertools.groupby(n_terms):
+            stop = start + sigma.shape[1] * len(list(run))
+            k += self.kernel.values(rho, pts[start:stop], n)
+            start = stop
+        return self._factored(rho, epsilon, sigma, eta, np.reshape(k, sigma.shape))
 
     def value_series(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
-        """Direct eigenvalue series with per-mode powers (eps/eta)^lambda_n."""
+        """Direct eigenvalue series with per-mode powers (eps/eta)^lambda_n.
+
+        The modes are evaluated as arrays and summed in order of n, one at a
+        time (np.cumsum), as a running total would sum them.
+        """
         self._check_point(rho, sigma, epsilon, eta)
         if eta <= epsilon:
             return 0.0
         n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
         basis = self.kernel.basis
         table = basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, 2.0 * sigma - 1.0])
-        ratio = epsilon / eta
-        total = 0.0
-        for n, (p_rho, p_sigma) in enumerate(table.tolist()):
-            lam = eigenvalue(n, self.h, self.kappa)
-            total += ratio**lam * p_rho * p_sigma / basis.shifted_norm_sq(n)
+        lam = np.array([eigenvalue(n, self.h, self.kappa) for n in range(n_terms)])
+        nrm = np.array([basis.shifted_norm_sq(n) for n in range(n_terms)])
+        terms = np.float_power(epsilon / eta, lam) * table[:, 0] * table[:, 1] / nrm
+        total = float(np.cumsum(terms)[-1])
         # `_prefactor` written out, so that comparing this route with `value` checks it
         prefactor = (sigma ** (self.beta + 1.0) * (1.0 - sigma) ** (self.alpha + 1.0)
                      * (rho / sigma) ** self.dp_1 * ((1.0 - rho) / (1.0 - sigma)) ** self.dp_h)
@@ -262,53 +288,82 @@ class TwoIntervalGreen:
 
     # -- adjoint equation ------------------------------------------------------
 
-    def sigma_operator_terms(self, g0: float, g1: float, g2: float, sigma: float) -> list[float]:
-        """Summands of Q* applied to a function with values/derivatives (g0, g1, g2)."""
+    def sigma_operator_terms(self, g0, g1, g2, sigma) -> list:
+        """Summands of Q* applied to a function with values/derivatives (g0, g1, g2).
+
+        The arguments may be arrays of one shape; the squares go through libm's pow.
+        """
         return [
             self.kappa / 4.0 * g2,
             -(1.0 - 2.0 * sigma) / (sigma * (1.0 - sigma)) * g1,
-            (1.0 - self.theta1) / sigma**2 * g0,
-            (1.0 - self.h) / (1.0 - sigma) ** 2 * g0,
+            (1.0 - self.theta1) / _pow(sigma, 2) * g0,
+            (1.0 - self.h) / _pow(1.0 - sigma, 2) * g0,
             g0 / sigma,
             g0 / (1.0 - sigma),
         ]
 
-    def adjoint_residual(
-        self, rho: float, epsilon: float, sigma: float, eta: float
-    ) -> AdjointResidual:
+    def adjoint_residual(self, rho: float, epsilon: float, sigma, eta):
         """Finite-difference residual of P*[G] away from the source (eta > epsilon).
 
-        The sigma step shrinks with the distance to the endpoints because the
-        operator coefficients blow up there; the eta step is 1e-3 eta.  All
-        stencil evaluations share one truncation index so the sampled function
-        is a fixed finite sum, and the 13 samples (seven in sigma at eta, six
-        in eta at sigma) come from one Jacobi table; each equals the
-        factored-form `value` at its point bit for bit.  The residual is
-        divided by eta^2, so an eta whose square overflows or underflows is
+        sigma and eta are floats, for one `AdjointResidual`, or sequences that
+        broadcast to one length, for the list of residuals at their pairs,
+        evaluated as one batch; a point's residual does not depend on the
+        others.  The sigma step shrinks with the distance to the endpoints
+        because the operator coefficients blow up there; the eta step is 1e-3
+        eta.  All 13 stencil samples of a point (seven in sigma at eta, six in
+        eta at sigma) share one truncation index, that of its lowest eta, so
+        the sampled function is a fixed finite sum.  The points are checked in
+        order, so the first bad one raises; each distinct lowest eta is
+        truncated once.  The samples of the points that share an n_terms come
+        from one `HeatKernel.values` call, the largest n_terms first, so on a
+        product grid of sigmas and etas one kept table over rho and every
+        stencil sigma is built once and then sliced.  Each sample equals the
+        factored-form `value` at its point bit for bit, and the rest is
+        elementwise arithmetic in the order a float point takes.  The residual
+        is divided by eta^2, so an eta whose square overflows or underflows is
         refused.
         """
-        if eta <= epsilon:
-            raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
-        if not 0.0 < eta * eta < math.inf:
-            raise DomainError(f"eta**2 must be finite and positive, got eta={eta!r}")
-        sigma_step = min(1e-3, min(sigma, 1.0 - sigma) / 10.0)
+        sigmas, etas = np.broadcast_arrays(sigma, eta)
+        points = list(zip(sigmas.ravel().tolist(), etas.ravel().tolist()))
+        n_of, n_terms = {}, []
+        for sigma, eta in points:
+            if eta <= epsilon:
+                raise PreconditionError("adjoint residual needs eta > epsilon (homogeneous region)")
+            if not 0.0 < eta * eta < math.inf:
+                raise DomainError(f"eta**2 must be finite and positive, got eta={eta!r}")
+            eta_lo = eta - 2.0 * (1e-3 * eta)
+            if eta_lo <= epsilon:
+                raise PreconditionError("eta stencil would cross the source at eta = epsilon")
+            if eta_lo not in n_of:
+                n_of[eta_lo], _ = self.kernel.truncation_index(self.time(epsilon, eta_lo))
+            n_terms.append(n_of[eta_lo])
+            self._check_point(rho, sigma, epsilon, eta)
+        order = sorted(range(len(points)), key=lambda i: -n_terms[i])
+        sigma, eta = np.array([points[i] for i in order], dtype=float).reshape(-1, 2).T
+        sigma_step = np.minimum(1e-3, np.minimum(sigma, 1.0 - sigma) / 10.0)
         eta_step = 1e-3 * eta
-        eta_lo = eta - 2.0 * eta_step
-        if eta_lo <= epsilon:
-            raise PreconditionError("eta stencil would cross the source at eta = epsilon")
-        n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta_lo))
-        points = [(s, eta) for s in (sigma, *findiff.refined_points(sigma, sigma_step))]
-        points += [(sigma, e) for e in findiff.refined_points(eta, eta_step)]
-        g = self._values(rho, epsilon, points, n_terms)
+        # each point's 13 samples: g0, six sigma wings at eta, six eta wings at sigma
+        samples_sigma = np.array([sigma, *findiff.refined_points(sigma, sigma_step), *[sigma] * 6])
+        samples_eta = np.array([*[eta] * 7, *findiff.refined_points(eta, eta_step)])
+        g = self._values(rho, epsilon, samples_sigma.T, samples_eta.T,
+                         [n_terms[i] for i in order]).T
         g0, sigma_wings, eta_wings = g[0], g[1:7], g[7:]
         g1 = findiff.refined_first(sigma_wings, sigma_step)
         g2 = findiff.refined_second(g0, sigma_wings, sigma_step)
         deta = findiff.refined_first(eta_wings, eta_step)
         terms = self.sigma_operator_terms(g0, g1, g2, sigma)
         terms.append(-eta * deta / (sigma * (1.0 - sigma)))
-        residual = sum(terms) / eta**2
-        scale = max(max(abs(x) for x in terms), 1e-300) / eta**2
-        return AdjointResidual(residual=residual, scale=scale, relative=abs(residual) / scale)
+        eta_sq = _pow(eta, 2)
+        residual = sum(terms) / eta_sq  # left to right, as for one float point
+        largest = np.abs(terms[0])
+        for term in terms[1:]:  # Python's max: a NaN is kept only as the first size
+            largest = np.where(np.abs(term) > largest, np.abs(term), largest)
+        scale = np.maximum(largest, 1e-300) / eta_sq
+        relative = np.abs(residual) / scale
+        reps = [None] * len(order)
+        for i, r, sc, q in zip(order, residual.tolist(), scale.tolist(), relative.tolist()):
+            reps[i] = AdjointResidual(residual=r, scale=sc, relative=q)
+        return reps if sigmas.ndim else reps[0]
 
     # -- reproducing limit -----------------------------------------------------
 
@@ -369,12 +424,12 @@ class TwoIntervalGreen:
         if side not in ("left", "right"):
             raise DomainError(f"side must be 'left' or 'right', got {side!r}")
         s = np.geomspace(1e-6, 1e-3, 7)
-        points = [(sig, eta) for sig in (s if side == "left" else 1.0 - s).tolist()]
-        self._check_point(rho, points[0][0], epsilon, eta)
+        sigmas = s if side == "left" else 1.0 - s
+        self._check_point(rho, float(sigmas[0]), epsilon, eta)  # the others lie inside too
         if eta <= epsilon:
             raise DomainError("kernel vanished on the fit grid")
         n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
-        vals = np.abs(self._values(rho, epsilon, points, n_terms))
+        vals = np.abs(self._values(rho, epsilon, sigmas[None], np.full((1, 7), eta), [n_terms])[0])
         if np.any(vals == 0.0):
             raise DomainError("kernel vanished on the fit grid")
         return findiff.line_fit(np.log(s), np.log(vals))[1]

@@ -181,23 +181,28 @@ class HeatKernel:
     def values(self, rho: float, points, n_terms: int) -> list:
         """K(rho, sigma, t) with n_terms terms at each (sigma, t) of points, from one table.
 
-        Each value is bit for bit `value(rho, sigma, t, n_terms).value`: the
-        table's columns are those of the narrow float path, each distinct t
-        gets one decay row, and each point's terms form one contiguous row
-        with its own pairwise sum.  The table over rho and the distinct sigmas
-        is kept (see `_table`).
+        points are (sigma, t) pairs or the rows of an (N, 2) array.  Each value
+        is bit for bit `value(rho, sigma, t, n_terms).value`: the table's
+        columns are `value`'s (both `eval_table` routes agree bit for bit),
+        each point gets its own decay row, and its terms form one contiguous
+        row with its own pairwise sum.  The table over rho and the distinct
+        sigmas, in increasing order, is kept (see `_table`), so calls whose
+        points share one set of sigmas read one table.  The first time out of
+        range, in point order, is refused.
         """
-        for _, t in points:
-            _check_time(t)
+        sigma, t = np.asarray(points, dtype=float).reshape(-1, 2).T
+        in_range = (0.0 < t) & (t < math.inf)
+        if not in_range.all():
+            _check_time(float(t[np.argmin(in_range)]))
         self._ensure(n_terms)
-        row = {t: i for i, t in enumerate(dict.fromkeys(t for _, t in points))}
-        col = {s: j for j, s in enumerate(dict.fromkeys(s for s, _ in points), start=1)}
-        table = self._table(n_terms, [rho, *col])
+        samples = sigma.tolist()
+        sigmas = sorted(set(samples))
+        col = dict(zip(sigmas, range(1, len(sigmas) + 1)))
+        table = self._table(n_terms, [rho, *sigmas])
         n = np.arange(n_terms, dtype=float)
-        decay = np.exp(-np.array(list(row))[:, None] * n * (n + self.alpha + self.beta + 1.0))
+        decay = np.exp(-t[:, None] * n * (n + self.alpha + self.beta + 1.0))
         nrm = np.array(self._nrm[:n_terms])
-        terms = (decay[[row[t] for _, t in points]] * table[:, 0]
-                 * table.T[[col[s] for s, _ in points]] / nrm)
+        terms = decay * table[:, 0] * table.T[[col[s] for s in samples]] / nrm
         return np.ascontiguousarray(terms).sum(axis=1).tolist()
 
     def grid(self, rhos, sigmas, t: float, n_terms: int | None = None) -> np.ndarray:

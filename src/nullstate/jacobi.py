@@ -255,7 +255,8 @@ def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> 
     """m-point Gauss-Jacobi rule via the Golub-Welsch eigenproblem.
 
     domain="symmetric" integrates f(y) (1-y)^alpha (1+y)^beta over [-1, 1];
-    domain="unit" integrates g(s) s^beta (1-s)^alpha over [0, 1].  Both read
+    domain="unit" integrates g(s) s^beta (1-s)^alpha over [0, 1]; a unit rule
+    with a weight that underflows to zero or a subnormal is refused.  Both read
     one kept eigenproblem per (m, alpha, beta); the symmetric rule's arrays are
     read-only, since every caller of that rule shares them.
     """
@@ -268,6 +269,10 @@ def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> 
     if domain == "unit":
         nodes = (nodes + 1.0) / 2.0
         weights = weights * 2.0 ** (-(a + b) - 1.0)
+        lost = int(np.count_nonzero(weights < np.finfo(float).tiny))
+        if lost:
+            raise DomainError(f"the {m}-point unit-domain rule for (alpha, beta) = ({a!r}, {b!r}) "
+                              f"has {lost} weights that underflow to zero or a subnormal")
     return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
 
 

@@ -87,12 +87,11 @@ def test_verify_unknown_corruption_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, key",
-    (("pde", "foo"), ("kernel", "lambda0"), ("green", "alpha"), ("exponents", "beta"),
-     ("all", "foo")),
+    "suite, key", (("kernel", "lambda0"), ("green", "alpha"), ("all", "foo")),
 )
 def test_verify_corruption_the_suite_does_not_read_is_usage_error(suite, key, capsys):
-    # every suite but kernel, green and all reads no key, so any key would be a no-op
+    # only kernel, green and all take --corrupt (test_verify_reads_and_reports_only_its_
+    # own_options); a key such a suite does not read would be a no-op
     assert cli.main(["verify", suite, "--kappa", "6", "--corrupt", f"{key}=1e-6"]) == 2
     err = capsys.readouterr().err
     assert f"error: suite {suite!r} reads no corruption keys [{key!r}]" in err
@@ -229,7 +228,7 @@ def test_grid_sizes_must_be_positive(argv, tmp_path, capsys):
 def test_malformed_weight_is_usage_error(command, spec, tmp_path, capsys):
     out_file = tmp_path / "out.csv"
     if command == "verify":
-        argv = ["verify", "exponents"]
+        argv = ["verify", "green"]
     else:
         argv = ["scan", "kernel-bounds", "--output", str(out_file)]
     code = cli.main(argv + ["--kappa", "6", "--h", spec])
@@ -353,6 +352,47 @@ def test_run_suite_all_is_every_suite_in_order():
     assert checks.SUITES[-1] == "all"
 
 
+VERIFY_OPTIONS = {  # per suite, the options it reads and a value for each
+    "exponents": {},
+    "jacobi": {"h": "theta2", "alpha": "1", "beta": "0.5", "seed": "3"},
+    "kernel": {"h": "theta2", "alpha": "1", "beta": "0.5", "seed": "3", "t": "0.1",
+               "t-min": "1e-3", "corrupt": "alpha=0"},
+    "green": {"h": "theta3", "corrupt": "lambda0=0"},
+    "pde": {"candidate": "n1", "configs": "5", "seed": "3"},
+    "asymptotics": {"h": "theta2"},
+}
+# the params key each option is reported under
+VERIFY_PARAMS = {"t": "t_list", "t-min": "t_list", "seed": None}
+
+
+@pytest.mark.parametrize("suite", VERIFY_OPTIONS)
+def test_verify_reads_and_reports_only_its_own_options(suite, capsys):
+    own = [a for k, v in VERIFY_OPTIONS[suite].items() for a in (f"--{k}", v)]
+    code, out = run(capsys, "verify", suite, "--kappa", "6", *own, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert set(report["params"]) == {"suite", "kappa"} | {
+        VERIFY_PARAMS.get(k, k) for k in VERIFY_OPTIONS[suite]} - {None}
+    assert report["seed"] == (3 if "seed" in VERIFY_OPTIONS[suite] else 0)
+    others = {k: v for opts in VERIFY_OPTIONS.values() for k, v in opts.items()
+              if k not in VERIFY_OPTIONS[suite]}
+    for key, value in others.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--kappa", "6", f"--{key}", value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+
+
+def test_verify_exponents_refuses_options_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "exponents", "--kappa", "6", "--candidate", "nonsense",
+                  "--alpha", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --candidate nonsense --alpha 3" in err
+    assert "Traceback" not in err
+
+
 SCAN_OPTIONS = {
     "kernel-bounds": {"alpha": "1", "beta": "1", "T": "1", "t-min": "0.05", "c1": "3.8",
                       "c2": "4.25", "n-angle": "3", "n-time": "2"},
@@ -383,9 +423,17 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
 
 @pytest.mark.parametrize("suite, kappa, message", (
     ("asymptotics", "0.05", "candidate vanished or diverged on the collapse grid"),
-    ("jacobi", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
-    ("kernel", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
-    ("all", "0.01", "shifted squared norm of P_0 for (alpha, beta) = (1199.0, 799.0) underflows"),
+    # a unit-domain Gauss-Jacobi rule is built before any shifted norm is read
+    ("jacobi", "0.01", "the 40-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
+                       "has 40 weights that underflow"),
+    ("kernel", "0.01", "the 120-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
+                       "has 120 weights that underflow"),
+    ("all", "0.01", "the 40-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
+                    "has 40 weights that underflow"),
+    ("jacobi", "0.02", "the 40-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
+                       "has 9 weights that underflow"),
+    ("kernel", "0.02", "the 120-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
+                       "has 62 weights that underflow"),
     ("jacobi", "1e-9", "the weight mass of the 40-point rule for (alpha, beta) = "
                        "(11999999999.0, 7999999998.999999) overflows"),
     ("kernel", "1e-9", "the weight mass of the 120-point rule for (alpha, beta) = "
@@ -393,7 +441,8 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
     ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
-    ("all", "0.02", "|P_447| at the endpoint of parameter 599.0 overflows"),
+    ("all", "0.02", "the 40-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
+                    "has 9 weights that underflow"),
 ))
 def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
     assert cli.main(["verify", suite, "--kappa", kappa]) == 2
@@ -422,9 +471,9 @@ def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, capsys):
         alone.append(_run_masked(argv, capsys))
     assert [code for code, _ in alone] == [0, 2, 0, 0]
     assert [_run_masked(argv, capsys) for argv in commands] == alone
-    for _, text in alone[2:]:
-        assert set(json.loads(text)["params"]) == {
-            "suite", "kappa", "h", "alpha", "beta", "candidate", "configs", "t_list", "corrupt"}
+    assert set(json.loads(alone[2][1])["params"]) == {"suite", "kappa"}
+    assert set(json.loads(alone[3][1])["params"]) == {
+        "suite", "kappa", "h", "alpha", "beta", "candidate", "configs", "t_list", "corrupt"}
 
 
 def test_write_csv_is_the_csv_writer_byte_for_byte(tmp_path):

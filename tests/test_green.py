@@ -19,7 +19,8 @@ from nullstate import (
     kpz,
     leg_weight,
 )
-from nullstate.green import STEP_LADDER
+from nullstate import checks
+from nullstate.green import STEP_LADDER, AdjointResidual
 from nullstate.jacobi import JacobiBasis
 from conftest import KAPPA_GRID
 
@@ -227,7 +228,10 @@ def pointwise_adjoint_residual(g, rho, epsilon, sigma, eta):
     deta = refined_d1(*stencils(g_of_eta, eta, eta_step), eta_step)
     terms = g.sigma_operator_terms(g0, g1, g2, sigma)
     terms.append(-eta * deta / (sigma * (1.0 - sigma)))
-    residual = sum(terms) / eta**2
+    total = 0.0
+    for term in terms:  # left to right (from Python 3.12, sum() of floats compensates)
+        total += term
+    residual = total / eta**2
     scale = max(max(abs(x) for x in terms), 1e-300) / eta**2
     return residual, scale, abs(residual) / scale
 
@@ -243,6 +247,91 @@ def test_adjoint_residual_matches_pointwise_reference(kappa, s):
         got = (rep.residual, rep.scale, rep.relative)
         want = pointwise_adjoint_residual(g, 0.4, 0.5, sigma, 0.5 * ratio)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# (sigmas, ratios eta/epsilon): the CLI's default grid, the green suite's, and one
+# with sigma next to both endpoints and two etas, 4.0 and 4.01, that share an n_terms
+SCAN_GRIDS = {
+    "cli": (np.linspace(0.2, 0.8, 5), np.geomspace(1.5, 4.0, 4)),
+    "suite": (np.linspace(0.2, 0.8, 5), (1.5, 2.5, 4.0)),
+    "edges": ((1e-3, 0.5, 1.0 - 1e-3), (1.5, 4.0, 4.01)),
+}
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+@pytest.mark.parametrize("s", (2, 3))
+def test_adjoint_scan_matches_pointwise_reference(kappa, s):
+    # one batched call per scan; every row is the 13-call reference's bit for bit
+    g = TwoIntervalGreen(h=leg_weight(s, kappa), kappa=kappa)
+    for sigmas, ratios in SCAN_GRIDS.values():
+        rows, check = checks.adjoint_scan(g, 0.4, 0.5, sigmas, ratios, tol=1e-4)
+        want = [pointwise_adjoint_residual(g, 0.4, 0.5, float(sigma), 0.5 * float(ratio))
+                for sigma in sigmas for ratio in ratios]
+        assert [(r[4].hex(), r[5].hex()) for r in rows] == [
+            (w[0].hex(), w[1].hex()) for w in want]
+        assert check.value == max(w[2] for w in want)
+    etas = 0.5 * np.array(SCAN_GRIDS["edges"][1])
+    n_terms = {g.kernel.truncation_index(g.time(0.5, e - 2.0 * (1e-3 * e)))[0] for e in etas}
+    assert len(n_terms) < len(etas)  # the edge grid does share an n_terms
+
+
+@pytest.mark.parametrize("grid", SCAN_GRIDS)
+def test_adjoint_scan_truncates_once_per_eta_and_reads_one_table(grid, monkeypatch):
+    calls = {"truncation_index": [], "values": [], "eval_table": [], "value": [], "batch": []}
+    _spy(monkeypatch, TwoIntervalGreen, "adjoint_residual", calls["batch"])
+    _spy(monkeypatch, HeatKernel, "truncation_index", calls["truncation_index"])
+    _spy(monkeypatch, HeatKernel, "values", calls["values"])
+    _spy(monkeypatch, JacobiBasis, "eval_table", calls["eval_table"])
+    _spy(monkeypatch, TwoIntervalGreen, "value", calls["value"])
+    g = TwoIntervalGreen(h=leg_weight(2, 6.0), kappa=6.0)
+    sigmas, ratios = SCAN_GRIDS[grid]
+    rows, _ = checks.adjoint_scan(g, 0.4, 0.5, sigmas, ratios, tol=1e-4)
+    [(_, _, batch_sigma, batch_eta)] = calls["batch"]  # the whole scan is one call
+    assert len(batch_sigma) == len(batch_eta) == len(rows)
+    assert len(calls["truncation_index"]) == len(ratios)
+    n_terms = [n for _, _, n in calls["values"]]
+    assert len(n_terms) == len(set(n_terms)) and n_terms == sorted(n_terms, reverse=True)
+    assert sum(len(points) for _, points, _ in calls["values"]) == 13 * len(sigmas) * len(ratios)
+    # one table over rho and every stencil sigma, built at the largest n_terms
+    [(n_max, y)] = calls["eval_table"]
+    assert n_max == n_terms[0] - 1 and len(y) == 1 + 7 * len(sigmas)
+    assert calls["value"] == []
+
+
+def test_adjoint_residual_of_sequences_is_the_list_of_its_points():
+    g = TwoIntervalGreen(h=leg_weight(3, 10.0 / 3.0), kappa=10.0 / 3.0)
+    sigmas, etas = [0.3, 0.3, 0.7, 1e-3], [1.0, 1.6, 1.0, 0.9]
+    one_by_one = [g.adjoint_residual(0.4, 0.5, s, e) for s, e in zip(sigmas, etas)]
+    assert all(isinstance(rep, AdjointResidual) for rep in one_by_one)
+    assert g.adjoint_residual(0.4, 0.5, sigmas, etas) == one_by_one
+    assert g.adjoint_residual(0.4, 0.5, np.array(sigmas[:2]), 1.0) == one_by_one[:1] * 2
+    assert g.adjoint_residual(0.4, 0.5, [], []) == []
+
+
+@pytest.mark.parametrize("bad, error, message", (
+    ((0.5, 0.5), PreconditionError, "needs eta > epsilon"),
+    ((0.5, 0.5 * (1.0 + 1e-3)), PreconditionError, "would cross the source"),
+    ((0.0, 1.0), DomainError, "rho and sigma must lie in"),
+    ((1.0, 1.0), DomainError, "rho and sigma must lie in"),
+    ((1.2, 1.0), DomainError, "rho and sigma must lie in"),
+    ((math.nan, 1.0), DomainError, "rho and sigma must lie in"),
+))
+def test_adjoint_residual_refuses_the_first_bad_point_of_a_batch(bad, error, message):
+    g = TwoIntervalGreen(h=leg_weight(2, 6.0), kappa=6.0)
+    good = [(0.3, 1.0), (0.6, 2.0)]
+    with pytest.raises(error, match=message):
+        g.adjoint_residual(0.4, 0.5, *bad)
+    for points in (good + [bad], [bad] + good, good + [bad, (0.5, 0.4)]):
+        with pytest.raises(error, match=message):
+            g.adjoint_residual(0.4, 0.5, *zip(*points))
+
+
+@pytest.mark.parametrize("epsilon, eta", ((1e200, 2e200), (1e-300, 2e-300)))
+def test_adjoint_residual_refuses_an_eta_whose_square_leaves_the_floats(epsilon, eta):
+    g = TwoIntervalGreen(h=leg_weight(2, 6.0), kappa=6.0)
+    for sigma, etas in ((0.5, [eta]), ([0.5, 0.3], [eta, 1.5 * eta])):
+        with pytest.raises(DomainError, match=r"eta\*\*2 must be finite and positive"):
+            g.adjoint_residual(0.4, epsilon, sigma, etas)
 
 
 def test_j_annihilation_fd_sample_count(monkeypatch):
@@ -293,6 +382,29 @@ def test_value_series_reads_one_table(green, monkeypatch):
         monkeypatch.setattr(JacobiBasis, name, counted)
     green.value_series(0.3, 0.5, 0.6, 1.0)
     assert counts == {"eval": 0, "eval_table": 1}
+
+
+def _value_series_running_sum(g, rho, epsilon, sigma, eta):
+    """`value_series` mode by mode with a running float total, the order it keeps."""
+    n_terms, _ = g.kernel.truncation_index(g.time(epsilon, eta))
+    basis = g.kernel.basis
+    table = basis.eval_table(n_terms - 1, [2.0 * rho - 1.0, 2.0 * sigma - 1.0])
+    total = 0.0
+    for n, (p_rho, p_sigma) in enumerate(table.tolist()):
+        lam = eigenvalue(n, g.h, g.kappa)
+        total += (epsilon / eta) ** lam * p_rho * p_sigma / basis.shifted_norm_sq(n)
+    prefactor = (sigma ** (g.beta + 1.0) * (1.0 - sigma) ** (g.alpha + 1.0)
+                 * (rho / sigma) ** g.dp_1 * ((1.0 - rho) / (1.0 - sigma)) ** g.dp_h)
+    return -prefactor * eta * total
+
+
+@pytest.mark.parametrize("kappa", (0.3, *KAPPA_GRID, 7.99))
+@pytest.mark.parametrize("s", (2, 3))
+def test_value_series_is_the_running_sum_bit_for_bit(kappa, s):
+    g = TwoIntervalGreen(h=leg_weight(s, kappa), kappa=kappa)
+    for pt in ((0.3, 0.5, 0.6, 1.0), (0.5, 0.2, 0.5, 0.5), (0.8, 1.0, 0.25, 3.0),
+               (0.4, 0.5, 1e-3, 0.51), (0.9, 0.3, 1.0 - 1e-3, 0.7)):
+        assert g.value_series(*pt).hex() == _value_series_running_sum(g, *pt).hex()
 
 
 def test_adjoint_requires_homogeneous_region(green):

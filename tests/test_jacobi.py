@@ -342,6 +342,21 @@ def test_rule_whose_weight_mass_overflows_is_domain_error():
         gauss_jacobi_rule(3, JacobiBasis(2000.0, 0.0), domain="unit")
 
 
+def test_unit_rule_whose_weights_underflow_is_domain_error():
+    # (599, 399) is the theta2 pair at kappa = 0.02: of the 120 unit weights, 39
+    # are 0.0 and 23 subnormal; the symmetric rule's weights are 2^1000 larger
+    b = JacobiBasis(599.0, 399.0)
+    for m, lost in ((40, 9), (120, 62)):
+        with pytest.raises(DomainError, match=rf"^the {m}-point unit-domain rule for "
+                                              rf"\(alpha, beta\) = \(599\.0, 399\.0\) has "
+                                              rf"{lost} weights that underflow"):
+            gauss_jacobi_rule(m, b, domain="unit")
+        assert np.all(gauss_jacobi_rule(m, b).weights >= np.finfo(float).tiny)
+    # at kappa = 0.05, (239, 159), every weight of the 120-point unit rule stays normal
+    unit = gauss_jacobi_rule(120, JacobiBasis(239.0, 159.0), domain="unit")
+    assert 1e-170 < unit.weights.min() < 1e-168
+
+
 def test_rules_of_one_size_and_basis_share_one_eigenproblem(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
