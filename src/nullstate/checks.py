@@ -21,6 +21,7 @@ from .exponents import (
     delta_plus,
     eigenvalue,
     gap,
+    jacobi_params,
     kpz,
     kpz_leg_identity_residual,
     leg_weight,
@@ -160,6 +161,31 @@ def suite_exponents(kappas) -> list:
     ]
 
 
+# -- shared kernels --------------------------------------------------------------
+
+
+def _kernel(kernels: dict, alpha: float, beta: float) -> HeatKernel:
+    """The HeatKernel of (alpha, beta) in kernels, built there on first use.
+
+    kernels belongs to one `run_suite` call, so the suites of that call that
+    read one pair share its kernel, and with it the kernel's basis and kept
+    tables, which are bit for bit those of a fresh kernel.
+    """
+    kernel = kernels.get((alpha, beta))
+    if kernel is None:
+        kernel = kernels[alpha, beta] = HeatKernel(alpha, beta)
+    return kernel
+
+
+def _basis(kernels: dict, alpha: float, beta: float) -> JacobiBasis:
+    """The basis of (alpha, beta)'s kernel in kernels, or, for a pair that no
+    kernel takes (alpha or beta below -1/2), a basis of its own."""
+    try:
+        return _kernel(kernels, alpha, beta).basis
+    except DomainError:
+        return JacobiBasis(alpha, beta)
+
+
 # -- jacobi ----------------------------------------------------------------------
 
 
@@ -168,8 +194,8 @@ N_ORTHO = 15  # degrees checked for orthogonality, norms and symmetry
 N_OPERATOR = 20  # degrees checked as eigenfunctions of the Jacobi operator
 
 
-def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
-    basis = JacobiBasis(alpha, beta)
+def suite_jacobi(alpha: float, beta: float, seed: int, kernels: dict) -> list:
+    basis = _basis(kernels, alpha, beta)
     flipped = JacobiBasis(beta, alpha)
     rng = np.random.default_rng(seed)
     checks = []
@@ -219,9 +245,15 @@ def suite_jacobi(alpha: float, beta: float, seed: int) -> list:
 QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
 
 
-def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) -> list:
-    kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
-    true_basis = JacobiBasis(alpha, beta)
+def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
+                 kernels: dict) -> list:
+    # a corrupted kernel is private: the suites that share (alpha, beta) must not read it
+    if {"alpha", "beta"} & corrupt.keys():
+        kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
+        true_basis = _basis(kernels, alpha, beta)
+    else:
+        kernel = _kernel(kernels, alpha, beta)
+        true_basis = kernel.basis
     rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
     rng = np.random.default_rng(seed)
     checks = []
@@ -257,10 +289,13 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int) ->
     kmin = -_worst(-float(kernel.grid(grid, grid, t).min()) for t in np.geomspace(0.1, 10.0, 8))
     checks.append(_is("positivity_grid", kmin > 0.0, detail=f"min K = {kmin!r}"))
 
+    modes = (0, 1, 3, 6)
+    coefficients = {(rho, t): kernel.mode_coefficient(rho, t, modes, rule)
+                    for rho, t in ((0.25, 0.05), (0.7, 0.5))}
     checks.append(_leq("single_mode_decay", _worst(
-        abs(kernel.mode_coefficient(rho, t, n, rule)
+        abs(coefficients[rho, t][i]
             - math.exp(-t * kernel.decay_rate(n)) * true_basis.eval(n, 2.0 * rho - 1.0))
-        for n in (0, 1, 3, 6) for rho, t in ((0.25, 0.05), (0.7, 0.5))), 1e-9))
+        for i, n in enumerate(modes) for rho, t in coefficients), 1e-9))
 
     f = lambda s: s * (1.0 - s)
     errs = [abs(kernel.reproducing_integral(0.5, t, f, rule) - f(0.5))
@@ -294,7 +329,7 @@ def kernel_bound_scan(kernel: HeatKernel, **grid) -> tuple[list, CheckResult]:
 # -- green -------------------------------------------------------------------------
 
 
-def suite_green(kappa: float, h: float, corrupt: dict) -> list:
+def suite_green(kappa: float, h: float, corrupt: dict, kernels: dict) -> list:
     th1 = leg_weight(1, kappa)
     checks = []
 
@@ -308,7 +343,9 @@ def suite_green(kappa: float, h: float, corrupt: dict) -> list:
         checks.append(_leq(name, worst, 1e-9))
 
     lambda0 = eigenvalue(0, h, kappa) + corrupt.get("lambda0", 0.0)
-    g = TwoIntervalGreen(h=h, kappa=kappa, lambda0=lambda0)
+    params = jacobi_params(h, kappa)
+    g = TwoIntervalGreen(h=h, kappa=kappa, lambda0=lambda0,
+                         kernel=_kernel(kernels, params.alpha, params.beta))
 
     points = ((0.3, 0.5, 0.6, 1.0), (0.5, 0.2, 0.5, 0.5), (0.8, 1.0, 0.25, 3.0))
     values = ((g.value(*p), g.value_series(*p)) for p in points)
@@ -552,6 +589,8 @@ def run_suite(
 
     A corrupt key the suite does not read is refused, so a fault injection
     never passes as a silent no-op; each suite reads its own keys of corrupt.
+    The suites of one call that read the same (alpha, beta) share one
+    HeatKernel; the kernels live in this call only, so no run sees another's.
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; expected one of {SUITES}")
@@ -560,11 +599,13 @@ def run_suite(
     if unread:
         raise DomainError(f"suite {name!r} reads no corruption keys {unread!r}; "
                           f"it reads {reads}")
+    kernels = {}  # (alpha, beta) -> HeatKernel, see _kernel
     runners = {
         "exponents": lambda: suite_exponents(kappas=(kappa,)),
-        "jacobi": lambda: suite_jacobi(alpha, beta, seed=seed),
-        "kernel": lambda: suite_kernel(alpha, beta, t_list=t_list, corrupt=corrupt, seed=seed),
-        "green": lambda: suite_green(kappa, h=h, corrupt=corrupt),
+        "jacobi": lambda: suite_jacobi(alpha, beta, seed=seed, kernels=kernels),
+        "kernel": lambda: suite_kernel(alpha, beta, t_list=t_list, corrupt=corrupt, seed=seed,
+                                       kernels=kernels),
+        "green": lambda: suite_green(kappa, h=h, corrupt=corrupt, kernels=kernels),
         "pde": lambda: suite_pde(kappa, candidate=candidate, n_configs=n_configs, seed=seed),
         "asymptotics": lambda: suite_asymptotics(kappa, h=h),
     }

@@ -195,9 +195,12 @@ class TwoIntervalGreen:
 
     lambda0 may be overridden for fault injection; by default it is the n = 0
     eigenvalue, which makes the factored and series forms agree identically.
+    The heat kernel is built here unless one of this (alpha, beta) is given,
+    so callers that read the same pair can share its kept tables.
     """
 
-    def __init__(self, h: float, kappa: float, lambda0: float | None = None):
+    def __init__(self, h: float, kappa: float, lambda0: float | None = None,
+                 kernel: HeatKernel | None = None):
         self.h = float(h)
         self.kappa = float(kappa)
         self.theta1 = leg_weight(1, kappa)
@@ -206,7 +209,13 @@ class TwoIntervalGreen:
         self.dp_h = delta_plus(h, kappa)
         self.dp_1 = delta_plus(self.theta1, kappa)
         self.lambda0 = eigenvalue(0, h, kappa) if lambda0 is None else float(lambda0)
-        self.kernel = HeatKernel(self.alpha, self.beta)
+        if kernel is None:
+            kernel = HeatKernel(self.alpha, self.beta)
+        elif (kernel.alpha, kernel.beta) != (self.alpha, self.beta):
+            raise DomainError(
+                f"heat kernel of (alpha, beta) = ({kernel.alpha!r}, {kernel.beta!r}) "
+                f"given for a Green function of ({self.alpha!r}, {self.beta!r})")
+        self.kernel = kernel
         # boundary decay exponents at sigma -> 0 and sigma -> 1
         self.exp_left = self.dp_1 + 4.0 / kappa
         self.exp_right = self.dp_h + 4.0 / kappa

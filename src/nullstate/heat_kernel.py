@@ -238,24 +238,37 @@ class HeatKernel:
         self._ensure(n_terms)
         return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
 
+    def _nodes_row(self, rho: float, t: float, rule: QuadratureRule) -> np.ndarray:
+        """K(rho, sigma, t) at the nodes sigma of a unit-domain rule."""
+        if rule.domain != "unit":
+            raise DomainError("reproducing integral needs a unit-domain rule")
+        return self.grid(np.array([rho]), rule.nodes, t)[0]
+
     def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
         """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0.
 
         f is called once, on the array of rule nodes; a scalar result is
         broadcast over them.
         """
-        if rule.domain != "unit":
-            raise DomainError("reproducing integral needs a unit-domain rule")
-        n_terms, _ = self.truncation_index(t)
-        kvals = self.grid(np.array([rho]), rule.nodes, t, n_terms=n_terms)[0]
+        kvals = self._nodes_row(rho, t, rule)
         fvals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
         return float(np.dot(rule.weights, kvals * fvals))
 
-    def mode_coefficient(self, rho: float, t: float, n: int, rule: QuadratureRule) -> float:
-        """Projection <K(rho, ., t), P_n>_w; equals exp(-t mu_n) P_n(2 rho - 1)."""
-        return self.reproducing_integral(
-            rho, t, lambda s: self.basis.eval(n, 2.0 * s - 1.0), rule
-        )
+    def mode_coefficient(self, rho: float, t: float, n, rule: QuadratureRule):
+        """Projection <K(rho, ., t), P_n>_w; equals exp(-t mu_n) P_n(2 rho - 1).
+
+        n is one degree, or a sequence of degrees whose projections come back
+        as a list.  Every degree reads one kernel row over the rule's nodes,
+        and its P_n is a row of the nodes' kept table (see `_table`), so each
+        projection is bit for bit `reproducing_integral` of P_n alone.
+        """
+        degrees = np.atleast_1d(np.asarray(n, dtype=int))
+        if degrees.min() < 0:
+            raise DomainError(f"jacobi degree must be >= 0, got {n!r}")
+        kvals = self._nodes_row(rho, t, rule)
+        modes = self._table(int(degrees.max()) + 1, rule.nodes)[degrees]
+        out = [float(np.dot(rule.weights, kvals * p)) for p in modes]
+        return out if np.ndim(n) else out[0]
 
 
 # -- sharp two-sided bound machinery ----------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nullstate import checks, cli
+from nullstate import HeatKernel, checks, cli, jacobi, jacobi_params, leg_weight
 
 
 def run(capsys, *argv):
@@ -342,14 +342,94 @@ def test_check_result_dict_keeps_its_field_order():
 # -- dispatch: one table of suites, one table of scan options ----------------------
 
 
+def _verify_defaults(kappa: float) -> dict:
+    """run_suite's arguments for `nullstate verify <suite> --kappa K` with no other options."""
+    h = leg_weight(2, kappa)
+    params = jacobi_params(h, kappa)
+    return dict(h=h, alpha=params.alpha, beta=params.beta, candidate="n1", n_configs=100,
+                seed=0, t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0))
+
+
+def _records(results, prefix: str = "") -> list:
+    return [(prefix + c.name, c.value.hex(), c.tolerance.hex(), c.passed, c.detail)
+            for c in results]
+
+
 def test_run_suite_all_is_every_suite_in_order():
+    # jacobi and kernel read (1/3, 1) here, green the pair of h = 2/3
     args = dict(h=2.0 / 3.0, alpha=1.0 / 3.0, beta=1.0, candidate="n1", n_configs=20, seed=0,
                 corrupt={}, t_list=(1e-2, 1.0))
-    got = [c.name for c in checks.run_suite("all", 6.0, **args)]
-    want = [f"{sub}.{c.name}" for sub in checks.SUITES[:-1]
-            for c in checks.run_suite(sub, 6.0, **args)]
+    got = _records(checks.run_suite("all", 6.0, **args))
+    want = [record for sub in checks.SUITES[:-1]
+            for record in _records(checks.run_suite(sub, 6.0, **args), prefix=f"{sub}.")]
     assert got == want
     assert checks.SUITES[-1] == "all"
+
+
+def test_a_pair_no_kernel_takes_still_has_its_jacobi_checks(capsys):
+    # alpha in (-1, -1/2) is a Jacobi basis but no heat kernel: the jacobi suite
+    # runs on a basis of its own, and `all` stops at the kernel's refusal
+    argv = ("--kappa", "6", "--alpha", "-0.7", "--beta", "0.2")
+    assert run(capsys, "verify", "jacobi", *argv)[0] == 0
+    assert cli.main(["verify", "all", *argv]) == 2
+    assert "require alpha, beta >= -1/2, got (-0.7, 0.2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", (0.5, 2.0, 6.0, 7.99))
+@pytest.mark.parametrize("corrupt", ({}, {"alpha": 1e-6}, {"lambda0": 1e-6}),
+                         ids=("clean", "alpha", "lambda0"))
+def test_run_suite_all_is_its_suites_bit_for_bit(kappa, corrupt):
+    # the suites of `all` share one kernel per (alpha, beta); each suite alone builds its own
+    args = _verify_defaults(kappa)
+    got = _records(checks.run_suite("all", kappa, corrupt=corrupt, **args))
+    want = [record for sub in checks.SUITES[:-1] for record in _records(checks.run_suite(
+        sub, kappa, corrupt={key: value for key, value in corrupt.items()
+                             if key in checks.SUITE_CORRUPTIONS.get(sub, ())}, **args),
+        prefix=f"{sub}.")]
+    assert got == want
+
+
+@pytest.mark.parametrize("argv, built", (
+    (("all",), 1),
+    (("all", "--alpha", "1.5", "--beta", "0.5"), 2),
+    (("all", "--corrupt", "alpha=1e-6"), 2),
+    (("all", "--corrupt", "lambda0=1e-6"), 1),
+    (("kernel", "--corrupt", "beta=1e-6"), 2),
+    (("green",), 1),
+))
+def test_verify_builds_one_heat_kernel_per_pair(argv, built, capsys, monkeypatch):
+    # a corrupted kernel is private, so the green suite never reads it
+    pairs = []
+    init = HeatKernel.__init__
+    monkeypatch.setattr(HeatKernel, "__init__",
+                        lambda self, *a, **k: pairs.append(a) or init(self, *a, **k))
+    code, _ = run(capsys, "verify", argv[0], "--kappa", "6", *argv[1:])
+    assert code in (0, 1)
+    assert len(pairs) == built
+
+
+def test_no_state_outlives_a_run_suite_call(monkeypatch):
+    # a faulty run first, at a kappa no other test reads, so that a kernel kept
+    # past its call would carry the fault into the clean run that follows; the
+    # clean result comes from a fresh process
+    kappa = 5.9
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullstate.cli", "verify", "all", "--kappa", repr(kappa),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path},
+    )
+    clean = _records(checks.CheckResult(**c) for c in json.loads(proc.stdout)["checks"])
+    args = _verify_defaults(kappa)
+    recurrence = jacobi._recurrence_coefficients
+    monkeypatch.setattr(jacobi, "_recurrence_coefficients",  # b1 x (1 + 1e-4)
+                        lambda *a: [col * (1.0 + 1e-4) if i == 2 else col
+                                    for i, col in enumerate(recurrence(*a))])
+    faulty = _records(checks.run_suite("all", kappa, corrupt={}, **args))
+    monkeypatch.undo()
+    assert faulty != clean
+    assert _records(checks.run_suite("all", kappa, corrupt={}, **args)) == clean
 
 
 VERIFY_OPTIONS = {  # per suite, the options it reads and a value for each
@@ -456,7 +536,9 @@ def _run_masked(argv, capsys):
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    return code, re.sub(r'"wall_time": [^,\n]*', '"wall_time": 0', capsys.readouterr().out)
+    # the wall time is masked in both formats: json's field and the text footer's seconds
+    out = re.sub(r'"wall_time": [^,\n]*', '"wall_time": 0', capsys.readouterr().out)
+    return code, re.sub(r"(failures), [0-9.]+s\n", r"\1, 0s\n", out)
 
 
 def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, capsys):

@@ -490,6 +490,20 @@ def test_reproducing_rejects_divergent_transform(green):
         green.reproducing_limit(0.5, 0.5, lambda s: 1.0, [0.6])
 
 
+def test_green_reads_the_kernel_it_is_given():
+    kappa, h = 6.0, leg_weight(2, 6.0)
+    params = jacobi_params(h, kappa)
+    kernel = HeatKernel(params.alpha, params.beta)
+    g = TwoIntervalGreen(h=h, kappa=kappa, kernel=kernel)
+    assert g.kernel is kernel
+    fresh = TwoIntervalGreen(h=h, kappa=kappa)
+    assert g.value(0.3, 0.5, 0.6, 1.0) == fresh.value(0.3, 0.5, 0.6, 1.0)
+    with pytest.raises(DomainError, match="heat kernel of"):
+        TwoIntervalGreen(h=leg_weight(3, kappa), kappa=kappa, kernel=kernel)
+    with pytest.raises(DomainError, match="heat kernel of"):
+        TwoIntervalGreen(h=h, kappa=kappa, kernel=HeatKernel(params.alpha + 1e-6, params.beta))
+
+
 def test_lambda0_override_breaks_agreement():
     kappa, h = 6.0, leg_weight(2, 6.0)
     lam0 = eigenvalue(0, h, kappa)

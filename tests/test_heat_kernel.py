@@ -137,7 +137,7 @@ def test_symmetry_check_names_its_worst_point(kappa):
     # kappa 1 is where the check fails (cancellation at a point the global
     # floor counts as resolved); the named point reproduces the value
     params = jacobi_params(leg_weight(2, kappa), kappa)
-    suite = checks.suite_kernel(params.alpha, params.beta, (1e-3, 1e-2, 0.1, 1.0, 10.0), {}, 0)
+    suite = checks.suite_kernel(params.alpha, params.beta, (1e-3, 1e-2, 0.1, 1.0, 10.0), {}, 0, {})
     check = next(c for c in suite if c.name == "symmetry")
     rho, sigma, t = ast.literal_eval(check.detail.removeprefix("worst at (rho, sigma, t) = "))
     kernel = HeatKernel(params.alpha, params.beta)
@@ -174,6 +174,28 @@ def test_single_mode_decay(kernel):
             got = kernel.mode_coefficient(rho, t, n, rule)
             want = math.exp(-t * kernel.decay_rate(n)) * kernel.basis.eval(n, 2 * rho - 1)
             assert abs(got - want) <= 1e-9
+
+
+def test_mode_coefficients_of_degrees_are_each_degree_alone_bit_for_bit(kernel, monkeypatch):
+    rule, degrees = unit_rule(kernel), (0, 1, 3, 6, 9)
+    for rho, t in ((0.25, 0.05), (0.7, 0.5), (0.5, 1e-3)):
+        alone = [HeatKernel(kernel.alpha, kernel.beta).reproducing_integral(
+            rho, t, lambda s: kernel.basis.eval(n, 2.0 * s - 1.0), rule).hex() for n in degrees]
+        calls = []
+        truncation_index = HeatKernel.truncation_index
+        monkeypatch.setattr(HeatKernel, "truncation_index",
+                            lambda self, t: calls.append(t) or truncation_index(self, t))
+        got = kernel.mode_coefficient(rho, t, degrees, rule)
+        monkeypatch.undo()
+        assert [v.hex() for v in got] == alone
+        assert calls == [t]  # one kernel row serves every degree
+        assert kernel.mode_coefficient(rho, t, 3, rule) == got[2]
+
+
+def test_mode_coefficient_refuses_a_negative_degree():
+    k = HeatKernel(1.0, 0.5)
+    with pytest.raises(DomainError, match="degree"):
+        k.mode_coefficient(0.3, 0.1, (2, -1), unit_rule(k))
 
 
 def test_single_mode_p1_closed_form():
