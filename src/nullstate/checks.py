@@ -247,13 +247,8 @@ QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
 
 def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
                  kernels: dict) -> list:
-    # a corrupted kernel is private: the suites that share (alpha, beta) must not read it
-    if {"alpha", "beta"} & corrupt.keys():
-        kernel = HeatKernel(alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
-        true_basis = _basis(kernels, alpha, beta)
-    else:
-        kernel = _kernel(kernels, alpha, beta)
-        true_basis = kernel.basis
+    kernel = _kernel(kernels, alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
+    true_basis = _basis(kernels, alpha, beta)
     rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
     rng = np.random.default_rng(seed)
     checks = []

@@ -262,9 +262,9 @@ class HeatKernel:
         and its P_n is a row of the nodes' kept table (see `_table`), so each
         projection is bit for bit `reproducing_integral` of P_n alone.
         """
-        degrees = np.atleast_1d(np.asarray(n, dtype=int))
-        if degrees.min() < 0:
-            raise DomainError(f"jacobi degree must be >= 0, got {n!r}")
+        degrees = np.atleast_1d(np.asarray(n))
+        if degrees.size == 0 or degrees.dtype.kind not in "iu" or degrees.min() < 0:
+            raise DomainError(f"jacobi degrees must be integers >= 0, got {n!r}")
         kvals = self._nodes_row(rho, t, rule)
         modes = self._table(int(degrees.max()) + 1, rule.nodes)[degrees]
         out = [float(np.dot(rule.weights, kvals * p)) for p in modes]

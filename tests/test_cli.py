@@ -398,7 +398,7 @@ def test_run_suite_all_is_its_suites_bit_for_bit(kappa, corrupt):
     (("green",), 1),
 ))
 def test_verify_builds_one_heat_kernel_per_pair(argv, built, capsys, monkeypatch):
-    # a corrupted kernel is private, so the green suite never reads it
+    # a corrupted pair is a key of its own, so the green suite never reads its kernel
     pairs = []
     init = HeatKernel.__init__
     monkeypatch.setattr(HeatKernel, "__init__",
@@ -409,19 +409,11 @@ def test_verify_builds_one_heat_kernel_per_pair(argv, built, capsys, monkeypatch
 
 
 def test_no_state_outlives_a_run_suite_call(monkeypatch):
-    # a faulty run first, at a kappa no other test reads, so that a kernel kept
-    # past its call would carry the fault into the clean run that follows; the
-    # clean result comes from a fresh process
+    # clean, faulty, clean: a kernel kept past its call would make the faulty
+    # run match the clean one before it, or the clean run after it match neither
     kappa = 5.9
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nullstate.cli", "verify", "all", "--kappa", repr(kappa),
-         "--format", "json"],
-        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path},
-    )
-    clean = _records(checks.CheckResult(**c) for c in json.loads(proc.stdout)["checks"])
     args = _verify_defaults(kappa)
+    clean = _records(checks.run_suite("all", kappa, corrupt={}, **args))
     recurrence = jacobi._recurrence_coefficients
     monkeypatch.setattr(jacobi, "_recurrence_coefficients",  # b1 x (1 + 1e-4)
                         lambda *a: [col * (1.0 + 1e-4) if i == 2 else col

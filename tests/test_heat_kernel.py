@@ -192,10 +192,11 @@ def test_mode_coefficients_of_degrees_are_each_degree_alone_bit_for_bit(kernel, 
         assert kernel.mode_coefficient(rho, t, 3, rule) == got[2]
 
 
-def test_mode_coefficient_refuses_a_negative_degree():
+@pytest.mark.parametrize("n", ((2, -1), -1, 2.5, (1, 2.0), ()))
+def test_mode_coefficient_refuses_a_non_natural_degree(n):
     k = HeatKernel(1.0, 0.5)
     with pytest.raises(DomainError, match="degree"):
-        k.mode_coefficient(0.3, 0.1, (2, -1), unit_rule(k))
+        k.mode_coefficient(0.3, 0.1, n, unit_rule(k))
 
 
 def test_single_mode_p1_closed_form():
