@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nullstate import HeatKernel, checks, cli, jacobi, jacobi_params, leg_weight
@@ -521,6 +522,31 @@ def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappa", ("0.15", "0.12"))
+def test_verify_jacobi_passes_at_small_kappa(kappa, capsys):
+    # the norm checks read 1.56e-10 and 1.37e-10 against 1e-10 when the
+    # weights came from eigenvectors; the Christoffel weights read 2.1e-13
+    code, out = run(capsys, "verify", "jacobi", "--kappa", kappa)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_no_command_calls_an_eigensolver(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    jacobi._gauss_jacobi.cache_clear()  # so that every rule is built under the patch
+    out_file = str(tmp_path / "scan.csv")
+    commands = [["verify", "all", "--kappa", kappa] for kappa in ("0.5", "2", "6")]
+    commands += [["scan", scan, "--kappa", "6", "--output", out_file]
+                 for scan in ("kernel-bounds", "green-adjoint", "far-pair", "adjacent-pair")]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def _run_masked(argv, capsys):

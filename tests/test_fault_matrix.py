@@ -132,6 +132,8 @@ FAULTS = {
         lambda a, b0, b1, c: [a, b0 + 1e-4 * b1, b1, c])),
     "jacobi.log_beta: Gauss weights x e^1e-6": ({}, _wrap(
         jacobi, "log_beta", lambda f: lambda a, b: f(a, b) + 1e-6)),
+    "jacobi._christoffel_sums: last term dropped": ({}, _wrap(
+        jacobi, "_christoffel_sums", lambda f: lambda s, diag, off: f(s, diag, off[:-1]))),
     "jacobi.QuadratureRule: nodes + 1e-6": ({}, _wrap(
         jacobi, "QuadratureRule", lambda cls: lambda nodes, weights, domain:
         cls(nodes + 1e-6, weights, domain))),
@@ -262,6 +264,20 @@ MATRIX = {
         "green.reproducing_mass_identity", "jacobi.norm_vs_closed_form",
         "jacobi.shifted_norm_relation", "jacobi.unit_weight_mass_vs_beta_function",
         "kernel.mass_conservation", "kernel.semigroup", "kernel.single_mode_decay"),
+    "jacobi._christoffel_sums: last term dropped": (
+        (
+            "green.reproducing_limit_error", "green.reproducing_mass_identity",
+            "jacobi.norm_vs_closed_form", "jacobi.orthogonality", "jacobi.shifted_norm_relation",
+            "jacobi.unit_weight_mass_vs_beta_function", "kernel.mass_conservation",
+            "kernel.reproducing_error_monotone", "kernel.semigroup", "kernel.single_mode_decay",
+        ),
+        (
+            "green.reproducing_mass_identity", "jacobi.norm_vs_closed_form",
+            "jacobi.orthogonality", "jacobi.shifted_norm_relation",
+            "jacobi.unit_weight_mass_vs_beta_function", "kernel.mass_conservation",
+            "kernel.reproducing_error_monotone", "kernel.semigroup", "kernel.single_mode_decay",
+        ),
+    ),
     "jacobi.QuadratureRule: nodes + 1e-6": _both(
         "green.reproducing_mass_identity", "jacobi.norm_vs_closed_form", "jacobi.orthogonality",
         "jacobi.shifted_norm_relation", "kernel.mass_conservation", "kernel.semigroup",
@@ -377,6 +393,16 @@ MATRIX = {
 
 # checks no fault above fails, and why
 UNCOVERED = {}
+
+
+@pytest.fixture(autouse=True)
+def fresh_rules():
+    """No kept Gauss-Jacobi rule crosses a test: a rule built under a patch of
+    `log_beta` or `_christoffel_sums` would answer later runs, and a clean one
+    kept from earlier would hide the patch."""
+    jacobi._gauss_jacobi.cache_clear()
+    yield
+    jacobi._gauss_jacobi.cache_clear()
 
 
 def test_every_check_passes_without_a_fault():

@@ -352,16 +352,17 @@ def test_unit_rule_whose_weights_underflow_is_domain_error():
                                               rf"{lost} weights that underflow"):
             gauss_jacobi_rule(m, b, domain="unit")
         assert np.all(gauss_jacobi_rule(m, b).weights >= np.finfo(float).tiny)
-    # at kappa = 0.05, (239, 159), every weight of the 120-point unit rule stays normal
+    # at kappa = 0.05, (239, 159), every weight of the 120-point unit rule stays
+    # normal; the smallest is 5.570422584e-202 by a 40-digit mpmath Christoffel sum
     unit = gauss_jacobi_rule(120, JacobiBasis(239.0, 159.0), domain="unit")
-    assert 1e-170 < unit.weights.min() < 1e-168
+    assert unit.weights.min() == pytest.approx(5.570422584e-202, rel=1e-9)
 
 
-def test_rules_of_one_size_and_basis_share_one_eigenproblem(monkeypatch):
+def test_rules_of_one_size_and_basis_share_one_factorisation(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
-    jacobi._golub_welsch.cache_clear()
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    jacobi._gauss_jacobi.cache_clear()
     b = JacobiBasis(2.0, 1.0)
     for domain in ("symmetric", "unit", "symmetric", "unit"):
         gauss_jacobi_rule(17, b, domain=domain)
@@ -377,21 +378,85 @@ def test_rule_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("alpha, beta", PARAM_GRID)
-def test_unit_rule_is_the_mapped_symmetric_rule_bitwise(alpha, beta):
+def test_rules_map_unit_nodes_and_symmetric_weights_bitwise(alpha, beta):
+    # the unit nodes and the symmetric weights are computed; the other domain's
+    # nodes and weights are their images
     b = JacobiBasis(alpha, beta)
-    jacobi._golub_welsch.cache_clear()
+    jacobi._gauss_jacobi.cache_clear()
     symmetric, unit = gauss_jacobi_rule(40, b), gauss_jacobi_rule(40, b, domain="unit")
-    assert unit.nodes.tobytes() == ((symmetric.nodes + 1.0) / 2.0).tobytes()
+    assert symmetric.nodes.tobytes() == (2.0 * unit.nodes - 1.0).tobytes()
     assert unit.weights.tobytes() == (symmetric.weights * 2.0 ** (-alpha - beta - 1.0)).tobytes()
-    jacobi._golub_welsch.cache_clear()
+    jacobi._gauss_jacobi.cache_clear()
     assert gauss_jacobi_rule(40, b, domain="unit").weights.tobytes() == unit.weights.tobytes()
 
 
-def test_signed_zero_parameters_keep_their_own_rule():
-    # at alpha = beta = 0 the one-point node is the signed zero (beta - alpha) / 2
-    plus = gauss_jacobi_rule(1, JacobiBasis(0.0, 0.0)).nodes[0]
-    minus = gauss_jacobi_rule(1, JacobiBasis(0.0, -0.0)).nodes[0]
-    assert (math.copysign(1.0, plus), math.copysign(1.0, minus)) == (1.0, -1.0)
+@pytest.mark.parametrize("m", (1, 2, 17))
+def test_signed_zero_parameters_give_one_rule(m):
+    # no node or weight reads the sign of a zero parameter, so the cache key,
+    # which cannot tell 0.0 from -0.0, needs none
+    rules = []
+    for beta in (0.0, -0.0):
+        jacobi._gauss_jacobi.cache_clear()
+        for domain in ("symmetric", "unit"):
+            rule = gauss_jacobi_rule(m, JacobiBasis(0.0, beta), domain=domain)
+            rules.append((domain, rule.nodes.tobytes(), rule.weights.tobytes()))
+    assert rules[:2] == rules[2:]
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (11.0, 7.0), (0.5019, 0.00125), (0.0, 0.0),
+                                         (-0.5, -0.5), (-0.9, 0.3)])
+def test_bidiagonal_factor_gives_the_recurrence_jacobi_matrix(alpha, beta):
+    # B B^T against the unit Jacobi matrix read off the recurrence columns
+    # a P_n = (b0 + b1 y) P_{n-1} - c P_{n-2}, with s = (1 + y) / 2
+    m = 30
+    odd, even = jacobi._chain_sequence(m, alpha, beta)
+    assert np.all(odd > 0.0) and np.all(even > 0.0)
+    lower = np.diag(np.sqrt(odd)) + np.diag(np.sqrt(even), -1)
+    jac = lower @ lower.T
+    a, b0, b1, c = jacobi._recurrence_coefficients(2, m + 1, alpha, beta)  # n = 2..m
+    apb = alpha + beta
+    assert jac[0, 0] == pytest.approx((1.0 + (beta - alpha) / (apb + 2.0)) / 2.0, rel=1e-15)
+    assert jac[1, 0] ** 2 == pytest.approx(
+        (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0)), rel=1e-14)
+    np.testing.assert_allclose(np.diag(jac)[1:], (1.0 - b0 / b1) / 2.0, rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(np.diag(jac, -1)[1:] ** 2, a[:-1] * c[1:] / (4.0 * b1[:-1] * b1[1:]),
+                               rtol=1e-14)
+    np.testing.assert_array_equal(np.triu(jac, 2), 0.0)
+
+
+def _mpmath_golub_welsch(mp, m, alpha, beta):
+    """Unit nodes and weights from mpmath's eigsy on the classical symmetric Jacobi matrix."""
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    apb = a + b
+    jac = mp.zeros(m, m)
+    jac[0, 0] = (b - a) / (apb + 2)
+    for k in range(1, m):
+        jac[k, k] = (b * b - a * a) / ((2 * k + apb) * (2 * k + apb + 2))
+        if k == 1:
+            sub = 4 * (a + 1) * (b + 1) / ((apb + 2) ** 2 * (apb + 3))
+        else:
+            q = 2 * k + apb
+            sub = 4 * k * (k + a) * (k + b) * (k + apb) / (q**2 * (q**2 - 1))
+        jac[k, k - 1] = jac[k - 1, k] = mp.sqrt(sub)
+    values, vectors = mp.eigsy(jac)
+    order = sorted(range(m), key=lambda i: values[i])
+    mass = mp.beta(a + 1, b + 1)
+    return [(values[i] + 1) / 2 for i in order], [mass * vectors[0, i] ** 2 for i in order]
+
+
+@pytest.mark.parametrize("alpha, beta", [(23.0, 15.0), (11.0, 7.0), (2.0, 1.0), (0.5019, 0.00125),
+                                         (0.0, 0.0)])
+def test_rule_matches_a_40_digit_golub_welsch(alpha, beta):
+    mp = pytest.importorskip("mpmath").mp
+    m = 24
+    jacobi._gauss_jacobi.cache_clear()
+    rule = gauss_jacobi_rule(m, JacobiBasis(alpha, beta), domain="unit")
+    with mp.workdps(40):
+        nodes, weights = _mpmath_golub_welsch(mp, m, alpha, beta)
+        node_err = max(abs(x / mp.mpf(float(y)) - 1) for x, y in zip(nodes, rule.nodes))
+        weight_err = max(abs(w / mp.mpf(float(v)) - 1) for w, v in zip(weights, rule.weights))
+    assert node_err <= 1e-14
+    assert weight_err <= 1e-12
 
 
 def test_gauss_jacobi_rule_is_a_plain_function():
