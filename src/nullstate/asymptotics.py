@@ -31,6 +31,22 @@ A_ROUNDOFF = 1e-12  # |A| below this fraction of max |delta^(-delta_minus) F| is
 SLOPE_TOL = 0.005  # pair scans: a per-level sup slope below -SLOPE_TOL is divergent
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The pair scans' level grids, as fractions of the collapse room; each call
+# scales them by collapse_room.  Module constants, read-only.
+FAR_PAIR_LEVELS = _read_only(np.geomspace(1e-6, 1e-2, 5))  # delta and eps levels
+ADJACENT_EPS_LEVELS = _read_only(np.geomspace(1e-6, 1e-2, 7))
+ADJACENT_FRACTIONS = _read_only(np.linspace(0.1, 0.9, 9))  # delta = f eps
+_MID_FRACTION = int(np.argmin(np.abs(ADJACENT_FRACTIONS - 0.5)))  # the eps-exponent fit's f
+# the column axes tiled over every row of the flat, row-major grids
+_FAR_PAIR_COLUMNS = _read_only(np.tile(FAR_PAIR_LEVELS, FAR_PAIR_LEVELS.size))
+_ADJACENT_COLUMNS = _read_only(np.tile(ADJACENT_FRACTIONS, ADJACENT_EPS_LEVELS.size))
+
+
 @dataclass(frozen=True)
 class CollapseSpec:
     """Which interval collapses (x_i -> x_{i-1}) under which weight assignment."""
@@ -195,23 +211,24 @@ class PairScanResult:
             map(math.isfinite, (self.sup_ratio, self.delta_slope, self.eps_slope)))
 
 
-def _pair_scan(F, config: PointConfig, closing, offsets, normaliser) -> tuple:
-    """Rows (delta, eps, |F|, ratio), the sup ratio and the sups per grid row and column.
+def _pair_scan(F, config: PointConfig, closing, offsets, shape, normaliser) -> tuple:
+    """Samples (delta, eps, |F|), rows (delta, eps, |F|, ratio), the sup ratio and the
+    sups per grid row and column.
 
-    closing = ((i, a), (k, b)) sets x_i = x_a + offsets[0] and x_k = x_b + offsets[1]
-    over one level grid; delta = x_i - x_a, eps = x_k - x_b after rounding, and ratio =
-    |F| / normaliser(delta, eps).  Every sup skips NaN ratios; a sup of no number is NaN.
+    closing = ((i, a), (k, b)) sets x_i = x_a + offsets[0] and x_k = x_b + offsets[1],
+    both flat over a level grid of the given shape, row-major; delta = x_i - x_a,
+    eps = x_k - x_b after rounding, and ratio = |F| / normaliser(delta, eps).  Every
+    sup skips NaN ratios; a sup of no number is NaN.
     """
     (i, a), (k, b) = closing
-    cols = _batch(config, {i: config.x(a) + offsets[0].ravel(),
-                           k: config.x(b) + offsets[1].ravel()})
+    cols = _batch(config, {i: config.x(a) + offsets[0], k: config.x(b) + offsets[1]})
     d_eff, e_eff = cols[i - 1] - cols[a - 1], cols[k - 1] - cols[b - 1]
     vals = np.abs(F(cols))
     ratio = vals / normaliser(d_eff, e_eff)
     rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
-    grid = ratio.reshape(offsets[0].shape)
+    grid = ratio.reshape(shape)
     sup = np.fmax.reduce
-    return rows, float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
+    return (d_eff, e_eff, vals), rows, float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
 
 
 def far_pair_bound_scan(
@@ -223,8 +240,9 @@ def far_pair_bound_scan(
     """Sup of |F| / (delta^dp(theta1) eps^dp(h)) over a non-adjacent pair collapse.
 
     The j-interval (x_{j-1}, x_j) closes with length delta and the anomalous
-    interval (x_{iota-1}, x_iota) with length eps.  A negative log-log slope of
-    the per-level sup marks the normalized ratio as divergent.
+    interval (x_{iota-1}, x_iota) with length eps, each over FAR_PAIR_LEVELS of
+    its room.  A negative log-log slope of the per-level sup marks the
+    normalized ratio as divergent.
     """
     iota = weights.iota
     if j < 2 or j > config.M:
@@ -235,11 +253,12 @@ def far_pair_bound_scan(
         raise PreconditionError("the anomalous interval needs iota >= 2")
     dp1 = delta_plus(weights.theta1, weights.kappa)
     dph = delta_plus(weights.h, weights.kappa)
-    deltas = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, j)
-    epsilons = np.geomspace(1e-6, 1e-2, 5) * collapse_room(config, iota)
-    rows, sup, delta_sups, eps_sups = _pair_scan(
+    n = FAR_PAIR_LEVELS.size
+    eps_room = collapse_room(config, iota)
+    deltas, epsilons = FAR_PAIR_LEVELS * collapse_room(config, j), FAR_PAIR_LEVELS * eps_room
+    _, rows, sup, delta_sups, eps_sups = _pair_scan(
         F, config, ((j, j - 1), (iota, iota - 1)),
-        np.meshgrid(deltas, epsilons, indexing="ij"),  # rows: delta-major
+        (np.repeat(deltas, n), _FAR_PAIR_COLUMNS * eps_room), (n, n),  # rows: delta-major
         lambda d, e: d**dp1 * e**dph)
     return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=_log_slope(deltas, delta_sups),
                           eps_slope=_log_slope(epsilons, eps_sups))
@@ -253,8 +272,9 @@ def adjacent_pair_bound_scan(
     """Sup of |F| / (delta^dp(theta1) eps^dp(h) (eps-delta)^dp(h)) on the triangle.
 
     Configuration shape: x_{iota-1} = x_{iota-2} + delta, x_iota = x_{iota-2} + eps
-    with delta = f eps for f = 0.1, 0.2, ..., 0.9.  Only eps is a level axis, so
-    the delta slope is 0.  Also reports the fitted eps-exponent at the middle
+    with eps over ADJACENT_EPS_LEVELS of the room and delta = f eps for f in
+    ADJACENT_FRACTIONS (0.1, 0.2, ..., 0.9).  Only eps is a level axis, so the
+    delta slope is 0.  Also reports the fitted eps-exponent at the middle
     fraction, which recovers lambda_0 - dp(theta1) - dp(h) = dp(h) for fields of
     the optimal-bound shape.
     """
@@ -263,14 +283,14 @@ def adjacent_pair_bound_scan(
         raise PreconditionError("adjacent-pair geometry needs 3 <= iota <= M")
     dp1 = delta_plus(weights.theta1, weights.kappa)
     dph = delta_plus(weights.h, weights.kappa)
-    epsilons = np.geomspace(1e-6, 1e-2, 7) * collapse_room(config, iota)
-    fractions = np.linspace(0.1, 0.9, 9)
-    grid_e, grid_f = np.meshgrid(epsilons, fractions, indexing="ij")  # rows: eps-major
-    rows, sup, eps_sups, _ = _pair_scan(
-        F, config, ((iota - 1, iota - 2), (iota, iota - 2)), (grid_f * grid_e, grid_e),
+    shape = (ADJACENT_EPS_LEVELS.size, ADJACENT_FRACTIONS.size)  # rows: eps-major
+    epsilons = ADJACENT_EPS_LEVELS * collapse_room(config, iota)
+    eps_flat = np.repeat(epsilons, shape[1])
+    samples, rows, sup, eps_sups, _ = _pair_scan(
+        F, config, ((iota - 1, iota - 2), (iota, iota - 2)),
+        (_ADJACENT_COLUMNS * eps_flat, eps_flat), shape,
         lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
-    mid = slice(int(np.argmin(np.abs(fractions - 0.5))), None, len(fractions))
-    d, e, vals, _ = np.array(rows[mid]).T
+    d, e, vals = (v[_MID_FRACTION::shape[1]] for v in samples)
     return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=0.0,
                           eps_slope=_log_slope(epsilons, eps_sups),
                           eps_exponent=_log_slope(e, vals / (d**dp1 * (e - d) ** dph)))

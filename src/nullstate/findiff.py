@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DegenerateFitError
 
 
@@ -63,8 +65,12 @@ REFINED_SECOND_GAIN = refined_second(-1.0, (1.0, -1.0, -1.0, 1.0, 1.0, 1.0), 1.0
 
 
 def line_fit(x, y) -> tuple[float, float, float, float, float]:
-    """Least squares y = a + b x on centered x: (a, b, stderr a, stderr b, rms residual)."""
-    xm, ym = x.mean(), y.mean()
+    """Least squares y = a + b x on centered x: (a, b, stderr a, stderr b, rms residual).
+
+    Each mean is np.add.reduce(v) / v.size, the arithmetic of ndarray.mean
+    (bit for bit) without its Python-level dispatch.
+    """
+    xm, ym = np.add.reduce(x) / x.size, np.add.reduce(y) / y.size
     xc = x - xm
     sxx = float(xc @ xc)
     if sxx == 0.0:

@@ -104,8 +104,14 @@ class OneIntervalGreen:
         g = self.gap
         u0 = self.value(deltas, eta)
         if method == "analytic":
+            try:
+                eta_power = eta ** (1.0 - g)
+            except OverflowError:
+                raise DomainError(
+                    f"the analytic Euler residual of J(., eta) needs eta**(1 - gap) = "
+                    f"{eta!r}**{1.0 - g!r}, which overflows at kappa={self.kappa!r}") from None
             u1 = self.slope(deltas, eta)
-            u2 = -(4.0 / self.kappa) * (g - 1.0) * deltas ** (g - 2.0) * eta ** (1.0 - g)
+            u2 = -(4.0 / self.kappa) * (g - 1.0) * deltas ** (g - 2.0) * eta_power
         else:
             u1, u2 = self._fd_derivatives(u0, deltas, eta)
         c1 = self.kappa * self.pair.delta_minus / 2.0 + 1.0

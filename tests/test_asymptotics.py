@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nullstate import (
     CollapseSpec,
@@ -364,3 +367,163 @@ def test_pure_power_range(rng):
         F = collapse_power(2, p)
         est = collapse_exponent(F, cfg, spec_for(kappa))
         assert abs(est.p_hat - p) <= 3.0 * est.stderr + 1e-9
+
+
+# -- the scans and fits as built before the module-level grids: a bitwise reference --
+
+
+def _mean_line_fit(x, y):
+    """findiff.line_fit with its means taken by ndarray.mean."""
+    xm, ym = x.mean(), y.mean()
+    xc = x - xm
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} (an exponent gap of 0?)")
+    b = float(xc @ (y - ym)) / sxx
+    resid = y - ym - b * xc
+    rss = float(resid @ resid)
+    s2 = rss / (x.size - 2) if x.size > 2 else math.inf
+    return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / x.size + xm * xm / sxx)),
+            math.sqrt(s2 / sxx), math.sqrt(rss / x.size))
+
+
+def _reference_log_slope(x, y):
+    keep = np.isfinite(y) & (y > 0.0)
+    if np.count_nonzero(keep) < 2:
+        return math.nan
+    return _mean_line_fit(np.log(x[keep]), np.log(y[keep]))[1]
+
+
+def _reference_pair_scan(F, config, closing, offsets, normaliser):
+    """Rows, sup ratio and per-row and per-column sups over np.meshgrid offsets."""
+    (i, a), (k, b) = closing
+    cols = asym._batch(config, {i: config.x(a) + offsets[0].ravel(),
+                                k: config.x(b) + offsets[1].ravel()})
+    d_eff, e_eff = cols[i - 1] - cols[a - 1], cols[k - 1] - cols[b - 1]
+    vals = np.abs(F(cols))
+    ratio = vals / normaliser(d_eff, e_eff)
+    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
+    grid = ratio.reshape(offsets[0].shape)
+    sup = np.fmax.reduce
+    return rows, float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
+
+
+def _reference_far_pair(F, config, weights, j):
+    """(rows, sup ratio, delta slope, eps slope, eps exponent), grids built per call."""
+    iota = weights.iota
+    dp1 = delta_plus(weights.theta1, weights.kappa)
+    dph = delta_plus(weights.h, weights.kappa)
+    deltas = np.geomspace(1e-6, 1e-2, 5) * asym.collapse_room(config, j)
+    epsilons = np.geomspace(1e-6, 1e-2, 5) * asym.collapse_room(config, iota)
+    rows, sup, delta_sups, eps_sups = _reference_pair_scan(
+        F, config, ((j, j - 1), (iota, iota - 1)), np.meshgrid(deltas, epsilons, indexing="ij"),
+        lambda d, e: d**dp1 * e**dph)
+    return (rows, sup, _reference_log_slope(deltas, delta_sups),
+            _reference_log_slope(epsilons, eps_sups), None)
+
+
+def _reference_adjacent_pair(F, config, weights):
+    iota = weights.iota
+    dp1 = delta_plus(weights.theta1, weights.kappa)
+    dph = delta_plus(weights.h, weights.kappa)
+    epsilons = np.geomspace(1e-6, 1e-2, 7) * asym.collapse_room(config, iota)
+    fractions = np.linspace(0.1, 0.9, 9)
+    grid_e, grid_f = np.meshgrid(epsilons, fractions, indexing="ij")
+    rows, sup, eps_sups, _ = _reference_pair_scan(
+        F, config, ((iota - 1, iota - 2), (iota, iota - 2)), (grid_f * grid_e, grid_e),
+        lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
+    mid = slice(int(np.argmin(np.abs(fractions - 0.5))), None, len(fractions))
+    d, e, vals, _ = np.array(rows[mid]).T
+    return (rows, sup, 0.0, _reference_log_slope(epsilons, eps_sups),
+            _reference_log_slope(e, vals / (d**dp1 * (e - d) ** dph)))
+
+
+def _hex(value):
+    """float.hex of every float in a nested tuple or list; None stays None."""
+    if isinstance(value, (tuple, list)):
+        return [_hex(v) for v in value]
+    return None if value is None else float(value).hex()
+
+
+def _scan_hex(scan):
+    return _hex((scan.rows, scan.sup_ratio, scan.delta_slope, scan.eps_slope, scan.eps_exponent))
+
+
+def _reference_channels(F, config, spec):
+    pair = spec.exponents()
+    eff, vals = asym._collapse_samples(F, config, spec.i)
+    scaled = vals * eff ** (-pair.delta_minus)
+    A, B, stderr_A, _, rms = _mean_line_fit(eff**pair.gap, scaled)
+    return A, B, stderr_A, rms / float(np.max(np.abs(scaled)))
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+def test_pair_scans_match_the_per_call_grids_bitwise(kappa):
+    # both far-pair fields and both adjacent shapes, at theta_2 and theta_3, on
+    # M = 5 configurations drawn as the benchmark draws them
+    for cfg in bench_configs(5, seeds=range(4)):
+        for s in (2, 3):
+            h = leg_weight(s, kappa)
+            far = WeightAssignment(kappa=kappa, iota=5, h=h)
+            for violating in (False, True):
+                F = asym.manufactured_far_pair(kappa, h, 5, 2, 5, violating=violating)
+                assert (_scan_hex(far_pair_bound_scan(F, cfg, far, j=2))
+                        == _hex(_reference_far_pair(F, cfg, far, 2)))
+            adj = WeightAssignment(kappa=kappa, iota=4, h=h)
+            for shape in ("normalized", "weak-eps"):
+                F = asym.manufactured_adjacent(kappa, h, 5, 4, shape=shape)
+                assert (_scan_hex(adjacent_pair_bound_scan(F, cfg, adj))
+                        == _hex(_reference_adjacent_pair(F, cfg, adj)))
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+def test_collapse_fits_match_the_mean_formula_bitwise(kappa):
+    # collapse_exponent of n1 and two_leg_test's channel fit on the slope route
+    # (pure powers) and on the channel route (two-term fields)
+    th1 = leg_weight(1, kappa)
+    for cfg in bench_configs(2, seeds=range(4)):
+        spec = spec_for(kappa, M=2)
+        eff, vals = asym._collapse_samples(builtin_n1(kappa), cfg, 2)
+        _, p_hat, _, stderr, _ = _mean_line_fit(np.log(eff), np.log(np.abs(vals)))
+        est = collapse_exponent(builtin_n1(kappa), cfg, spec)
+        assert _hex((est.p_hat, est.stderr)) == _hex((p_hat, stderr))
+    fields = [asym.manufactured_two_leg(kappa, 3, 2, gamma) for gamma in (0.05, -0.05)]
+    fields += [asym.manufactured_two_term(kappa, 3, 2, th1, A, 1.0) for A in (1.0, 0.0)]
+    for cfg in bench_configs(3, seeds=range(4)):
+        spec = spec_for(kappa, M=3)
+        for F in fields:
+            fit = two_leg_test(F, cfg, spec).channels
+            assert (_hex((fit.A, fit.B, fit.stderr_A, fit.misfit))
+                    == _hex(_reference_channels(F, cfg, spec)))
+
+
+@pytest.mark.parametrize("name", ("FAR_PAIR_LEVELS", "ADJACENT_EPS_LEVELS", "ADJACENT_FRACTIONS",
+                                  "_FAR_PAIR_COLUMNS", "_ADJACENT_COLUMNS"))
+def test_pair_scan_grids_are_read_only(name):
+    grid = getattr(asym, name)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
+
+
+FIT_FLOATS = st.floats(width=64, allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def fit_samples(draw):
+    n = draw(st.integers(2, 64))
+    return tuple(draw(hnp.arrays(np.float64, n, elements=FIT_FLOATS)) for _ in range(2))
+
+
+def _fit_outcome(fit, x, y):
+    """The fit's five floats as bytes, or the message of the error it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return [np.float64(v).tobytes() for v in fit(x, y)]
+        except DegenerateFitError as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_samples())
+def test_line_fit_is_the_mean_formula_bitwise(samples):
+    assert _fit_outcome(findiff.line_fit, *samples) == _fit_outcome(_mean_line_fit, *samples)

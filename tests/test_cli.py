@@ -511,6 +511,9 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
                        "(11999999999.0, 7999999998.999999) overflows"),
     ("kernel", "1e-9", "the weight mass of the 120-point rule for (alpha, beta) = "
                        "(11999999999.0, 7999999998.999999) overflows"),
+    # before any rule is built: the analytic Euler residual of J(., eta), at a gap near 8e9
+    ("green", "1e-9", "the analytic Euler residual of J(., eta) needs eta**(1 - gap) = "
+                      "0.7**-7999999997.999999, which overflows at kappa=1e-09"),
     ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
