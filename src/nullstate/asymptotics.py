@@ -82,21 +82,40 @@ def default_delta_grid(config: PointConfig, i: int) -> np.ndarray:
 
     The top of the grid sits two decades under the room so neighboring terms of
     the expansion stay subdominant; effective displacements are recomputed after
-    coordinate rounding by the samplers, so the small end is safe.
+    coordinate rounding by the samplers, so the small end is safe.  The grid is
+    np.geomspace(start, top, FIT_DECADES + 1), bit for bit: the arithmetic
+    np.geomspace does for two positive float64 ends, without its argument
+    handling (it also sets the last log to log10(top), which top then overwrites).
     """
     room = collapse_room(config, i)
     top = FIT_TOP_FRACTION * room
-    return np.geomspace(top * 10.0 ** (-FIT_DECADES), top, FIT_DECADES + 1)
+    start = top * 10.0 ** (-FIT_DECADES)
+    if start == 0.0:
+        raise DomainError(f"the collapse grid at i={i} needs a displacement of {top!r} * "
+                          f"1e-{FIT_DECADES}, which underflows to 0")
+    ls, le = np.log10(start), np.log10(top)
+    y = np.arange(FIT_DECADES + 1.0) * ((le - ls) / FIT_DECADES) + ls
+    grid = 10.0 ** y
+    grid[0], grid[-1] = start, top
+    return grid
 
 
 def _batch(config: PointConfig, moves: dict) -> np.ndarray:
-    """Batch columns of config with x_i set to moves[i]; each must stay strictly increasing."""
+    """Batch columns of config with x_i set to moves[i]; each must stay strictly increasing.
+
+    config's own rows already increase, so only a moved row and its neighbours
+    are compared.
+    """
     cols = np.repeat(config.array[:, None], np.broadcast(*moves.values()).size, axis=1)
     for i, values in moves.items():
         cols[i - 1] = values
-    bad = cols[:, ~np.all(np.diff(cols, axis=0) > 0.0, axis=0)]
-    if bad.size:
-        raise PreconditionError(f"configuration {bad[:, 0].tolist()!r} is not strictly increasing")
+    ok = True
+    # gap g lies between rows g - 1 and g (0-based): the moved row i - 1 bounds gaps i - 1 and i
+    for g in {g for i in moves for g in (i - 1, i) if 0 < g < config.M}:
+        ok = ok & (cols[g] > cols[g - 1])
+    if not ok.all():
+        raise PreconditionError(
+            f"configuration {cols[:, np.argmin(ok)].tolist()!r} is not strictly increasing")
     return cols
 
 

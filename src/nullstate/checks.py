@@ -216,8 +216,9 @@ def suite_jacobi(alpha: float, beta: float, seed: int, kernels: dict) -> list:
     checks.append(_leq("norm_vs_closed_form", _worst(
         abs(grams[n, n] - hn) / hn for n, hn in enumerate(norms)), 1e-10))
 
+    # 2 s - 1 at the unit nodes s is the symmetric rule's nodes, bit for bit, so
+    # the table at rule.nodes serves the shifted norms too
     unit = gauss_jacobi_rule(2 * N_ORTHO + 10, basis, domain="unit")
-    table = basis.eval_table(N_ORTHO, 2.0 * unit.nodes - 1.0)
     refs = [basis.shifted_norm_sq(n) for n in range(N_ORTHO + 1)]
     checks.append(_leq("shifted_norm_relation", _worst(
         abs(float(np.dot(unit.weights, table[n] ** 2)) - ref) / ref
@@ -440,10 +441,14 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     th1, th3 = leg_weight(1, kappa), leg_weight(3, kappa)
     ansatz = pde.builtin_power_product({(1, 2): -th1 - th3}, 2, name="two-point")
     cfg2 = pde.PointConfig.of(0.3, 1.9)
+    value = ansatz(cfg2.array)
+    if value == 0.0:  # every term of the identity, and so its scale, would be 0
+        raise DomainError(f"the two-point ansatz (x2 - x1)**{-th1 - th3!r} underflows to 0 "
+                          f"at x = {cfg2.coords!r}, kappa={kappa!r}")
     reps = {r.equation: r for r in pde.system_residuals(
         ansatz, cfg2, pde.WeightAssignment(kappa=kappa, iota=2, h=th3))}
     conformal = reps["ward_special_conformal"]
-    witness = -(th1 - th3) * (cfg2.x(2) - cfg2.x(1)) * ansatz(cfg2.array)
+    witness = -(th1 - th3) * (cfg2.x(2) - cfg2.x(1)) * value
     checks.append(_leq(
         "two_point_ward_witness",
         _worst((reps["ward_translation"].relative, reps["ward_dilation"].relative,

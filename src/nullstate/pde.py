@@ -283,16 +283,25 @@ def builtin_n1(kappa: float) -> CandidateFunction:
 def builtin_power_product(mu: dict, M: int, name: str = "power") -> CandidateFunction:
     """Product field prod_{i<j} (x_j - x_i)^mu[i,j] with exact derivatives.
 
-    mu maps 1-based ordered pairs (i, j) with i < j to exponents.
+    mu maps 1-based ordered pairs (i, j) with i < j to exponents.  A batch of
+    a field whose two or more pairs share one exponent takes one gathered
+    subtract, one power and one in-order product over the pairs, bit for bit
+    the pair loop (1.0 * p = p); one configuration, whose scalar powers can
+    round otherwise, and mixed exponents take the loop.
     """
     for (i, j) in mu:
         if not (1 <= i < j <= M):
             raise DomainError(f"exponent key {(i, j)!r} is not an ordered pair within 1..{M}")
     pairs = [((i - 1, j - 1), float(e)) for (i, j), e in mu.items()]
+    shared = pairs[0][1] if len(pairs) > 1 and len({e for _, e in pairs}) == 1 else None
+    lower = np.array([i for (i, _), _ in pairs], dtype=int)
+    upper = np.array([j for (_, j), _ in pairs], dtype=int)
 
     def func(xs):
-        acc = 1.0
         with np.errstate(over="ignore"):  # the checks name an infinite product; no warning
+            if shared is not None and xs.ndim == 2:
+                return np.multiply.reduce((xs[upper] - xs[lower]) ** shared, axis=0)
+            acc = 1.0
             for (i, j), e in pairs:
                 acc *= (xs[j] - xs[i]) ** e
         return acc

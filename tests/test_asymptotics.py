@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from nullstate import (
     CollapseSpec,
     DegenerateFitError,
+    DomainError,
     PointConfig,
     PreconditionError,
     WeightAssignment,
@@ -527,3 +529,69 @@ def _fit_outcome(fit, x, y):
 @given(fit_samples())
 def test_line_fit_is_the_mean_formula_bitwise(samples):
     assert _fit_outcome(findiff.line_fit, *samples) == _fit_outcome(_mean_line_fit, *samples)
+
+
+# -- the collapse grid and the batch order check as the parent built them: bitwise references --
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-298, 1e302) | st.just(math.inf))
+def test_delta_grid_is_np_geomspace_bitwise(room):
+    # the top of the grid, FIT_TOP_FRACTION * room, runs from 1e-300 to 1e300, plus inf
+    with mock.patch.object(asym, "collapse_room", lambda config, i: room), \
+            np.errstate(invalid="ignore"):
+        grid = asym.default_delta_grid(None, 2)
+        top = asym.FIT_TOP_FRACTION * room
+        want = np.geomspace(top * 10.0 ** (-asym.FIT_DECADES), top, asym.FIT_DECADES + 1)
+    assert grid.tobytes() == want.tobytes()
+
+
+def test_delta_grid_whose_smallest_displacement_underflows_is_domain_error():
+    cfg = PointConfig.of(0.0, 1e-320, 2e-320)
+    message = "the collapse grid at i=2 needs a displacement of 2e-322 * 1e-8, which underflows to 0"
+    with pytest.raises(DomainError) as exc:
+        asym.default_delta_grid(cfg, 2)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError, match="underflows to 0"):
+        collapse_exponent(builtin_n1(6.0), PointConfig.of(0.0, 1e-320, 2e-320, 1.0), spec_for(6.0, 4))
+
+
+def _reference_batch(config, moves):
+    """asym._batch with the order of every row checked."""
+    cols = np.repeat(config.array[:, None], np.broadcast(*moves.values()).size, axis=1)
+    for i, values in moves.items():
+        cols[i - 1] = values
+    bad = cols[:, ~np.all(np.diff(cols, axis=0) > 0.0, axis=0)]
+    if bad.size:
+        raise PreconditionError(f"configuration {bad[:, 0].tolist()!r} is not strictly increasing")
+    return cols
+
+
+def _batch_outcome(batch, config, moves):
+    """The batch's bytes, or the message of its refusal."""
+    try:
+        return batch(config, moves).tobytes()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+CFG5 = PointConfig.of(0.0, 1.0, 2.0, 3.0, 4.0)
+# x_i -> values; each refused case's first bad column is not its first column
+BATCH_MOVES = {
+    "left": {3: [2.5, 1.5, 0.5, 1.0]},  # x_3 crosses x_2, then lands on it
+    "right": {3: [2.5, 3.5, 3.0]},  # x_3 crosses x_4, then lands on it
+    "adjacent": {3: [2.2, 2.6, 2.5], 4: [2.8, 2.4, 2.5]},  # x_3 and x_4 cross each other
+    "first": {1: [0.5, 1.5]},
+    "last": {5: [3.5, 2.5]},
+    "far": {2: [1.5, 1.5, 1.5], 5: [4.5, 3.5, 2.5]},
+    "nan": {4: [3.5, math.nan]},
+    "increasing": {2: [0.5, 1.5], 4: [2.5, 3.5]},
+}
+
+
+@pytest.mark.parametrize("case", BATCH_MOVES)
+def test_batch_checks_the_moved_points_as_the_full_order_check_bitwise(case):
+    moves = {i: np.array(values) for i, values in BATCH_MOVES[case].items()}
+    outcome = _batch_outcome(asym._batch, CFG5, moves)
+    assert outcome == _batch_outcome(_reference_batch, CFG5, moves)
+    assert isinstance(outcome, str) == (case != "increasing")

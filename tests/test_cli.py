@@ -514,6 +514,9 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
     # before any rule is built: the analytic Euler residual of J(., eta), at a gap near 8e9
     ("green", "1e-9", "the analytic Euler residual of J(., eta) needs eta**(1 - gap) = "
                       "0.7**-7999999997.999999, which overflows at kappa=1e-09"),
+    # theta_1 + theta_3 near 1.8e10: the two-point Ward witness's ansatz is 0, and so is its scale
+    ("pde", "1e-9", "the two-point ansatz (x2 - x1)**-17999999998.0 underflows to 0 "
+                    "at x = (0.3, 1.9), kappa=1e-09"),
     ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),

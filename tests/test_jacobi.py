@@ -380,14 +380,18 @@ def test_rule_arrays_are_read_only():
 @pytest.mark.parametrize("alpha, beta", PARAM_GRID)
 def test_rules_map_unit_nodes_and_symmetric_weights_bitwise(alpha, beta):
     # the unit nodes and the symmetric weights are computed; the other domain's
-    # nodes and weights are their images
+    # nodes and weights are their images.  suite_jacobi's shifted_norm_relation
+    # relies on the nodes' identity at its rule sizes: it reads the basis table
+    # at the symmetric nodes in place of 2 s - 1 at the unit nodes s
     b = JacobiBasis(alpha, beta)
-    jacobi._gauss_jacobi.cache_clear()
-    symmetric, unit = gauss_jacobi_rule(40, b), gauss_jacobi_rule(40, b, domain="unit")
-    assert symmetric.nodes.tobytes() == (2.0 * unit.nodes - 1.0).tobytes()
-    assert unit.weights.tobytes() == (symmetric.weights * 2.0 ** (-alpha - beta - 1.0)).tobytes()
-    jacobi._gauss_jacobi.cache_clear()
-    assert gauss_jacobi_rule(40, b, domain="unit").weights.tobytes() == unit.weights.tobytes()
+    for m in (40, 80, 120):
+        jacobi._gauss_jacobi.cache_clear()
+        symmetric, unit = gauss_jacobi_rule(m, b), gauss_jacobi_rule(m, b, domain="unit")
+        assert symmetric.nodes.tobytes() == (2.0 * unit.nodes - 1.0).tobytes()
+        assert (unit.weights.tobytes()
+                == (symmetric.weights * 2.0 ** (-alpha - beta - 1.0)).tobytes())
+        jacobi._gauss_jacobi.cache_clear()
+        assert gauss_jacobi_rule(m, b, domain="unit").weights.tobytes() == unit.weights.tobytes()
 
 
 @pytest.mark.parametrize("m", (1, 2, 17))

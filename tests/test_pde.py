@@ -512,3 +512,46 @@ def test_terms_overflowing_both_ways_give_a_nan_residual_and_a_failed_sweep():
     sweep = checks.suite_pde(kappa, "power:1,2=-650", 100, 0)[0]
     assert sweep.name == "system_residuals_sweep"
     assert math.isnan(sweep.value) and not sweep.passed
+
+
+# -- the vertex product as the pair loop computes it: a bitwise reference --
+
+
+def _pair_loop(mu, xs):
+    """builtin_power_product's field as one power per pair, multiplied in mu's order."""
+    acc = 1.0
+    with np.errstate(over="ignore"):
+        for (i, j), e in mu.items():
+            acc *= (xs[j - 1] - xs[i - 1]) ** float(e)
+    return acc
+
+
+def _vertex(M, exponent):
+    """prod_{i<j} (x_j - x_i)^exponent over every pair of M points, as a mu dict."""
+    return {(i, j): exponent for i in range(1, M + 1) for j in range(i + 1, M + 1)}
+
+
+# 2/kappa on the grid; 0.5, 2 and -1 are where numpy's power takes sqrt, square and reciprocal
+SHARED_EXPONENTS = tuple(2.0 / kappa for kappa in KAPPA_GRID) + (0.5, 2.0, -1.0)
+
+
+@pytest.mark.parametrize("exponent", SHARED_EXPONENTS)
+@pytest.mark.parametrize("M", range(2, 9))
+def test_one_exponent_product_is_the_pair_loop_bitwise(M, exponent, rng):
+    mu = _vertex(M, exponent)
+    F = builtin_power_product(mu, M)
+    X = np.sort(rng.uniform(-5.0, 5.0, size=(M, 1 + 4 * M)), axis=0)
+    assert F(X).tobytes() == _pair_loop(mu, X).tobytes()
+    for xs in X.T:  # one configuration takes the loop's scalar powers
+        assert F(xs) == float(_pair_loop(mu, xs))
+
+
+def test_one_exponent_product_overflows_to_inf_without_a_warning():
+    # column 0 overflows in the product (6^400), column 1 in a power (10^400)
+    mu = _vertex(3, 400.0)
+    X = np.array([[0.0, 0.0], [1.0, 10.0], [3.0, 30.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = builtin_power_product(mu, 3)(X)
+    assert vals.tolist() == [math.inf, math.inf]
+    assert vals.tobytes() == _pair_loop(mu, X).tobytes()
