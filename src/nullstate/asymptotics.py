@@ -11,6 +11,7 @@ model does not describe is judged by its fitted log-log exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,17 +104,19 @@ def default_delta_grid(config: PointConfig, i: int) -> np.ndarray:
 def _batch(config: PointConfig, moves: dict) -> np.ndarray:
     """Batch columns of config with x_i set to moves[i]; each must stay strictly increasing.
 
-    config's own rows already increase, so only a moved row and its neighbours
-    are compared.
+    The moves are 1-D arrays of one length, the number of columns.  config's
+    own rows already increase, so only a moved row and its neighbours are
+    compared.
     """
-    cols = np.repeat(config.array[:, None], np.broadcast(*moves.values()).size, axis=1)
+    cols = np.empty((config.M, max(map(len, moves.values()))))
+    cols[...] = config.array[:, None]
     for i, values in moves.items():
         cols[i - 1] = values
     ok = True
     # gap g lies between rows g - 1 and g (0-based): the moved row i - 1 bounds gaps i - 1 and i
     for g in {g for i in moves for g in (i - 1, i) if 0 < g < config.M}:
         ok = ok & (cols[g] > cols[g - 1])
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         raise PreconditionError(
             f"configuration {cols[:, np.argmin(ok)].tolist()!r} is not strictly increasing")
     return cols
@@ -125,7 +128,10 @@ def _collapse_samples(F, config: PointConfig, i: int) -> tuple[np.ndarray, np.nd
     cols = _batch(config, {i: config.x(i - 1) + default_delta_grid(config, i)})
     eff, vals = cols[i - 1] - cols[i - 2], F(cols)
     keep = np.isfinite(vals) & (vals != 0.0)
-    if np.count_nonzero(keep) < 3:
+    kept = np.count_nonzero(keep)
+    if kept == keep.size:  # no gather needed
+        return eff, vals
+    if kept < 3:
         raise DegenerateFitError(f"candidate vanished or diverged on the collapse grid at i={i}")
     return eff[keep], vals[keep]
 
@@ -154,9 +160,10 @@ class ChannelFit:
     misfit: float  # rms residual over max |delta^(-delta_minus) F|
 
 
-def _channel_fit(eff: np.ndarray, scaled: np.ndarray, gap: float) -> ChannelFit:
+def _channel_fit(eff: np.ndarray, scaled: np.ndarray, gap: float, peak: float) -> ChannelFit:
+    """The fit of scaled = A + B eff^gap, its misfit against peak = max |scaled|."""
     A, B, stderr_A, _, rms = findiff.line_fit(eff**gap, scaled)
-    return ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / float(np.max(np.abs(scaled))))
+    return ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / peak)
 
 
 def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
@@ -168,7 +175,8 @@ def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
     """
     pair = spec.exponents()
     eff, vals = _collapse_samples(F, config, spec.i)
-    return _channel_fit(eff, vals * eff ** (-pair.delta_minus), pair.gap)
+    scaled = vals * eff ** (-pair.delta_minus)
+    return _channel_fit(eff, scaled, pair.gap, float(np.maximum.reduce(np.abs(scaled))))
 
 
 @dataclass
@@ -190,9 +198,10 @@ def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
     pair = spec.exponents()
     eff, vals = _collapse_samples(F, config, spec.i)
     scaled = vals * eff ** (-pair.delta_minus)
-    fit = _channel_fit(eff, scaled, pair.gap)
+    peak = float(np.maximum.reduce(np.abs(scaled)))
+    fit = _channel_fit(eff, scaled, pair.gap, peak)
     if fit.misfit <= MODEL_TOL:
-        floor = 3.0 * fit.stderr_A + A_ROUNDOFF * float(np.max(np.abs(scaled)))
+        floor = 3.0 * fit.stderr_A + A_ROUNDOFF * peak
         return TwoLegResult(is_two_leg=abs(fit.A) <= floor, indeterminate=False, channels=fit)
     est = _slope_fit(eff, vals)
     threshold = pair.delta_minus + (3.0 * est.stderr + TWO_LEG_TOL)
@@ -206,18 +215,26 @@ def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
 def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Slope of log y on log x over the finite positive y; NaN (not flat) if under two."""
     keep = np.isfinite(y) & (y > 0.0)
-    if np.count_nonzero(keep) < 2:
+    kept = np.count_nonzero(keep)
+    if kept < 2:
         return math.nan
-    return findiff.line_fit(np.log(x[keep]), np.log(y[keep]))[1]
+    if kept < keep.size:
+        x, y = x[keep], y[keep]
+    return findiff.line_fit(np.log(x), np.log(y))[1]
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: arrays have no truth value to compare by
 class PairScanResult:
     sup_ratio: float
-    rows: list  # (delta, eps, |F|, ratio)
+    samples: tuple  # arrays (delta, eps, |F|, ratio), one entry per grid point
     delta_slope: float  # log-log slopes of the per-level sups, NaN if not measured
     eps_slope: float
     eps_exponent: Optional[float] = None
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """(delta, eps, |F|, ratio) per grid point, as Python floats; built on first read."""
+        return list(zip(*(a.tolist() for a in self.samples)))
 
     @property
     def divergent(self) -> bool:
@@ -231,8 +248,8 @@ class PairScanResult:
 
 
 def _pair_scan(F, config: PointConfig, closing, offsets, shape, normaliser) -> tuple:
-    """Samples (delta, eps, |F|), rows (delta, eps, |F|, ratio), the sup ratio and the
-    sups per grid row and column.
+    """Samples (delta, eps, |F|, ratio), the sup ratio and the sups per grid row
+    and column.
 
     closing = ((i, a), (k, b)) sets x_i = x_a + offsets[0] and x_k = x_b + offsets[1],
     both flat over a level grid of the given shape, row-major; delta = x_i - x_a,
@@ -244,10 +261,9 @@ def _pair_scan(F, config: PointConfig, closing, offsets, shape, normaliser) -> t
     d_eff, e_eff = cols[i - 1] - cols[a - 1], cols[k - 1] - cols[b - 1]
     vals = np.abs(F(cols))
     ratio = vals / normaliser(d_eff, e_eff)
-    rows = list(zip(d_eff.tolist(), e_eff.tolist(), vals.tolist(), ratio.tolist()))
     grid = ratio.reshape(shape)
     sup = np.fmax.reduce
-    return (d_eff, e_eff, vals), rows, float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
+    return (d_eff, e_eff, vals, ratio), float(sup(ratio)), sup(grid, axis=1), sup(grid, axis=0)
 
 
 def far_pair_bound_scan(
@@ -275,11 +291,12 @@ def far_pair_bound_scan(
     n = FAR_PAIR_LEVELS.size
     eps_room = collapse_room(config, iota)
     deltas, epsilons = FAR_PAIR_LEVELS * collapse_room(config, j), FAR_PAIR_LEVELS * eps_room
-    _, rows, sup, delta_sups, eps_sups = _pair_scan(
+    samples, sup, delta_sups, eps_sups = _pair_scan(
         F, config, ((j, j - 1), (iota, iota - 1)),
         (np.repeat(deltas, n), _FAR_PAIR_COLUMNS * eps_room), (n, n),  # rows: delta-major
         lambda d, e: d**dp1 * e**dph)
-    return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=_log_slope(deltas, delta_sups),
+    return PairScanResult(sup_ratio=sup, samples=samples,
+                          delta_slope=_log_slope(deltas, delta_sups),
                           eps_slope=_log_slope(epsilons, eps_sups))
 
 
@@ -305,12 +322,12 @@ def adjacent_pair_bound_scan(
     shape = (ADJACENT_EPS_LEVELS.size, ADJACENT_FRACTIONS.size)  # rows: eps-major
     epsilons = ADJACENT_EPS_LEVELS * collapse_room(config, iota)
     eps_flat = np.repeat(epsilons, shape[1])
-    samples, rows, sup, eps_sups, _ = _pair_scan(
+    samples, sup, eps_sups, _ = _pair_scan(
         F, config, ((iota - 1, iota - 2), (iota, iota - 2)),
         (_ADJACENT_COLUMNS * eps_flat, eps_flat), shape,
         lambda d, e: d**dp1 * e**dph * (e - d) ** dph)
-    d, e, vals = (v[_MID_FRACTION::shape[1]] for v in samples)
-    return PairScanResult(sup_ratio=sup, rows=rows, delta_slope=0.0,
+    d, e, vals = (v[_MID_FRACTION::shape[1]] for v in samples[:3])
+    return PairScanResult(sup_ratio=sup, samples=samples, delta_slope=0.0,
                           eps_slope=_log_slope(epsilons, eps_sups),
                           eps_exponent=_log_slope(e, vals / (d**dp1 * (e - d) ** dph)))
 

@@ -411,7 +411,7 @@ def _random_configs(rng, B: int, M: int) -> np.ndarray:
 def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     checks = []
-    F = pde.resolve_candidate(candidate, kappa, M=2)
+    F = pde.resolve_candidate(candidate, kappa)  # a power product at its largest index
     M = F.arity or 2
     weights = pde.WeightAssignment.one_leg(kappa, M)
 

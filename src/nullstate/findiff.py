@@ -68,16 +68,27 @@ def line_fit(x, y) -> tuple[float, float, float, float, float]:
     """Least squares y = a + b x on centered x: (a, b, stderr a, stderr b, rms residual).
 
     Each mean is np.add.reduce(v) / v.size, the arithmetic of ndarray.mean
-    (bit for bit) without its Python-level dispatch.
+    (bit for bit) without its Python-level dispatch; y's is then a Python
+    float.  x's stays a numpy scalar, so the products it enters run in numpy:
+    of two NaNs, Python's float * returns one or the other depending on
+    whether the interpreter has specialised the instruction yet.  Centred
+    abscissae whose squares sum to 0 raise DegenerateFitError: equal ones
+    (an exponent gap of 0), or squares that underflow.
     """
-    xm, ym = np.add.reduce(x) / x.size, np.add.reduce(y) / y.size
-    xc = x - xm
+    n = x.size
+    xm, ym = np.add.reduce(x) / n, float(np.add.reduce(y)) / n
+    xc, yc = x - xm, y - ym
     sxx = float(xc @ xc)
     if sxx == 0.0:
-        raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} (an exponent gap of 0?)")
-    b = float(xc @ (y - ym)) / sxx
-    resid = y - ym - b * xc
+        lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
+        if lo == hi:
+            raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} "
+                                     f"(an exponent gap of 0?)")
+        raise DegenerateFitError(f"the fit abscissae span [{lo!r}, {hi!r}], but the squares "
+                                 f"of their deviations from the mean underflow to 0")
+    b = float(xc @ yc) / sxx
+    resid = yc - b * xc
     rss = float(resid @ resid)
-    s2 = rss / (x.size - 2) if x.size > 2 else math.inf  # a line through 2 points: no stderr
-    return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / x.size + xm * xm / sxx)),
-            math.sqrt(s2 / sxx), math.sqrt(rss / x.size))
+    s2 = rss / (n - 2) if n > 2 else math.inf  # a line through 2 points: no stderr
+    return (float(ym - b * xm), b, math.sqrt(s2 * (1.0 / n + xm * xm / sxx)),
+            math.sqrt(s2 / sxx), math.sqrt(rss / n))

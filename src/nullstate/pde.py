@@ -55,16 +55,22 @@ def _first_bad(X: np.ndarray, ok: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Strictly increasing coordinates x_1 < x_2 < ... < x_M."""
+    """Strictly increasing coordinates x_1 < x_2 < ... < x_M.
+
+    `array` holds the coordinates as one read-only float64 array.
+    """
 
     coords: tuple
     min_gap: float = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs = np.asarray(self.coords, dtype=float)
+        xs = np.array(self.coords, dtype=float)  # a copy: the caller's array stays writeable
         gap = _min_gaps(xs[None]).item()
+        xs.flags.writeable = False
         object.__setattr__(self, "coords", tuple(xs.tolist()))
         object.__setattr__(self, "min_gap", gap)
+        object.__setattr__(self, "array", xs)
 
     @classmethod
     def of(cls, *xs) -> "PointConfig":
@@ -73,10 +79,6 @@ class PointConfig:
     @property
     def M(self) -> int:
         return len(self.coords)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
 
     def x(self, i: int) -> float:
         """1-based coordinate access matching the math."""
@@ -113,7 +115,7 @@ class WeightAssignment:
         return cls(kappa=kappa, iota=M, h=leg_weight(1, kappa))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen init costs three times as much
 class ResidualReport:
     equation: str
     residual: float
@@ -332,8 +334,12 @@ def builtin_power_product(mu: dict, M: int, name: str = "power") -> CandidateFun
     return CandidateFunction(name=name, func=func, arity=M, grad=grad, second=second)
 
 
-def parse_power_spec(spec: str, M: int) -> CandidateFunction:
-    """Parse the compact grammar 'i,j=value;i,j=value' into a power product."""
+def parse_power_spec(spec: str, M: int | None) -> CandidateFunction:
+    """Parse the compact grammar 'i,j=value;i,j=value' into a power product.
+
+    The product takes M points or, if M is None, as many as its largest index;
+    a spec that names no pair is refused.
+    """
     mu = {}
     for piece in spec.split(";"):
         piece = piece.strip()
@@ -345,11 +351,18 @@ def parse_power_spec(spec: str, M: int) -> CandidateFunction:
             mu[(int(i_s), int(j_s))] = float(value)
         except ValueError as exc:
             raise DomainError(f"bad exponent spec {piece!r}; expected 'i,j=value'") from exc
+    if not mu:
+        raise DomainError(f"exponent spec {spec!r} names no pair; expected 'i,j=value;...'")
+    if M is None:
+        M = max(max(pair) for pair in mu)
     return builtin_power_product(mu, M, name=f"power:{spec}")
 
 
 def resolve_candidate(name: str, kappa: float, M: int | None = None) -> CandidateFunction:
-    """Look up a named builtin: 'n1', 'one', or 'power:<mu-spec>'."""
+    """Look up a named builtin: 'n1', 'one', or 'power:<mu-spec>'.
+
+    A power product takes M points, or without M as many as its largest index.
+    """
     if name == "n1":
         return builtin_n1(kappa)
     if name == "one":
@@ -360,7 +373,5 @@ def resolve_candidate(name: str, kappa: float, M: int | None = None) -> Candidat
             second=lambda xs, k: 0.0,
         )
     if name.startswith("power:"):
-        if M is None:
-            raise DomainError("power candidates need the configuration size M")
         return parse_power_spec(name[len("power:"):], M)
     raise DomainError(f"unknown candidate {name!r}")

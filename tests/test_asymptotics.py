@@ -63,6 +63,36 @@ def test_constant_field_exponent_zero():
     assert abs(est.p_hat) <= 1e-12
 
 
+def test_collapse_fit_drops_zero_and_non_finite_samples():
+    # the power 1.3 with holes at the three smallest displacements: the fit
+    # reads the six samples left, and the same field without holes agrees
+    cfg = PointConfig.of(0.0, 1.0)
+    spec = spec_for(4.0)
+    base = collapse_power(2, 1.3)
+    cut = asym.default_delta_grid(cfg, 2)[3] * 0.999
+    holes = (np.nan, 0.0, np.inf)
+    F = pde.CandidateFunction(
+        name="holed", func=lambda xs: np.select(
+            [xs[1] - xs[0] < cut / 100.0, xs[1] - xs[0] < cut / 10.0, xs[1] - xs[0] < cut],
+            holes, base.func(xs)))
+    eff, vals = asym._collapse_samples(F, cfg, 2)
+    assert eff.size == vals.size == 6 and np.all(np.isfinite(vals) & (vals != 0.0))
+    est = collapse_exponent(F, cfg, spec)
+    assert abs(est.p_hat - 1.3) <= 1e-9
+    assert abs(est.p_hat - collapse_exponent(base, cfg, spec).p_hat) <= 1e-9
+
+
+def test_log_slope_drops_non_finite_and_non_positive_sups():
+    x = np.geomspace(1e-6, 1e-2, 5)
+    y = x**1.5
+    assert asym._log_slope(x, y) == findiff.line_fit(np.log(x), np.log(y))[1]
+    for hole in (np.nan, 0.0, -1.0, np.inf):
+        holed = np.concatenate([[hole, hole], y[2:]])
+        slope = findiff.line_fit(np.log(x[2:]), np.log(y[2:]))[1]
+        assert asym._log_slope(x, holed) == slope and abs(slope - 1.5) <= 1e-12
+    assert math.isnan(asym._log_slope(x, np.array([np.nan] * 4 + [1.0])))
+
+
 @pytest.mark.parametrize("fit", (collapse_exponent, collapse_channels, two_leg_test))
 def test_degenerate_fit_raises(fit):
     F = pde.CandidateFunction(name="zero", func=lambda xs: np.zeros_like(xs[0]))
@@ -189,6 +219,15 @@ def test_channels_refuse_coincident_exponents():
         collapse_channels(F, PointConfig.of(0.0, 1.0, 2.3), spec)
 
 
+def test_fit_whose_deviations_underflow_names_its_abscissae():
+    # distinct abscissae delta^99, as at kappa = 0.08, whose centred squares underflow
+    x = np.array([0.0, 6.5e-262, 6.5e-163])
+    with pytest.raises(DegenerateFitError) as exc:
+        findiff.line_fit(x, np.array([1.0, 2.0, 3.0]))
+    assert str(exc.value) == ("the fit abscissae span [0.0, 6.5e-163], but the squares of "
+                              "their deviations from the mean underflow to 0")
+
+
 @pytest.mark.parametrize("kappa", (10.0 / 3.0, 6.0))
 def test_far_pair_scan(kappa):
     h = leg_weight(2, kappa)
@@ -253,7 +292,7 @@ def _pointwise_rows(F, config, moves, ratio):
     """The per-point loop the batched scans replaced: one F call per grid point."""
     rows = []
     for move in moves:
-        xs = config.array
+        xs = config.array.copy()
         for i, (anchor, length) in move.items():
             xs[i - 1] = xs[anchor - 1] + length
         lengths = [xs[i - 1] - xs[anchor - 1] for i, (anchor, _) in move.items()]
@@ -379,8 +418,12 @@ def _mean_line_fit(x, y):
     xm, ym = x.mean(), y.mean()
     xc = x - xm
     sxx = float(xc @ xc)
-    if sxx == 0.0:
+    if sxx == 0.0 and x.min() == x.max():
         raise DegenerateFitError(f"every fit abscissa equals {float(xm)!r} (an exponent gap of 0?)")
+    if sxx == 0.0:
+        raise DegenerateFitError(f"the fit abscissae span [{float(x.min())!r}, "
+                                 f"{float(x.max())!r}], but the squares of their deviations "
+                                 f"from the mean underflow to 0")
     b = float(xc @ (y - ym)) / sxx
     resid = y - ym - b * xc
     rss = float(resid @ resid)
@@ -449,6 +492,21 @@ def _hex(value):
 
 def _scan_hex(scan):
     return _hex((scan.rows, scan.sup_ratio, scan.delta_slope, scan.eps_slope, scan.eps_exponent))
+
+
+def test_pair_scan_rows_are_its_samples_zipped_on_first_read():
+    kappa = 6.0
+    h = leg_weight(2, kappa)
+    cfg = PointConfig.of(0.0, 1.1, 2.0, 3.3, 4.0)
+    far = asym.manufactured_far_pair(kappa, h, 5, j=2, iota=5)
+    adj = asym.manufactured_adjacent(kappa, h, 5, iota=4)
+    for scan, size in ((far_pair_bound_scan(far, cfg, WeightAssignment(kappa, 5, h), j=2), 25),
+                       (adjacent_pair_bound_scan(adj, cfg, WeightAssignment(kappa, 4, h)), 63)):
+        assert "rows" not in vars(scan)
+        d, e, vals, ratio = scan.samples
+        want = [(float(d[n]), float(e[n]), float(vals[n]), float(ratio[n])) for n in range(size)]
+        assert type(scan.rows) is list and _hex(scan.rows) == _hex(want)
+        assert scan.rows is scan.rows
 
 
 def _reference_channels(F, config, spec):

@@ -522,6 +522,10 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.02", "the 40-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
                     "has 9 weights that underflow"),
+    # three samples survive the collapse grid; their abscissae delta^99 differ,
+    # but the squares of their deviations underflow
+    ("asymptotics", "0.08", "the fit abscissae span [0.0, 6.472257176679572e-163], but the "
+                            "squares of their deviations from the mean underflow to 0"),
 ))
 def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
     assert cli.main(["verify", suite, "--kappa", kappa]) == 2

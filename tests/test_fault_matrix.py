@@ -197,6 +197,10 @@ FAULTS = {
     "asymptotics.kpz: gap + 1e-2": ({}, _wrap(
         asym, "kpz", lambda f: lambda d, kappa: dataclasses.replace(
             f(d, kappa), gap=f(d, kappa).gap + 1e-2))),
+    # the field gains a delta_plus channel 1e-4 delta^dp(d): its B grows by 1e-4
+    "asymptotics.manufactured_two_term: + 1e-4 delta^delta_plus": ({}, _wrap(
+        asym, "manufactured_two_term",
+        lambda f: lambda kappa, M, i, d, A, B: f(kappa, M, i, d, A, B + 1e-4))),
 }
 
 
@@ -389,6 +393,8 @@ MATRIX = {
             "asymptotics.decomposition_fit",
         ),
     ),
+    "asymptotics.manufactured_two_term: + 1e-4 delta^delta_plus": _both(
+        "asymptotics.decomposition_fit"),
 }
 
 # checks no fault above fails, and why

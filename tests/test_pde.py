@@ -149,7 +149,7 @@ def test_power_product_derivatives(rng):
     step = 1e-3 * cfg.min_gap
     for k in (1, 2, 3):
         def along(t):
-            xs = cfg.array
+            xs = cfg.array.copy()
             xs[k - 1] = t
             return F(xs)
 
@@ -338,6 +338,17 @@ def test_point_config_min_gap_is_hidden_field():
     assert hash(cfg) == hash((cfg.coords,))
 
 
+def test_point_config_array_is_one_read_only_copy():
+    coords = np.array([-1.0, 0.25, 0.5, 3.0])
+    cfg = PointConfig(coords)
+    assert cfg.array is cfg.array
+    assert cfg.array.dtype == np.float64 and cfg.array.tolist() == list(cfg.coords)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.array[0] = -2.0
+    coords[0] = -2.0  # the caller's array stays its own and writeable
+    assert cfg.array[0] == cfg.x(1) == -1.0
+
+
 def test_power_spec_parsing():
     F = resolve_candidate("power:1,2=0.5;2,3=-0.25", 6.0, M=3)
     xs = np.array([0.0, 1.0, 3.0])
@@ -346,6 +357,35 @@ def test_power_spec_parsing():
         resolve_candidate("power:2,1=0.5", 6.0, M=3)
     with pytest.raises(DomainError):
         resolve_candidate("nope", 6.0)
+
+
+@pytest.mark.parametrize("spec, M", (("1,2=0.5", 2), ("1,2=0.5;3,4=-1", 4), ("2,5=1", 5)))
+def test_power_spec_without_M_takes_its_largest_index(spec, M):
+    assert resolve_candidate(f"power:{spec}", 6.0).arity == M
+    assert resolve_candidate(f"power:{spec}", 6.0, M=8).arity == 8
+
+
+@pytest.mark.parametrize("spec", ("", " ; ", "2,1=0.5"))
+def test_power_spec_naming_no_ordered_pair_is_refused(spec):
+    with pytest.raises(DomainError):
+        resolve_candidate(f"power:{spec}", 6.0)
+
+
+def test_pde_suite_sweeps_a_power_product_at_its_own_M():
+    # the Coulomb-gas vertex product at M = 4 solves the null-state equations
+    # but not the Ward identities of theta_1 weights, so the sweep fails by name
+    kappa = 6.0
+    spec = ";".join(f"{i},{j}={2.0 / kappa!r}" for i in range(1, 5) for j in range(i + 1, 5))
+    sweep = checks.suite_pde(kappa, f"power:{spec}", 100, 0)[0]
+    assert sweep.name == "system_residuals_sweep" and not sweep.passed
+    assert "worst ward_" in sweep.detail and sweep.value > 1.0
+    x = sweep.detail.split(" at x = ")[1]
+    assert len(x.strip("()").split(", ")) == 4
+    configs = checks._random_configs(np.random.default_rng(0), 100, 4)
+    F = resolve_candidate(f"power:{spec}", kappa)
+    reps = [r for row in batch_residuals(F, configs, WeightAssignment.one_leg(kappa, 4))
+            for r in row if r.equation.startswith("null_state")]
+    assert max(r.relative for r in reps) < 1e-5
 
 
 @pytest.mark.parametrize("kappa", KAPPA_MODERATE)
