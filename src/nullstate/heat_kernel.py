@@ -64,6 +64,8 @@ class HeatKernel:
             )
         self.basis = JacobiBasis(alpha, beta)
         self.policy = TruncationPolicy()
+        # what `_tail_bound` reads at every degree: a, b, a + b, max(a, b), a b
+        self._tail_constants = (alpha, beta, alpha + beta, max(alpha, beta), alpha * beta)
         self._nrm: list[float] = []
         self._coef: list[float] = []  # Pbar_n^2 / nrm_n
         self._tables: dict = {}  # y bytes -> Jacobi table at y, least recently used first
@@ -111,34 +113,33 @@ class HeatKernel:
     def term_bound(self, n: int, t: float) -> float:
         """B_n = exp(-t n(n+alpha+beta+1)) Pbar_n^2 / nrm_n.
 
-        t is not checked here: callers validate it once, because this is the
-        primitive inside the `truncation_index` loop.
+        t is not checked here: callers validate it once, before they sum or
+        scan many degrees at one time.
         """
         self._ensure(n)
         return math.exp(-t * self.decay_rate(n)) * self._coef[n]
 
-    def _tail_ratio_bound(self, n: int, t: float) -> float:
-        """Upper bound on B_{m+1}/B_m valid for all m >= n; decreasing in n.
+    def _tail_bound(self, n: int, t: float) -> float:
+        """Certified bound B_n / (1 - r) on sum_{m >= n} B_m; inf where r >= 1.
 
-        Each factor of the term ratio (endpoint-value growth, norm shrinkage,
-        eigenvalue decay) is bounded by its value at m = n, where it is largest.
+        r bounds B_{m+1}/B_m for all m >= n and decreases in n: each factor of
+        the term ratio (endpoint-value growth, norm shrinkage, eigenvalue
+        decay) is bounded by its value at m = n, where it is largest.  B_n is
+        `term_bound`'s, by the same operations in the same order; the
+        `truncation_index` loop calls this once per degree, so it reads the
+        kernel's constants and not its properties.
         """
-        a, b = self.alpha, self.beta
-        apb = a + b
-        q = max(a, b)
+        a, b, apb, q, ab = self._tail_constants
         pbar_growth = ((n + 1.0 + q) / (n + 1.0)) ** 2 if q > 0.0 else 1.0
         norm_fac = (2 * n + apb + 3.0) / (2 * n + apb + 1.0)
-        ab = a * b
         if ab < 0.0:
             norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
-        return math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
-
-    def _tail_bound(self, n_terms: int, t: float) -> float:
-        """Certified bound on sum_{n >= n_terms} B_n; inf where no geometric tail holds."""
-        ratio = self._tail_ratio_bound(n_terms, t)
+        ratio = math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
         if ratio >= 1.0:
             return math.inf
-        return self.term_bound(n_terms, t) / (1.0 - ratio)
+        if len(self._coef) <= n:
+            self._ensure(n)
+        return math.exp(-t * (n * (n + a + b + 1.0))) * self._coef[n] / (1.0 - ratio)
 
     def truncation_index(self, t: float) -> tuple[int, float]:
         """Number of terms and certified tail bound for time t.
@@ -149,9 +150,11 @@ class HeatKernel:
         _check_time(t)
         tol = self.policy.tail_tol
         best = math.inf
+        tail_bound = self._tail_bound
         for n_terms in range(1, self.policy.n_max + 1):
-            tail = self._tail_bound(n_terms, t)
-            best = min(best, tail)
+            tail = tail_bound(n_terms, t)
+            if tail < best:
+                best = tail
             if tail <= tol:
                 return n_terms, tail
         raise TruncationError(

@@ -187,15 +187,19 @@ class JacobiBasis:
     def norm_sq(self, n: int) -> float:
         """h_n, the squared L^2 norm against (1-y)^alpha (1+y)^beta on [-1, 1]."""
         apb = self.alpha + self.beta
+        if n == 0 and apb + 1.0 == 0.0:
+            # h_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) = B(alpha+1, beta+1); the general
+            # form's log(2n+alpha+beta+1) and lgamma(n+alpha+beta+1) sit at their poles here
+            log_h = log_beta(self.alpha + 1.0, self.beta + 1.0)
+        else:
+            log_h = ((apb + 1.0) * math.log(2.0)
+                     + math.lgamma(n + self.alpha + 1.0)
+                     + math.lgamma(n + self.beta + 1.0)
+                     - math.log(2.0 * n + apb + 1.0)
+                     - math.lgamma(n + 1.0)
+                     - math.lgamma(n + apb + 1.0))
         try:
-            value = math.exp(
-                (apb + 1.0) * math.log(2.0)
-                + math.lgamma(n + self.alpha + 1.0)
-                + math.lgamma(n + self.beta + 1.0)
-                - math.log(2.0 * n + apb + 1.0)
-                - math.lgamma(n + 1.0)
-                - math.lgamma(n + apb + 1.0)
-            )
+            value = math.exp(log_h)
         except OverflowError:
             value = math.inf
         return self._representable("squared norm", n, value)

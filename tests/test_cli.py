@@ -543,6 +543,28 @@ def test_verify_jacobi_passes_at_small_kappa(kappa, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", (
+    ("verify", "kernel", "--alpha", "-0.5", "--beta", "-0.5"),
+    ("verify", "jacobi", "--alpha", "-0.5", "--beta", "-0.5"),
+    ("verify", "jacobi", "--alpha", "-0.3", "--beta", "-0.7"),
+    ("verify", "all", "--alpha", "-0.5", "--beta", "-0.5"),
+    ("scan", "kernel-bounds", "--alpha", "-0.5", "--beta", "-0.5"),
+))
+def test_alpha_plus_beta_minus_one_is_verified(argv, tmp_path, capsys):
+    # h_0 at alpha + beta = -1 took log and lgamma at their poles (a traceback)
+    extra = ["--output", str(tmp_path / "kb.csv")] if argv[0] == "scan" else []
+    code, out = run(capsys, *argv, "--kappa", "6", *extra)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_truncation_refusal_names_its_best_bound(capsys):
+    assert cli.main(["verify", "kernel", "--kappa", "6", "--t", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert "within 2000 terms (best bound 1.7191924451291187e-06)" in err
+    assert "Traceback" not in err
+
+
 def test_no_command_calls_an_eigensolver(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an eigensolver was called")

@@ -110,6 +110,38 @@ def test_fixed_truncation_without_geometric_tail_is_uncertified():
     assert k.value(0.3, 0.8, 1e-4, n_terms=5).tail_bound == math.inf
 
 
+TAIL_FAMILIES = ("q > 0", "q <= 0", "alpha beta < 0")
+
+
+def _kernel_family(family: str, rng) -> tuple:
+    """A seeded (alpha, beta) with q = max(alpha, beta) > 0, with q <= 0, or with alpha beta < 0."""
+    if family == "q > 0":
+        return tuple(rng.uniform(0.0, 30.0, 2).tolist())
+    if family == "q <= 0":
+        return tuple(rng.uniform(-0.5, 0.0, 2).tolist())
+    return tuple(rng.permutation([rng.uniform(-0.5, 0.0), rng.uniform(0.0, 30.0)]).tolist())
+
+
+@pytest.mark.parametrize("family", TAIL_FAMILIES)
+def test_certified_tail_is_honest_and_first(family):
+    # 15 kernels x 5 times in [2e-4, 20] per family; the certified tail sits
+    # 0-2.6% above the summed term bounds, so half of it fails the third assert
+    rng = np.random.default_rng(TAIL_FAMILIES.index(family))
+    for _ in range(15):
+        k = HeatKernel(*_kernel_family(family, rng))
+        tol = k.policy.tail_tol
+        for t in (10.0 ** rng.uniform(math.log10(2e-4), math.log10(20.0), 5)).tolist():
+            n, tail = k.truncation_index(t)
+            case = (k.alpha, k.beta, t, n)
+            assert tail == k._tail_bound(n, t) <= tol, case
+            assert all(k._tail_bound(m, t) > tol for m in range(1, n)), case
+            # past n the bounds decrease, so they are summed until negligible
+            terms = [k.term_bound(n, t)]
+            while terms[-1] > 1e-17 * terms[0]:
+                terms.append(k.term_bound(n + len(terms), t))
+            assert tail >= math.fsum(terms) * (1.0 - 1e-12), case
+
+
 def test_long_time_limit(kernel):
     limit = 1.0 / math.exp(log_beta(kernel.beta + 1.0, kernel.alpha + 1.0))
     got = kernel.value(0.25, 0.85, 60.0).value

@@ -336,6 +336,25 @@ def test_norm_that_leaves_the_floats_is_domain_error():
         JacobiBasis(2000.0, 0.0).norm_sq(3)
 
 
+@pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (-0.3, -0.7), (-0.95, -0.05), (-0.05, -0.95)])
+def test_norms_at_alpha_plus_beta_minus_one_match_mpmath(alpha, beta):
+    # at n = 0 the general form takes log(2n + alpha + beta + 1) and
+    # lgamma(n + alpha + beta + 1) at their poles; h_0 is 2^0 B(alpha + 1, beta + 1)
+    mp = pytest.importorskip("mpmath").mp
+    b = JacobiBasis(alpha, beta)
+    with mp.workdps(40):
+        a, c = mp.mpf(alpha), mp.mpf(beta)
+        for n in range(8):
+            if n == 0:
+                want = 2 ** (a + c + 1) * mp.beta(a + 1, c + 1)
+            else:
+                want = (2 ** (a + c + 1) * mp.gamma(n + a + 1) * mp.gamma(n + c + 1)
+                        / ((2 * n + a + c + 1) * mp.factorial(n) * mp.gamma(n + a + c + 1)))
+            assert abs(b.norm_sq(n) / want - 1) <= 1e-14, n
+    if alpha == beta == -0.5:
+        assert b.norm_sq(0) == pytest.approx(math.pi, rel=2e-15)
+
+
 def test_rule_whose_weight_mass_overflows_is_domain_error():
     with pytest.raises(DomainError, match=r"weight mass of the 3-point rule for \(alpha, beta\) = "
                                           r"\(2000\.0, 0\.0\) overflows"):
