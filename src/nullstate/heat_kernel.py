@@ -46,6 +46,11 @@ def _check_time(t: float) -> None:
         raise DomainError(f"kernel time must be finite and positive, got {t!r}")
 
 
+def _check_terms(n_terms: int) -> None:
+    if n_terms < 1:
+        raise DomainError(f"n_terms must be >= 1, got {n_terms!r}")
+
+
 def collapse_time(epsilon: float, eta: float, kappa: float) -> float:
     """Heat-kernel time of an interval-length ratio, t = (kappa/4) log(eta/epsilon)."""
     if epsilon <= 0.0 or eta <= 0.0:
@@ -100,7 +105,7 @@ class HeatKernel:
         y = 2.0 * np.asarray(x, dtype=float).ravel() - 1.0
         key = y.tobytes()
         table = self._tables.pop(key, None)
-        if table is None or len(table) < 2 or n_terms < 1:  # eval_table refuses n_terms < 1
+        if table is None or len(table) < 2:
             table = self.basis.eval_table(n_terms - 1, y)
         elif len(table) < n_terms:
             table = np.concatenate([table, self.basis.eval_table(n_terms - 1, y, head=table)])
@@ -165,66 +170,67 @@ class HeatKernel:
             n_terms=self.policy.n_max,
         )
 
+    def _truncation(self, t: float, n_terms: int | None) -> tuple[int, float]:
+        """(n_terms, certified tail) at time t; `truncation_index` if n_terms is None."""
+        if n_terms is None:
+            return self.truncation_index(t)
+        _check_time(t)
+        _check_terms(n_terms)
+        self._ensure(n_terms)
+        return n_terms, self._tail_bound(n_terms, t)
+
+    def _sum(self, t, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """sum_n exp(-t mu_n) left_n right_n / nrm_n over the last (degree) axis.
+
+        t is a scalar or broadcasts over the leading axes.  Each point's terms,
+        formed in this order, are one contiguous row with its own pairwise sum,
+        so a value does not depend on the route or on the other points.
+        """
+        n = np.arange(left.shape[-1], dtype=float)
+        decay = np.exp(-t * n * (n + self.alpha + self.beta + 1.0))
+        terms = np.multiply(decay * left, right, order="C")
+        terms /= np.array(self._nrm[:len(n)])
+        return terms.sum(axis=-1)
+
     def value(self, rho: float, sigma: float, t: float, n_terms: int | None = None) -> KernelValue:
         """Pointwise kernel value with its certified truncation error."""
-        if n_terms is None:
-            n_terms, tail = self.truncation_index(t)
-        else:
-            _check_time(t)
-            self._ensure(n_terms)
-            tail = self._tail_bound(n_terms, t)
-        y = np.array([2.0 * rho - 1.0, 2.0 * sigma - 1.0])
-        table = self.basis.eval_table(n_terms - 1, y)
-        n = np.arange(n_terms, dtype=float)
-        decay = np.exp(-t * n * (n + self.alpha + self.beta + 1.0))
-        nrm = np.array(self._nrm[:n_terms])
-        total = float(np.sum(decay * table[:, 0] * table[:, 1] / nrm))
-        return KernelValue(value=total, tail_bound=tail, n_terms=n_terms)
+        n_terms, tail = self._truncation(t, n_terms)
+        table = self.basis.eval_table(n_terms - 1, np.array([2.0 * rho - 1.0, 2.0 * sigma - 1.0]))
+        return KernelValue(value=float(self._sum(t, table[:, 0], table[:, 1])),
+                           tail_bound=tail, n_terms=n_terms)
 
     def values(self, rho: float, points, n_terms: int) -> list:
         """K(rho, sigma, t) with n_terms terms at each (sigma, t) of points, from one table.
 
         points are (sigma, t) pairs or the rows of an (N, 2) array.  Each value
         is bit for bit `value(rho, sigma, t, n_terms).value`: the table's
-        columns are `value`'s (both `eval_table` routes agree bit for bit),
-        each point gets its own decay row, and its terms form one contiguous
-        row with its own pairwise sum.  The table over rho and the distinct
-        sigmas, in increasing order, is kept (see `_table`), so calls whose
-        points share one set of sigmas read one table.  The first time out of
-        range, in point order, is refused.
+        columns are `value`'s (both `eval_table` routes agree bit for bit).
+        The table over rho and the distinct sigmas, in increasing order, is
+        kept (see `_table`).  The first time out of range, in point order, is
+        refused.
         """
         sigma, t = np.asarray(points, dtype=float).reshape(-1, 2).T
         in_range = (0.0 < t) & (t < math.inf)
         if not in_range.all():
             _check_time(float(t[np.argmin(in_range)]))
+        _check_terms(n_terms)
         self._ensure(n_terms)
         samples = sigma.tolist()
         sigmas = sorted(set(samples))
         col = dict(zip(sigmas, range(1, len(sigmas) + 1)))
         table = self._table(n_terms, [rho, *sigmas])
-        n = np.arange(n_terms, dtype=float)
-        decay = np.exp(-t[:, None] * n * (n + self.alpha + self.beta + 1.0))
-        nrm = np.array(self._nrm[:n_terms])
-        terms = decay * table[:, 0] * table.T[[col[s] for s in samples]] / nrm
-        return np.ascontiguousarray(terms).sum(axis=1).tolist()
+        return self._sum(t[:, None], table[:, 0], table.T[[col[s] for s in samples]]).tolist()
 
     def grid(self, rhos, sigmas, t: float, n_terms: int | None = None) -> np.ndarray:
-        """K on the product grid rhos x sigmas at a single time, vectorized.
+        """K on the product grid rhos x sigmas at one time; each cell is `value`'s float.
 
         The Jacobi tables of rhos and of sigmas are kept (see `_table`), so a
         grid at another time on the same points runs no recurrence from degree 0.
         """
-        if n_terms is None:
-            n_terms, _ = self.truncation_index(t)
-        else:
-            _check_time(t)
-            self._ensure(n_terms)
+        n_terms, _ = self._truncation(t, n_terms)
         tr = self._table(n_terms, rhos)
         ts = self._table(n_terms, sigmas)
-        n = np.arange(n_terms, dtype=float)
-        decay = np.exp(-t * n * (n + self.alpha + self.beta + 1.0))
-        nrm = np.array(self._nrm[:n_terms])
-        return np.einsum("n,ni,nj->ij", decay / nrm, tr, ts)
+        return self._sum(t, tr.T[:, None, :], ts.T[None, :, :])
 
     def cancellation_floor(self, t: float, n_terms: int) -> float:
         """Magnitude below which a computed kernel value is treated as unresolved.

@@ -151,6 +151,10 @@ FAULTS = {
     "HeatKernel.value: rho + 1e-7": ({}, _wrap(
         heat_kernel.HeatKernel, "value", lambda f: lambda self, rho, sigma, t, n_terms=None:
         f(self, rho + 1e-7, sigma, t, n_terms))),
+    # the one site where `value`, `values` and `grid` sum the series
+    "HeatKernel._sum: x (1 + 1e-6)": ({}, _wrap(
+        heat_kernel.HeatKernel, "_sum",
+        lambda f: lambda self, t, left, right: f(self, t, left, right) * (1.0 + 1e-6))),
     "HeatKernel.grid: drops the n = 0 mode": ({}, _wrap(
         heat_kernel.HeatKernel, "grid", lambda f: lambda self, rhos, sigmas, t, n_terms=None:
         f(self, rhos, sigmas, t, n_terms) - 1.0 / self._nrm[0])),
@@ -307,6 +311,10 @@ MATRIX = {
     ),
     "HeatKernel.value: rho + 1e-7": _both(
         "green.greenfunc_vs_greenfuncalt", "kernel.symmetry"),
+    "HeatKernel._sum: x (1 + 1e-6)": _both(
+        "green.greenfunc_vs_greenfuncalt", "green.reproducing_mass_identity",
+        "kernel.long_time_limit", "kernel.mass_conservation", "kernel.semigroup",
+        "kernel.single_mode_decay"),
     "HeatKernel.grid: drops the n = 0 mode": _both(
         "green.reproducing_limit_error", "green.reproducing_mass_identity",
         "kernel.bound_two_sided_on_grid", "kernel.mass_conservation", "kernel.positivity_grid",

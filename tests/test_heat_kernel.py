@@ -40,6 +40,19 @@ def test_domain_errors():
         HeatKernel(-0.6, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("n_terms", [0, -1])
+def test_fewer_than_one_term_is_refused_by_name(alpha, beta, n_terms):
+    # n_terms = 0 divided by zero in the tail bound, or blamed a jacobi degree of -1
+    k = HeatKernel(alpha, beta)
+    calls = (lambda: k.value(0.3, 0.4, 0.1, n_terms=n_terms),
+             lambda: k.values(0.3, [(0.4, 0.1)], n_terms),
+             lambda: k.grid([0.3], [0.4], 0.1, n_terms=n_terms))
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^n_terms must be >= 1, got {n_terms}$"):
+            call()
+
+
 NOT_A_TIME = (0.0, -1.0, math.nan, math.inf)
 
 
@@ -298,16 +311,15 @@ def test_bound_scan_fails_on_a_nan_cell_in_one_slice(call, monkeypatch):
 
 
 def test_grid_matches_pointwise(kernel):
-    rhos = np.array([0.1, 0.6])
-    sigmas = np.array([0.25, 0.9])
-    t = 0.07
-    n_terms, _ = kernel.truncation_index(t)
-    grid = kernel.grid(rhos, sigmas, t, n_terms=n_terms)
-    for i, r in enumerate(rhos):
-        for j, s in enumerate(sigmas):
-            assert grid[i, j] == pytest.approx(
-                kernel.value(float(r), float(s), t, n_terms=n_terms).value, rel=1e-12
-            )
+    # every cell is `value`'s float, also where the kept tables were continued
+    # (falling t) or sliced (rising t)
+    rhos = np.array([0.1, 0.37, 0.6, 0.93])
+    sigmas = np.array([0.02, 0.25, 0.5, 0.9])
+    for t in (0.07, 5e-3, 0.2):
+        grid = kernel.grid(rhos, sigmas, t)
+        for i, r in enumerate(rhos):
+            for j, s in enumerate(sigmas):
+                assert grid[i, j] == kernel.value(float(r), float(s), t).value
 
 
 def pointwise_bound_scan(kernel, T=1.0, c1=3.8, c2=4.25, n_angle=13, n_time=8, t_min=0.05):
