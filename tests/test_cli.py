@@ -76,8 +76,9 @@ def test_verify_kernel_with_explicit_params(capsys):
     assert "mass_conservation" in out
 
 
-def test_verify_corruption_fails_named_check(capsys):
-    code, out = run(capsys, "verify", "green", "--kappa", "6", "--corrupt", "lambda0=1e-6")
+@pytest.mark.parametrize("offset", ("1e-6", "1e-9"))
+def test_verify_corruption_fails_named_check(offset, capsys):
+    code, out = run(capsys, "verify", "green", "--kappa", "6", "--corrupt", f"lambda0={offset}")
     assert code == 1
     assert any("FAIL" in line and "greenfunc_vs_greenfuncalt" in line
                for line in out.splitlines())
@@ -367,6 +368,21 @@ def test_run_suite_all_is_every_suite_in_order():
     assert checks.SUITES[-1] == "all"
 
 
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_every_suite_returns_a_check(suite):
+    # Report.passed is all([]), so a suite with no check would pass having checked nothing
+    assert checks.run_suite(suite, 6.0, corrupt={}, **_verify_defaults(6.0))
+
+
+def test_reproducing_error_monotone_prints_three_decimals():
+    # as bound_two_sided_on_grid prints its ratios: round-off in the last bits of
+    # an error does not change the text
+    results = checks.run_suite("kernel", 6.0, corrupt={}, **_verify_defaults(6.0))
+    detail = {c.name: c.detail for c in results}["reproducing_error_monotone"]
+    number = r"\d\.\d{3}e[+-]\d{2}"
+    assert re.fullmatch(rf"errors \[{number}, {number}, {number}\]", detail), detail
+
+
 def test_a_pair_no_kernel_takes_still_has_its_jacobi_checks(capsys):
     # alpha in (-1, -1/2) is a Jacobi basis but no heat kernel: the jacobi suite
     # runs on a basis of its own, and `all` stops at the kernel's refusal
@@ -497,18 +513,12 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
 @pytest.mark.parametrize("suite, kappa, message", (
     ("asymptotics", "0.05", "candidate vanished or diverged on the collapse grid"),
     # a unit-domain Gauss-Jacobi rule is built before any shifted norm is read
-    ("jacobi", "0.01", "the 40-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
-                       "has 40 weights that underflow"),
     ("kernel", "0.01", "the 120-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
                        "has 120 weights that underflow"),
-    ("all", "0.01", "the 40-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
-                    "has 40 weights that underflow"),
-    ("jacobi", "0.02", "the 40-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
-                       "has 9 weights that underflow"),
+    ("all", "0.01", "the 120-point unit-domain rule for (alpha, beta) = (1199.0, 799.0) "
+                    "has 120 weights that underflow"),
     ("kernel", "0.02", "the 120-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
                        "has 62 weights that underflow"),
-    ("jacobi", "1e-9", "the weight mass of the 40-point rule for (alpha, beta) = "
-                       "(11999999999.0, 7999999998.999999) overflows"),
     ("kernel", "1e-9", "the weight mass of the 120-point rule for (alpha, beta) = "
                        "(11999999999.0, 7999999998.999999) overflows"),
     # before any rule is built: the analytic Euler residual of J(., eta), at a gap near 8e9
@@ -520,8 +530,8 @@ def test_scan_reads_and_reports_only_its_own_options(scan, tmp_path, capsys):
     ("kernel", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("green", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
     ("all", "0.05", "|P_1622| at the endpoint of parameter 239.0 overflows"),
-    ("all", "0.02", "the 40-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
-                    "has 9 weights that underflow"),
+    ("all", "0.02", "the 120-point unit-domain rule for (alpha, beta) = (599.0, 399.0) "
+                    "has 62 weights that underflow"),
     # three samples survive the collapse grid; their abscissae delta^99 differ,
     # but the squares of their deviations underflow
     ("asymptotics", "0.08", "the fit abscissae span [0.0, 6.472257176679572e-163], but the "
@@ -536,8 +546,7 @@ def test_small_kappa_is_refused_by_name(suite, kappa, message, capsys):
 
 @pytest.mark.parametrize("kappa", ("0.15", "0.12"))
 def test_verify_jacobi_passes_at_small_kappa(kappa, capsys):
-    # the norm checks read 1.56e-10 and 1.37e-10 against 1e-10 when the
-    # weights came from eigenvectors; the Christoffel weights read 2.1e-13
+    # the jacobi suite at (alpha, beta) = (79, 52.3) and (99, 65.7)
     code, out = run(capsys, "verify", "jacobi", "--kappa", kappa)
     assert code == 0
     assert "FAIL" not in out

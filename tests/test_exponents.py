@@ -84,7 +84,8 @@ def test_vieta_identities(kappa, d):
     pair = kpz(d, kappa)
     sum_ref = (kappa - 4.0) / kappa
     prod_ref = -4.0 * d / kappa
-    assert pair.vieta_sum == pytest.approx(sum_ref, abs=max(1e-12, 1e-14 * abs(sum_ref)))
+    vieta_sum = pair.delta_plus + pair.delta_minus
+    assert vieta_sum == pytest.approx(sum_ref, abs=max(1e-12, 1e-14 * abs(sum_ref)))
     assert pair.vieta_product == pytest.approx(prod_ref, abs=max(1e-12, 1e-14 * abs(prod_ref)))
     assert pair.gap >= 0.0
     assert pair.delta_minus <= pair.delta_plus

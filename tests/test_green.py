@@ -460,7 +460,7 @@ def test_reproducing_limit_pure_mode(green):
     rec = green.reproducing_limit(0.5, eps, f, etas)
     for value, eta in zip(rec.values, rec.etas):
         assert value == pytest.approx((eps / eta) ** green.lambda0 * rec.target, abs=1e-9)
-    assert np.all(np.diff(rec.errors) < 0.0)
+    assert np.all(np.diff(np.abs(rec.values - rec.target)) < 0.0)
 
 
 def test_reproducing_limit_first_order_rate(green):
@@ -469,7 +469,7 @@ def test_reproducing_limit_first_order_rate(green):
     ts = np.array([4e-2, 2e-2, 1e-2, 5e-3])
     etas = eps * np.exp(4.0 * ts / green.kappa)
     rec = green.reproducing_limit(0.5, eps, f, etas)
-    errs = rec.errors
+    errs = np.abs(rec.values - rec.target)
     # halving t roughly halves the error (first-order rate)
     rates = errs[:-1] / errs[1:]
     assert np.all(rates > 1.5)
@@ -482,7 +482,7 @@ def test_reproducing_limit_small_t_value():
     eps = 0.5
     eta = eps * math.exp(4.0 * 1e-3 / 6.0)
     rec = g.reproducing_limit(0.5, eps, f, [eta])
-    assert rec.errors[0] <= 1e-3
+    assert abs(rec.values[0] - rec.target) <= 1e-3
 
 
 def test_reproducing_rejects_divergent_transform(green):

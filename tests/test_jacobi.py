@@ -68,15 +68,21 @@ def test_norm_spot_values():
     beta_fn = math.exp(log_beta(b.beta + 1.0, b.alpha + 1.0))
     assert b.shifted_norm_sq(0) == pytest.approx(beta_fn, rel=1e-13)
     rule = gauss_jacobi_rule(20, b, domain="unit")
-    assert rule.integrate(lambda s: np.ones_like(s)) == pytest.approx(beta_fn, rel=1e-12)
+    assert float(np.sum(rule.weights)) == pytest.approx(beta_fn, rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+# the pairs of theta_2 at kappa = 0.15 and 0.12, (79, 52.3) and (99, 65.7): eigenvector
+# weights missed two of their norms by 1.56e-10 and 1.37e-10
+SMALL_KAPPA_PAIRS = [(p.alpha, p.beta)
+                     for p in (jacobi_params(leg_weight(2, k), k) for k in (0.15, 0.12))]
+
+
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID + SMALL_KAPPA_PAIRS)
 def test_shifted_norm_relation(alpha, beta):
     b = JacobiBasis(alpha, beta)
     rule = gauss_jacobi_rule(40, b, domain="unit")
     for n in range(16):
-        q = rule.integrate(lambda s: b.eval(n, 2.0 * s - 1.0) ** 2)
+        q = float(np.dot(rule.weights, b.eval(n, 2.0 * rule.nodes - 1.0) ** 2))
         assert abs(q - b.shifted_norm_sq(n)) <= 1e-12 * b.shifted_norm_sq(n)
 
 
@@ -128,15 +134,15 @@ def test_gauss_rule_exactness():
     rule = gauss_jacobi_rule(m, b)
     big = gauss_jacobi_rule(m + 20, b)
     for k in range(2 * m):
-        moment = rule.integrate(lambda y: y**k)
-        ref = big.integrate(lambda y: y**k)
+        moment = float(np.dot(rule.weights, rule.nodes**k))
+        ref = float(np.dot(big.weights, big.nodes**k))
         assert moment == pytest.approx(ref, abs=1e-13 * max(1.0, abs(ref)))
 
 
 def test_gauss_rule_orthogonality_spot():
     b = JacobiBasis(1.0 / 3.0, 1.0 / 3.0)
     rule = gauss_jacobi_rule(20, b)
-    inner = rule.integrate(lambda y: b.eval(3, y) * b.eval(5, y))
+    inner = float(np.dot(rule.weights, b.eval(3, rule.nodes) * b.eval(5, rule.nodes)))
     assert abs(inner) <= 1e-10
 
 
