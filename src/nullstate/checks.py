@@ -28,7 +28,7 @@ from .exponents import (
     weight_floor,
 )
 from .green import OneIntervalGreen, TwoIntervalGreen
-from .heat_kernel import HeatKernel, bound_ratio_scan
+from .heat_kernel import QUAD_POINTS, HeatKernel, bound_ratio_scan
 from .jacobi import JacobiBasis, gauss_jacobi_rule, log_beta
 
 KAPPA_GRID = (0.5, 2.0, 10.0 / 3.0, 4.0, 16.0 / 3.0, 6.0, 20.0 / 3.0, 7.9)
@@ -206,14 +206,11 @@ def suite_jacobi(alpha: float, beta: float, seed: int, kernels: dict) -> list:
 # -- heat kernel -------------------------------------------------------------------
 
 
-QUAD_POINTS = 120  # unit-domain Gauss-Jacobi nodes for the kernel integrals
-
-
 def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
                  kernels: dict) -> list:
     kernel = _kernel(kernels, alpha + corrupt.get("alpha", 0.0), beta + corrupt.get("beta", 0.0))
     true_basis = _basis(kernels, alpha, beta)
-    rule = gauss_jacobi_rule(QUAD_POINTS, true_basis, domain="unit")
+    rule = gauss_jacobi_rule(QUAD_POINTS, true_basis)
     rng = np.random.default_rng(seed)
     checks = []
 

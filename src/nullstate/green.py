@@ -18,7 +18,7 @@ import numpy as np
 from . import findiff
 from .errors import DomainError, PreconditionError
 from .exponents import KpzPair, delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
-from .heat_kernel import HeatKernel, collapse_time
+from .heat_kernel import QUAD_POINTS, HeatKernel, collapse_time
 from .jacobi import gauss_jacobi_rule
 
 ADMISSIBLE_SLOPE_TOL = 0.01  # steepest endpoint divergence a reproduced f may show
@@ -409,7 +409,7 @@ class TwoIntervalGreen:
         reduces to the kernel's reproducing integral applied to the transformed f.
         """
         self.check_admissible(f)
-        rule = gauss_jacobi_rule(120, self.kernel.basis, domain="unit")
+        rule = gauss_jacobi_rule(QUAD_POINTS, self.kernel.basis)
         etas = np.asarray(etas, dtype=float)
         if np.any(etas <= epsilon):
             raise PreconditionError("every eta must exceed epsilon")
@@ -417,7 +417,10 @@ class TwoIntervalGreen:
         amp = rho**self.dp_1 * (1.0 - rho) ** self.dp_h
         # f need only take a scalar: it is sampled node by node, once for every eta
         transformed = np.array([self._transformed(f, s) for s in rule.nodes], dtype=float)
-        for i, eta in enumerate(etas):
+        # smallest eta, shortest time and most terms first: the later etas
+        # take row slices of the nodes' kept table
+        for i in np.argsort(etas, kind="stable").tolist():
+            eta = etas[i]
             t = self.time(epsilon, float(eta))
             integral = self.kernel.reproducing_integral(rho, t, lambda s: transformed, rule)
             values[i] = (epsilon / eta) ** self.lambda0 * amp * integral

@@ -21,6 +21,7 @@ from .jacobi import JacobiBasis, QuadratureRule
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_N_MAX = 2000
+QUAD_POINTS = 120  # nodes of the Gauss-Jacobi rule the kernel integrals read
 # point sets whose Jacobi table a kernel keeps: the quadrature nodes, a scan's
 # angle grid and the adjoint stencil's columns, with room for a rho or two
 TABLES_KEPT = 6
@@ -99,17 +100,14 @@ class HeatKernel:
 
         The kernel keeps the tables of its TABLES_KEPT most recently used point
         sets.  A call that needs fewer degrees takes a row slice; one that
-        needs more goes on with the recurrence from the kept table's last two
-        rows.  Either way the rows are bit for bit those of a fresh table.
+        needs more rebuilds the table from degree 0.
         """
         y = 2.0 * np.asarray(x, dtype=float).ravel() - 1.0
         key = y.tobytes()
         table = self._tables.pop(key, None)
-        if table is None or len(table) < 2:
+        if table is None or len(table) < n_terms:
             table = self.basis.eval_table(n_terms - 1, y)
-        elif len(table) < n_terms:
-            table = np.concatenate([table, self.basis.eval_table(n_terms - 1, y, head=table)])
-        table.setflags(write=False)  # callers get views of it
+            table.setflags(write=False)  # callers get views of it
         self._tables[key] = table
         if len(self._tables) > TABLES_KEPT:
             del self._tables[next(iter(self._tables))]
@@ -225,7 +223,8 @@ class HeatKernel:
         """K on the product grid rhos x sigmas at one time; each cell is `value`'s float.
 
         The Jacobi tables of rhos and of sigmas are kept (see `_table`), so a
-        grid at another time on the same points runs no recurrence from degree 0.
+        grid on the same points at a time that needs no more terms runs no
+        recurrence.
         """
         n_terms, _ = self._truncation(t, n_terms)
         tr = self._table(n_terms, rhos)
@@ -247,19 +246,13 @@ class HeatKernel:
         self._ensure(n_terms)
         return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
 
-    def _nodes_row(self, rho: float, t: float, rule: QuadratureRule) -> np.ndarray:
-        """K(rho, sigma, t) at the nodes sigma of a unit-domain rule."""
-        if rule.domain != "unit":
-            raise DomainError("reproducing integral needs a unit-domain rule")
-        return self.grid(np.array([rho]), rule.nodes, t)[0]
-
     def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
         """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0.
 
         f is called once, on the array of rule nodes; a scalar result is
         broadcast over them.
         """
-        kvals = self._nodes_row(rho, t, rule)
+        kvals = self.grid(np.array([rho]), rule.nodes, t)[0]
         fvals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
         return float(np.dot(rule.weights, kvals * fvals))
 
@@ -274,7 +267,7 @@ class HeatKernel:
         degrees = np.atleast_1d(np.asarray(n))
         if degrees.size == 0 or degrees.dtype.kind not in "iu" or degrees.min() < 0:
             raise DomainError(f"jacobi degrees must be integers >= 0, got {n!r}")
-        kvals = self._nodes_row(rho, t, rule)
+        kvals = self.grid(np.array([rho]), rule.nodes, t)[0]
         modes = self._table(int(degrees.max()) + 1, rule.nodes)[degrees]
         out = [float(np.dot(rule.weights, kvals * p)) for p in modes]
         return out if np.ndim(n) else out[0]

@@ -1,13 +1,14 @@
-"""Jacobi polynomials on [-1, 1] and shifted to [0, 1], with quadrature.
+"""Jacobi polynomials on [-1, 1] and shifted to [0, 1], with quadrature on [0, 1].
 
-Evaluation goes through the stable three-term recurrence; the explicit
-gamma-function sum is kept only as a cross-check oracle (it alternates and
-loses digits past degree ~10).  Quadrature needs no eigensolver: the Jacobi
-matrix of the unit-interval weight factors as B B^T with B lower bidiagonal
-(the chain-sequence factorisation; Gautschi, Orthogonal Polynomials:
-Computation and Approximation, OUP 2004), the nodes are the squared singular
-values of B, and the weights are Christoffel weights from the orthonormal
-recurrence at the nodes, so they are positive by construction.
+Evaluation goes through the stable three-term recurrence, always from degree
+0; the explicit gamma-function sum is kept only as a cross-check oracle (it
+alternates and loses digits past degree ~10).  Quadrature needs no
+eigensolver: the Jacobi matrix of the unit-interval weight factors as B B^T
+with B lower bidiagonal (the chain-sequence factorisation; Gautschi,
+Orthogonal Polynomials: Computation and Approximation, OUP 2004), the nodes
+are the squared singular values of B, and the weights are Christoffel weights
+from the orthonormal recurrence at the nodes, so they are positive by
+construction.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class JacobiBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _coefficients(self, n_lo: int, n_max: int) -> list:
-        """Columns a, b0, b1, c of this basis's recurrence for degrees n_lo..n_max, n_lo >= 2.
+    def _coefficients(self, n_max: int) -> list:
+        """Columns a, b0, b1, c of this basis's recurrence for degrees 2..n_max.
 
         The table is built with numpy and grows by doubling, so a fresh basis
         builds only the rows it is asked for.  It is kept as float64 (32 bytes
@@ -86,23 +87,16 @@ class JacobiBasis:
             new = _recurrence_coefficients(have + 2, max(need, 2 * have) + 2, self.alpha, self.beta)
             for column, rows in zip(self._coeffs, new):
                 column.frombytes(rows.tobytes())
-        return [column[n_lo - 2:need].tolist() for column in self._coeffs]
+        return [column[:need].tolist() for column in self._coeffs]
 
-    def _rows(self, coeffs: list, n_max: int, y, seed=None):
-        """P_0(y), ..., P_n_max(y), one degree at a time; y is a Python float or an ndarray.
-
-        Given seed = (P_{k-1}(y), P_k(y)) and coeffs from degree k+1 on, the
-        recurrence goes on from those two rows and yields degrees k+1..n_max.
-        """
-        if seed is None:
-            pm1 = np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
-            yield pm1
-            if n_max == 0:
-                return
-            p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
-            yield p
-        else:
-            pm1, p = seed
+    def _rows(self, coeffs: list, n_max: int, y):
+        """P_0(y), ..., P_n_max(y), one degree at a time; y is a Python float or an ndarray."""
+        pm1 = np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
+        yield pm1
+        if n_max == 0:
+            return
+        p = (self.alpha + 1.0) + (self.alpha + self.beta + 2.0) * (y - 1.0) / 2.0
+        yield p
         for a, b0, b1, c in zip(*coeffs):
             p, pm1 = ((b0 + b1 * y) * p - c * pm1) / a, p
             yield p
@@ -113,26 +107,18 @@ class JacobiBasis:
         p = self.eval_table(n, y)[n]
         return p if y.ndim else float(p[0])
 
-    def eval_table(self, n_max: int, y, head=None) -> np.ndarray:
-        """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape.
-
-        Given `head`, this basis's table of degrees 0..k at the same y with
-        1 <= k < n_max, the recurrence goes on from its last two rows and the
-        result holds degrees k+1..n_max only, bit for bit a full table's rows.
-        """
+    def eval_table(self, n_max: int, y) -> np.ndarray:
+        """All degrees 0..n_max at once; result has shape (n_max+1,) + y.shape."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        start = 0 if head is None else len(head)
-        coeffs = self._coefficients(max(start, 2), n_max)
-        table = np.empty((n_max + 1 - start,) + y.shape)
+        coeffs = self._coefficients(n_max)
+        table = np.empty((n_max + 1,) + y.shape)
         if y.size > NARROW:
-            seed = None if head is None else (head[-2], head[-1])
-            for k, p in enumerate(self._rows(coeffs, n_max, y, seed)):
+            for k, p in enumerate(self._rows(coeffs, n_max, y)):
                 table[k] = p
             return table
         columns = table.reshape(len(table), y.size)
-        seeds = [None] * y.size if head is None else head[-2:].reshape(2, y.size).T.tolist()
-        for j, (yj, seed) in enumerate(zip(y.ravel().tolist(), seeds)):
-            columns[:, j] = list(self._rows(coeffs, n_max, yj, seed))
+        for j, yj in enumerate(y.ravel().tolist()):
+            columns[:, j] = list(self._rows(coeffs, n_max, yj))
         return table
 
     def eval_explicit_sum(self, n: int, y):
@@ -247,38 +233,24 @@ class JacobiBasis:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule: nodes/weights integrating against the basis weight exactly
-    for polynomial integrands of degree <= 2m - 1."""
+    """Gauss rule on [0, 1]: nodes/weights integrating g(s) s^beta (1-s)^alpha
+    exactly for polynomial g of degree <= 2m - 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str  # "symmetric": [-1,1] w/ rho; "unit": [0,1] w/ w
 
 
-def gauss_jacobi_rule(m: int, basis: JacobiBasis, domain: str = "symmetric") -> QuadratureRule:
-    """m-point Gauss-Jacobi rule from the bidiagonal factor of its Jacobi matrix.
+def gauss_jacobi_rule(m: int, basis: JacobiBasis) -> QuadratureRule:
+    """m-point Gauss-Jacobi rule on [0, 1] from the bidiagonal factor of its Jacobi matrix.
 
-    domain="symmetric" integrates f(y) (1-y)^alpha (1+y)^beta over [-1, 1];
-    domain="unit" integrates g(s) s^beta (1-s)^alpha over [0, 1]; a unit rule
-    with a weight that underflows to zero or a subnormal is refused.  Both read
-    one kept rule per (m, alpha, beta): unit nodes s, symmetric nodes 2s - 1
-    and symmetric weights, all read-only, since every caller shares them; the
-    unit weights are the symmetric ones times 2^(-alpha-beta-1).
+    It reads the kept rule of (m, alpha, beta), whose nodes and weights are
+    read-only, since every caller shares them.  A rule with a weight that
+    underflows to zero or a subnormal is refused.
     """
     if m < 1:
         raise DomainError(f"rule size must be >= 1, got {m!r}")
-    if domain not in ("symmetric", "unit"):
-        raise DomainError(f"unknown quadrature domain {domain!r}")
-    a, b = basis.alpha, basis.beta
-    unit_nodes, nodes, weights = _gauss_jacobi(m, a, b)
-    if domain == "unit":
-        nodes = unit_nodes
-        weights = weights * 2.0 ** (-(a + b) - 1.0)
-        lost = int(np.count_nonzero(weights < np.finfo(float).tiny))
-        if lost:
-            raise DomainError(f"the {m}-point unit-domain rule for (alpha, beta) = ({a!r}, {b!r}) "
-                              f"has {lost} weights that underflow to zero or a subnormal")
-    return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
+    nodes, weights = _gauss_jacobi(m, basis.alpha, basis.beta)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _chain_sequence(m: int, a: float, b: float) -> tuple:
@@ -314,15 +286,16 @@ def _christoffel_sums(s: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.nd
 # when --alpha or --beta names a pair other than that of h.
 @functools.lru_cache(maxsize=4)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple:
-    """Read-only unit nodes, symmetric nodes and symmetric weights of the m-point rule.
+    """Read-only nodes and weights of the m-point rule for s^b (1-s)^a on [0, 1].
 
-    The Jacobi matrix of s^b (1-s)^a on [0, 1] is B B^T, B the lower
-    bidiagonal factor of `_chain_sequence`, whose zeta are all positive for
-    a, b > -1.  The nodes are the squared singular values of B, which LAPACK's
-    dqds finds to high relative accuracy; up to m = 128 numpy's `svd` without
-    vectors stays on unblocked, scalar code and wakes no BLAS thread, where a
-    dense `eigh` of the same size does.  The weights are the symmetric weight
-    mass 2^(a+b+1) B(a+1, b+1) over the Christoffel sums at the nodes.
+    The Jacobi matrix of the weight is B B^T, B the lower bidiagonal factor of
+    `_chain_sequence`, whose zeta are all positive for a, b > -1.  The nodes
+    are the squared singular values of B, which LAPACK's dqds finds to high
+    relative accuracy; up to m = 128 numpy's `svd` without vectors stays on
+    unblocked, scalar code and wakes no BLAS thread, where a dense `eigh` of
+    the same size does.  The weights are the [-1, 1] weight mass
+    2^(a+b+1) B(a+1, b+1) over the Christoffel sums at the nodes, times
+    2^(-a-b-1); a rule with one that underflows is refused.
     """
     apb = a + b
     try:
@@ -333,14 +306,17 @@ def _gauss_jacobi(m: int, a: float, b: float) -> tuple:
     odd, even = _chain_sequence(m, a, b)
     factor = np.diag(np.sqrt(odd)) + np.diag(np.sqrt(even), 1)  # B^T, upper bidiagonal
     try:
-        unit = np.linalg.svd(factor, compute_uv=False)[::-1] ** 2
+        nodes = np.linalg.svd(factor, compute_uv=False)[::-1] ** 2
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dqds on a positive bidiagonal is tame
         raise DomainError(f"quadrature singular values failed for m={m}, "
                           f"(alpha, beta)=({a}, {b}): {exc}") from exc
     diag = odd.copy()
     diag[1:] += even
-    weights = mu0 / _christoffel_sums(unit, diag, np.sqrt(odd[:-1] * even))
-    nodes = 2.0 * unit - 1.0
-    for array in (unit, nodes, weights):
+    weights = mu0 / _christoffel_sums(nodes, diag, np.sqrt(odd[:-1] * even)) * 2.0 ** (-apb - 1.0)
+    lost = int(np.count_nonzero(weights < np.finfo(float).tiny))
+    if lost:
+        raise DomainError(f"the {m}-point unit-domain rule for (alpha, beta) = ({a!r}, {b!r}) "
+                          f"has {lost} weights that underflow to zero or a subnormal")
+    for array in (nodes, weights):
         array.flags.writeable = False
-    return unit, nodes, weights
+    return nodes, weights

@@ -72,7 +72,7 @@ checks whose sets held its own miss.
 No row does not mean no fault.  These faults fail no `verify` check, and a
 Tier-1 test catches each:
 - HeatKernel.values at rho + 1e-7:
-  test_heat_kernel.py::test_values_is_value_bit_for_bit_after_a_continuation;
+  test_heat_kernel.py::test_values_is_value_bit_for_bit_after_a_slice_and_a_rebuild;
 - asymptotics.A_ROUNDOFF = 1e-3:
   test_asymptotics.py::test_two_leg_round_off_floor_is_tight;
 - HeatKernel._tail_bound x 1e-3 or x 1e3:
@@ -132,13 +132,10 @@ def _from_degree(n0, change):
 
 
 def _renormalized(c):
-    """P_n scaled by c and h_n by c^2, which every identity homogeneous in P_n keeps.
-
-    A table continued from a kept head starts from scaled rows, so it is scaled
-    already."""
+    """P_n scaled by c and h_n by c^2, which every identity homogeneous in P_n keeps."""
     def patch(mp):
-        _wrap(jacobi.JacobiBasis, "eval_table", lambda f: lambda self, n_max, y, head=None:
-              f(self, n_max, y, head) * (c if head is None else 1.0))(mp)
+        _wrap(jacobi.JacobiBasis, "eval_table",
+              lambda f: lambda self, n_max, y: f(self, n_max, y) * c)(mp)
         _wrap(jacobi.JacobiBasis, "norm_sq", lambda f: lambda self, n: f(self, n) * c * c)(mp)
     return patch
 
@@ -243,8 +240,8 @@ FAULTS = {
     "jacobi._christoffel_sums: last term dropped": ({}, _wrap(
         jacobi, "_christoffel_sums", lambda f: lambda s, diag, off: f(s, diag, off[:-1]))),
     "jacobi.QuadratureRule: nodes + 1e-6": ({}, _wrap(
-        jacobi, "QuadratureRule", lambda cls: lambda nodes, weights, domain:
-        cls(nodes + 1e-6, weights, domain))),
+        jacobi, "QuadratureRule", lambda cls: lambda nodes, weights:
+        cls(nodes + 1e-6, weights))),
     "JacobiBasis.norm_sq: x (1 + 1e-6)": ({}, _wrap(
         jacobi.JacobiBasis, "norm_sq", lambda f: lambda self, n: f(self, n) * (1.0 + 1e-6))),
     "JacobiBasis.deriv: x (1 + 1e-4)": ({}, _wrap(

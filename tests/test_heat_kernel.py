@@ -27,7 +27,7 @@ def kernel(request):
 
 
 def unit_rule(kernel, m=120):
-    return gauss_jacobi_rule(m, kernel.basis, domain="unit")
+    return gauss_jacobi_rule(m, kernel.basis)
 
 
 def test_domain_errors():
@@ -194,7 +194,7 @@ def test_symmetry_check_names_its_worst_point(kappa):
 
 
 def test_semigroup(kernel):
-    rule = gauss_jacobi_rule(80, kernel.basis, domain="unit")
+    rule = gauss_jacobi_rule(80, kernel.basis)
     rhos = np.array([0.15, 0.5, 0.85])
     sigmas = np.array([0.3, 0.7])
     for t1, t2 in ((0.05, 0.05), (0.1, 0.4)):
@@ -311,7 +311,7 @@ def test_bound_scan_fails_on_a_nan_cell_in_one_slice(call, monkeypatch):
 
 
 def test_grid_matches_pointwise(kernel):
-    # every cell is `value`'s float, also where the kept tables were continued
+    # every cell is `value`'s float, also where the kept tables were rebuilt
     # (falling t) or sliced (rising t)
     rhos = np.array([0.1, 0.37, 0.6, 0.93])
     sigmas = np.array([0.02, 0.25, 0.5, 0.9])
@@ -409,53 +409,52 @@ def test_reproducing_integral_calls_f_once_on_the_nodes(kernel):
 
 
 @pytest.mark.parametrize("size", (3, NARROW, NARROW + 1, 120))
-def test_continued_eval_table_is_a_fresh_one(size, rng):
-    # both routes (per-point floats up to NARROW points, arrays above) go on
-    # from a head's last two rows to the rows a fresh table has there
+def test_shorter_eval_table_is_a_row_slice_of_a_longer_one(size, rng):
+    # a kept table serves fewer degrees by a row slice: on both routes (per-point
+    # floats up to NARROW points, arrays above) a row does not depend on n_max
     y = rng.uniform(-1.0, 1.0, size=size)
-    fresh = JacobiBasis(0.5, 1.4).eval_table(300, y)
-    basis = JacobiBasis(0.5, 1.4)
-    head = basis.eval_table(1, y)
-    for n_max in (2, 40, 300):
-        head = np.concatenate([head, basis.eval_table(n_max, y, head=head)])
-        assert head.tobytes() == fresh[:n_max + 1].tobytes()
+    longest = JacobiBasis(0.5, 1.4).eval_table(300, y)
+    for n_max in (1, 2, 40, 300):
+        assert JacobiBasis(0.5, 1.4).eval_table(n_max, y).tobytes() == longest[:n_max + 1].tobytes()
 
 
-def _count_continuations(monkeypatch) -> list:
-    heads = []
+def _count_tables(monkeypatch, basis, size=None) -> list:
+    """The degree counts of the tables `basis` builds, at `size` points if given."""
+    built = []
     original = JacobiBasis.eval_table
 
-    def spied(self, n_max, y, head=None):
-        if head is not None:
-            heads.append(len(head))
-        return original(self, n_max, y, head=head)
+    def spied(self, n_max, y):
+        if self is basis and size in (None, np.size(y)):
+            built.append(n_max + 1)
+        return original(self, n_max, y)
 
     monkeypatch.setattr(JacobiBasis, "eval_table", spied)
-    return heads
+    return built
 
 
 def test_grid_at_falling_then_rising_t_is_a_fresh_kernels_grid(kernel, monkeypatch):
-    # falling t needs more degrees, which continues the kept tables; rising t
+    # falling t needs more degrees, which rebuilds the kept tables; rising t
     # takes row slices of them.  Every grid is byte for byte a fresh kernel's
-    heads = _count_continuations(monkeypatch)
+    built = _count_tables(monkeypatch, kernel.basis)
     nodes = unit_rule(kernel).nodes
     rhos = np.array([0.1, 0.37, 0.9])
     for t in (0.5, 0.05, 5e-3, 1e-3, 0.01, 0.2, 2.0):
         for x, y in ((rhos, nodes), (nodes[:NARROW], nodes[:NARROW]), (rhos, rhos)):
             fresh = HeatKernel(kernel.alpha, kernel.beta).grid(x, y, t)
             assert kernel.grid(x, y, t).tobytes() == fresh.tobytes()
-    assert len(heads) == 3 * 3  # each of the three point sets grew at each falling t
+    # the three point sets are each built at the first t and rebuilt at each falling t
+    assert len(built) == 3 * 4
 
 
-def test_values_is_value_bit_for_bit_after_a_continuation(kernel, monkeypatch):
-    heads = _count_continuations(monkeypatch)
+def test_values_is_value_bit_for_bit_after_a_slice_and_a_rebuild(kernel, monkeypatch):
+    built = _count_tables(monkeypatch, kernel.basis, size=4)  # rho and three sigmas
     rho = 0.4
     points = [(s, t) for s in (0.2, 0.35, 0.61) for t in (0.02, 0.05)]
-    for n_terms in (8, 40, 25, 90):  # grows, slices, grows again
+    for n_terms in (8, 40, 25, 90):  # builds, rebuilds, slices, rebuilds
         got = kernel.values(rho, points, n_terms)
         want = [kernel.value(rho, s, t, n_terms=n_terms).value for s, t in points]
         assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert heads == [8, 40]
+    assert built == [8, 40, 90]
 
 
 def test_kernel_keeps_a_bounded_number_of_tables(rng):

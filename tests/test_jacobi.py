@@ -52,13 +52,13 @@ def test_recurrence_matches_explicit_sum(alpha, beta, rng):
 def test_orthogonality_and_norms(alpha, beta):
     b = JacobiBasis(alpha, beta)
     rule = gauss_jacobi_rule(40, b)
-    table = b.eval_table(15, rule.nodes)
+    table = b.eval_table(15, 2.0 * rule.nodes - 1.0)
     grams = (table * rule.weights) @ table.T
     for n in range(16):
-        hn = b.norm_sq(n)
+        hn = b.shifted_norm_sq(n)
         assert abs(grams[n, n] - hn) <= 1e-10 * hn
         for m in range(n):
-            assert abs(grams[m, n]) <= 1e-10 * math.sqrt(b.norm_sq(m) * hn)
+            assert abs(grams[m, n]) <= 1e-10 * math.sqrt(b.shifted_norm_sq(m) * hn)
 
 
 def test_norm_spot_values():
@@ -67,7 +67,7 @@ def test_norm_spot_values():
     # shifted zeroth norm is the Beta integral of the unit-interval weight
     beta_fn = math.exp(log_beta(b.beta + 1.0, b.alpha + 1.0))
     assert b.shifted_norm_sq(0) == pytest.approx(beta_fn, rel=1e-13)
-    rule = gauss_jacobi_rule(20, b, domain="unit")
+    rule = gauss_jacobi_rule(20, b)
     assert float(np.sum(rule.weights)) == pytest.approx(beta_fn, rel=1e-12)
 
 
@@ -80,7 +80,7 @@ SMALL_KAPPA_PAIRS = [(p.alpha, p.beta)
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID + SMALL_KAPPA_PAIRS)
 def test_shifted_norm_relation(alpha, beta):
     b = JacobiBasis(alpha, beta)
-    rule = gauss_jacobi_rule(40, b, domain="unit")
+    rule = gauss_jacobi_rule(40, b)
     for n in range(16):
         q = float(np.dot(rule.weights, b.eval(n, 2.0 * rule.nodes - 1.0) ** 2))
         assert abs(q - b.shifted_norm_sq(n)) <= 1e-12 * b.shifted_norm_sq(n)
@@ -124,8 +124,8 @@ def test_operator_residual_fd_oracle():
 
 def test_gauss_rule_midpoint():
     rule = gauss_jacobi_rule(1, JacobiBasis(0.0, 0.0))
-    assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(2.0, abs=1e-14)
+    assert rule.nodes[0] == pytest.approx(0.5, abs=1e-15)
+    assert rule.weights[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gauss_rule_exactness():
@@ -142,7 +142,8 @@ def test_gauss_rule_exactness():
 def test_gauss_rule_orthogonality_spot():
     b = JacobiBasis(1.0 / 3.0, 1.0 / 3.0)
     rule = gauss_jacobi_rule(20, b)
-    inner = float(np.dot(rule.weights, b.eval(3, rule.nodes) * b.eval(5, rule.nodes)))
+    y = 2.0 * rule.nodes - 1.0
+    inner = float(np.dot(rule.weights, b.eval(3, y) * b.eval(5, y)))
     assert abs(inner) <= 1e-10
 
 
@@ -364,22 +365,21 @@ def test_norms_at_alpha_plus_beta_minus_one_match_mpmath(alpha, beta):
 def test_rule_whose_weight_mass_overflows_is_domain_error():
     with pytest.raises(DomainError, match=r"weight mass of the 3-point rule for \(alpha, beta\) = "
                                           r"\(2000\.0, 0\.0\) overflows"):
-        gauss_jacobi_rule(3, JacobiBasis(2000.0, 0.0), domain="unit")
+        gauss_jacobi_rule(3, JacobiBasis(2000.0, 0.0))
 
 
 def test_unit_rule_whose_weights_underflow_is_domain_error():
-    # (599, 399) is the theta2 pair at kappa = 0.02: of the 120 unit weights, 39
-    # are 0.0 and 23 subnormal; the symmetric rule's weights are 2^1000 larger
+    # (599, 399) is the theta2 pair at kappa = 0.02: of the 120 weights, 39 are
+    # 0.0 and 23 subnormal
     b = JacobiBasis(599.0, 399.0)
     for m, lost in ((40, 9), (120, 62)):
         with pytest.raises(DomainError, match=rf"^the {m}-point unit-domain rule for "
                                               rf"\(alpha, beta\) = \(599\.0, 399\.0\) has "
                                               rf"{lost} weights that underflow"):
-            gauss_jacobi_rule(m, b, domain="unit")
-        assert np.all(gauss_jacobi_rule(m, b).weights >= np.finfo(float).tiny)
+            gauss_jacobi_rule(m, b)
     # at kappa = 0.05, (239, 159), every weight of the 120-point unit rule stays
     # normal; the smallest is 5.570422584e-202 by a 40-digit mpmath Christoffel sum
-    unit = gauss_jacobi_rule(120, JacobiBasis(239.0, 159.0), domain="unit")
+    unit = gauss_jacobi_rule(120, JacobiBasis(239.0, 159.0))
     assert unit.weights.min() == pytest.approx(5.570422584e-202, rel=1e-9)
 
 
@@ -389,9 +389,9 @@ def test_rules_of_one_size_and_basis_share_one_factorisation(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
     jacobi._gauss_jacobi.cache_clear()
     b = JacobiBasis(2.0, 1.0)
-    for domain in ("symmetric", "unit", "symmetric", "unit"):
-        gauss_jacobi_rule(17, b, domain=domain)
-    gauss_jacobi_rule(17, JacobiBasis(2.0, 1.0), domain="unit")
+    for _ in range(4):
+        gauss_jacobi_rule(17, b)
+    gauss_jacobi_rule(17, JacobiBasis(2.0, 1.0))
     assert calls == [17]
 
 
@@ -403,20 +403,25 @@ def test_rule_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("alpha, beta", PARAM_GRID)
-def test_rules_map_unit_nodes_and_symmetric_weights_bitwise(alpha, beta):
-    # the unit nodes and the symmetric weights are computed; the other domain's
-    # nodes and weights are their images.  suite_jacobi's shifted_norm_relation
-    # relies on the nodes' identity at its rule sizes: it reads the basis table
-    # at the symmetric nodes in place of 2 s - 1 at the unit nodes s
+def test_rule_weights_are_the_symmetric_ones_scaled_bitwise(alpha, beta):
+    # the weights are those of [-1, 1], the mass 2^(a+b+1) B(a+1, b+1) over the
+    # Christoffel sums, times 2^(-a-b-1): the arithmetic that fixes their bits
+    # and the scale at which the underflow refusal looks
     b = JacobiBasis(alpha, beta)
+    apb = alpha + beta
     for m in (40, 80, 120):
         jacobi._gauss_jacobi.cache_clear()
-        symmetric, unit = gauss_jacobi_rule(m, b), gauss_jacobi_rule(m, b, domain="unit")
-        assert symmetric.nodes.tobytes() == (2.0 * unit.nodes - 1.0).tobytes()
-        assert (unit.weights.tobytes()
-                == (symmetric.weights * 2.0 ** (-alpha - beta - 1.0)).tobytes())
+        rule = gauss_jacobi_rule(m, b)
+        odd, even = jacobi._chain_sequence(m, alpha, beta)
+        diag = odd.copy()
+        diag[1:] += even
+        sums = jacobi._christoffel_sums(rule.nodes, diag, np.sqrt(odd[:-1] * even))
+        mass = math.exp((apb + 1.0) * math.log(2.0) + log_beta(alpha + 1.0, beta + 1.0))
+        assert rule.weights.tobytes() == (mass / sums * 2.0 ** (-apb - 1.0)).tobytes()
         jacobi._gauss_jacobi.cache_clear()
-        assert gauss_jacobi_rule(m, b, domain="unit").weights.tobytes() == unit.weights.tobytes()
+        again = gauss_jacobi_rule(m, b)
+        assert again.nodes.tobytes() == rule.nodes.tobytes()
+        assert again.weights.tobytes() == rule.weights.tobytes()
 
 
 @pytest.mark.parametrize("m", (1, 2, 17))
@@ -426,10 +431,9 @@ def test_signed_zero_parameters_give_one_rule(m):
     rules = []
     for beta in (0.0, -0.0):
         jacobi._gauss_jacobi.cache_clear()
-        for domain in ("symmetric", "unit"):
-            rule = gauss_jacobi_rule(m, JacobiBasis(0.0, beta), domain=domain)
-            rules.append((domain, rule.nodes.tobytes(), rule.weights.tobytes()))
-    assert rules[:2] == rules[2:]
+        rule = gauss_jacobi_rule(m, JacobiBasis(0.0, beta))
+        rules.append((rule.nodes.tobytes(), rule.weights.tobytes()))
+    assert rules[0] == rules[1]
 
 
 @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (11.0, 7.0), (0.5019, 0.00125), (0.0, 0.0),
@@ -479,7 +483,7 @@ def test_rule_matches_a_40_digit_golub_welsch(alpha, beta):
     mp = pytest.importorskip("mpmath").mp
     m = 24
     jacobi._gauss_jacobi.cache_clear()
-    rule = gauss_jacobi_rule(m, JacobiBasis(alpha, beta), domain="unit")
+    rule = gauss_jacobi_rule(m, JacobiBasis(alpha, beta))
     with mp.workdps(40):
         nodes, weights = _mpmath_golub_welsch(mp, m, alpha, beta)
         node_err = max(abs(x / mp.mpf(float(y)) - 1) for x, y in zip(nodes, rule.nodes))

@@ -9,6 +9,11 @@ call to a function that passes its own `**kwargs` on to another call counts
 for that callee too, so `kernel_bound_scan(kernel, T=1.0)` sets
 `bound_ratio_scan`'s `T`.  Tests are not callers: an option only a test sets
 is a path the program never takes.
+
+An option that every call passes, always as the same literal, is a knob with
+one value in use: a constant, or a branch no caller takes.  A call that
+unpacks `*args` or `**kwargs` could pass anything, so a callee that has one
+is not judged.
 """
 
 import ast
@@ -112,6 +117,49 @@ def passed(trees) -> set:
     return found
 
 
+_OPAQUE = None  # a call whose arguments cannot be read off its source
+
+
+def _literal(node):
+    """The literal an argument spells, as its AST dump; a fresh object if it is none."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return object()
+    return ast.dump(node)
+
+
+def call_arguments(trees) -> dict:
+    """{callee name: per call, {position or keyword: `_literal` of the argument}, or _OPAQUE}."""
+    found = {}
+    for tree in trees:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                args = _OPAQUE
+            else:
+                args = {k: _literal(a) for k, a in enumerate(call.args)}
+                args.update((k.arg, _literal(k.value)) for k in call.keywords)
+            found.setdefault(_name(call.func), []).append(args)
+    return found
+
+
+def one_value_options(sources: dict, callers: dict) -> list:
+    """Sorted (module, line, name.parameter) of options every call passes as one literal."""
+    calls = call_arguments([ast.parse(s) for s in callers.values()])
+    flagged = []
+    for module, source in sources.items():
+        for declared in (declared_options, declared_fields):
+            for line, name, param, pos in declared(ast.parse(source)):
+                uses = calls.get(name, [])
+                if not uses or _OPAQUE in uses:
+                    continue
+                values = {args.get(param, args.get(pos)) for args in uses}
+                if len(values) == 1 and isinstance(values.pop(), str):
+                    flagged.append((module, line, f"{name}.{param}"))
+    return sorted(flagged)
+
+
 def unset_options(sources: dict, callers: dict) -> list:
     """Sorted (module, line, name.parameter) of options and fields that no caller sets."""
     seen = passed([ast.parse(s) for s in callers.values()])
@@ -152,9 +200,33 @@ def test_checker_flags_an_unset_field():
     assert unset_options({"m": src}, {"m": src, "u": "P(0, 2, e='y')\nP(0, c=[])\n"}) == []
 
 
+def test_checker_flags_an_option_with_one_value_in_use():
+    src = (
+        "def rule(m, basis, domain='symmetric', scale=1.0, name=None):\n    pass\n"
+        "def scan(kernel, t=1.0):\n    pass\n"
+        "def grid(x, n=3):\n    pass\n"
+        "def wrap(*args):\n    return grid(*args)\n"
+    )
+    use = ("rule(120, b, 'unit', scale=-2.0)\nrule(40, b, domain='unit', scale=-2.0, name=x)\n"
+           "scan(k, t=0.5)\ngrid(1, n=4)\n")
+    assert one_value_options({"m": src}, {"m": src, "u": use}) == [
+        ("m", 1, "rule.domain"), ("m", 1, "rule.scale"), ("m", 3, "scan.t"),
+    ]
+    # a second value, a call that leaves the default, or a non-literal clears it
+    more = "rule(1, b, 'symmetric', [2.0])\nscan(k)\n"
+    assert one_value_options({"m": src}, {"m": src, "u": use + more}) == []
+    assert one_value_options({"m": src}, {"m": src, "u": "scan(k, t=x)\nscan(k, t=x)\n"}) == []
+
+
 def test_every_option_has_a_caller():
     sources = {p.name: p.read_text() for p in PACKAGE}
     callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
     unset = unset_options(sources, callers)
     assert [u for u in unset if u[2] not in UNSET_FIELDS_KEPT] == []
     assert {u[2] for u in unset} == set(UNSET_FIELDS_KEPT)  # no kept entry is stale
+
+
+def test_no_option_has_one_value_in_use():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert one_value_options(sources, callers) == []
