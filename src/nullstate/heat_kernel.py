@@ -12,6 +12,7 @@ decreases in n.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,25 @@ def collapse_time(epsilon: float, eta: float, kappa: float) -> float:
 
 
 class HeatKernel:
-    """Evaluator for K^(alpha,beta); immutable parameters, append-only caches."""
+    """Evaluator for K^(alpha,beta); immutable parameters, append-only caches.
+
+    Every per-degree constant sits in a float64 column (`array("d")`) indexed
+    by the degree n, each entry computed once and never changed:
+    - `_nrm`: nrm_n, the squared shifted norm;
+    - `_coef`: Pbar_n^2 / nrm_n, the term bound's t-independent factor;
+    - `_rate`: n(n + alpha + beta + 1), the decay eigenvalue (`decay_rate`);
+    - `_step`: 2n + alpha + beta + 2, the tail ratio's eigenvalue gap;
+    - `_growth`: ((n + 1 + q) / (n + 1))^2 with q = max(alpha, beta), or 1
+      where q <= 0, the tail ratio's endpoint-value growth;
+    - `_shrink`: (2n + alpha + beta + 3) / (2n + alpha + beta + 1), times
+      1 - alpha beta / ((n + 1 + alpha)(n + 1 + beta)) where alpha beta < 0,
+      the tail ratio's norm shrinkage.
+    `_nrm` and `_coef` read the basis (`_ensure`) one degree at a time and
+    only as far as a caller asks, since a norm or an endpoint value may
+    overflow at degrees no caller certifies.  The other four are arithmetic
+    (`_extend`) and grow by doubling.  A column's numpy view (`_sum`) lives
+    for one expression only, since an `array` cannot grow while it is viewed.
+    """
 
     def __init__(self, alpha: float, beta: float):
         if alpha < -0.5 or beta < -0.5:
@@ -70,10 +89,12 @@ class HeatKernel:
             )
         self.basis = JacobiBasis(alpha, beta)
         self.policy = TruncationPolicy()
-        # what `_tail_bound` reads at every degree: a, b, a + b, max(a, b), a b
-        self._tail_constants = (alpha, beta, alpha + beta, max(alpha, beta), alpha * beta)
-        self._nrm: list[float] = []
-        self._coef: list[float] = []  # Pbar_n^2 / nrm_n
+        self._nrm = array("d")
+        self._coef = array("d")
+        self._rate = array("d")
+        self._step = array("d")
+        self._growth = array("d")
+        self._shrink = array("d")
         self._tables: dict = {}  # y bytes -> Jacobi table at y, least recently used first
 
     @property
@@ -89,11 +110,34 @@ class HeatKernel:
         return n * (n + self.alpha + self.beta + 1.0)
 
     def _ensure(self, n: int) -> None:
+        """Grow `_nrm` and `_coef` to degree n, one degree at a time."""
         while len(self._coef) <= n:
             m = len(self._coef)
-            self._nrm.append(self.basis.shifted_norm_sq(m))
+            nrm = self.basis.shifted_norm_sq(m)
             pbar = self.basis.endpoint_max(m)
-            self._coef.append(pbar * pbar / self._nrm[-1])
+            self._nrm.append(nrm)
+            self._coef.append(pbar * pbar / nrm)
+
+    def _extend(self, n: int) -> None:
+        """Grow `_rate`, `_step`, `_growth` and `_shrink` to at least degree n.
+
+        Degree 0 of `_growth` and `_shrink` is a placeholder, 1 and inf: no
+        tail is certified from degree 0, and at alpha + beta = -1 the norm
+        factor would divide by zero there.
+        """
+        m = len(self._rate)
+        if m > n:
+            return
+        a, b = self.alpha, self.beta
+        apb, q, ab = a + b, max(a, b), a * b
+        for k in range(m, max(n + 1, 2 * m)):
+            self._rate.append(k * (k + a + b + 1.0))
+            self._step.append(2 * k + apb + 2.0)
+            self._growth.append(((k + 1.0 + q) / (k + 1.0)) ** 2 if q > 0.0 and k else 1.0)
+            shrink = (2 * k + apb + 3.0) / (2 * k + apb + 1.0) if k else math.inf
+            if ab < 0.0:
+                shrink *= 1.0 - ab / ((k + 1.0 + a) * (k + 1.0 + b))
+            self._shrink.append(shrink)
 
     def _table(self, n_terms: int, x) -> np.ndarray:
         """Degrees 0..n_terms-1 of the Jacobi table at y = 2x - 1, for the points x.
@@ -120,29 +164,28 @@ class HeatKernel:
         scan many degrees at one time.
         """
         self._ensure(n)
-        return math.exp(-t * self.decay_rate(n)) * self._coef[n]
+        self._extend(n)
+        return math.exp(-t * self._rate[n]) * self._coef[n]
 
     def _tail_bound(self, n: int, t: float) -> float:
         """Certified bound B_n / (1 - r) on sum_{m >= n} B_m; inf where r >= 1.
 
-        r bounds B_{m+1}/B_m for all m >= n and decreases in n: each factor of
-        the term ratio (endpoint-value growth, norm shrinkage, eigenvalue
-        decay) is bounded by its value at m = n, where it is largest.  B_n is
-        `term_bound`'s, by the same operations in the same order; the
-        `truncation_index` loop calls this once per degree, so it reads the
-        kernel's constants and not its properties.
+        r = exp(-t (2n + alpha + beta + 2)) * growth_n * shrink_n bounds
+        B_{m+1}/B_m for all m >= n and decreases in n: each factor of the term
+        ratio (eigenvalue decay, endpoint-value growth, norm shrinkage) is
+        bounded by its value at m = n, where it is largest.  Every factor but
+        t's is a column entry (see `HeatKernel`), so a call is two exps, a
+        product and a quotient; B_n is `term_bound`'s.  The norms are read
+        only where r < 1.
         """
-        a, b, apb, q, ab = self._tail_constants
-        pbar_growth = ((n + 1.0 + q) / (n + 1.0)) ** 2 if q > 0.0 else 1.0
-        norm_fac = (2 * n + apb + 3.0) / (2 * n + apb + 1.0)
-        if ab < 0.0:
-            norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
-        ratio = math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
+        if len(self._rate) <= n:
+            self._extend(n)
+        ratio = math.exp(-t * self._step[n]) * self._growth[n] * self._shrink[n]
         if ratio >= 1.0:
             return math.inf
         if len(self._coef) <= n:
             self._ensure(n)
-        return math.exp(-t * (n * (n + a + b + 1.0))) * self._coef[n] / (1.0 - ratio)
+        return math.exp(-t * self._rate[n]) * self._coef[n] / (1.0 - ratio)
 
     def truncation_index(self, t: float) -> tuple[int, float]:
         """Number of terms and certified tail bound for time t.
@@ -187,7 +230,7 @@ class HeatKernel:
         n = np.arange(left.shape[-1], dtype=float)
         decay = np.exp(-t * n * (n + self.alpha + self.beta + 1.0))
         terms = np.multiply(decay * left, right, order="C")
-        terms /= np.array(self._nrm[:len(n)])
+        terms /= np.frombuffer(self._nrm, count=len(n))  # a view, dropped at once
         return terms.sum(axis=-1)
 
     def value(self, rho: float, sigma: float, t: float, n_terms: int | None = None) -> KernelValue:
@@ -244,7 +287,9 @@ class HeatKernel:
         """
         _check_time(t)
         self._ensure(n_terms)
-        return 1e-10 * sum(self.term_bound(n, t) for n in range(n_terms))
+        self._extend(n_terms)
+        rate, coef = self._rate, self._coef
+        return 1e-10 * sum(math.exp(-t * rate[n]) * coef[n] for n in range(n_terms))
 
     def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
         """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0.

@@ -107,14 +107,18 @@ def test_tail_bound_is_honest(kernel):
     assert abs(long - short) <= tail
 
 
+def reference_term_bound(k, n, t):
+    """B_n from the basis, degree by degree: the reference for the kernel's columns."""
+    pbar = k.basis.endpoint_max(n)
+    return math.exp(-t * k.decay_rate(n)) * (pbar * pbar / k.basis.shifted_norm_sq(n))
+
+
 @pytest.mark.parametrize("alpha, beta", [(39.0, 25.7), (1.0, 1.0 / 3.0)])
 def test_term_bound_reads_endpoint_max(alpha, beta):
     k = HeatKernel(alpha, beta)
     for t in (1e-4, 0.05):
         for n in range(1501):
-            pbar = k.basis.endpoint_max(n)
-            want = math.exp(-t * k.decay_rate(n)) * (pbar * pbar / k.basis.shifted_norm_sq(n))
-            assert k.term_bound(n, t) == want
+            assert k.term_bound(n, t) == reference_term_bound(k, n, t)
 
 
 def test_fixed_truncation_without_geometric_tail_is_uncertified():
@@ -153,6 +157,83 @@ def test_certified_tail_is_honest_and_first(family):
             while terms[-1] > 1e-17 * terms[0]:
                 terms.append(k.term_bound(n + len(terms), t))
             assert tail >= math.fsum(terms) * (1.0 - 1e-12), case
+
+
+def reference_truncation(k, t):
+    """`truncation_index` by per-degree arithmetic, the reference for the columns.
+
+    Every factor of the tail ratio is computed at each degree; the norms and
+    endpoint values are read only where the ratio is below 1.  Returns
+    (n_terms, tail), or the type and text of the error the loop raises.
+    """
+    a, b = k.alpha, k.beta
+    apb, q, ab = a + b, max(a, b), a * b
+    tol, best = k.policy.tail_tol, math.inf
+    try:
+        for n in range(1, k.policy.n_max + 1):
+            pbar_growth = ((n + 1.0 + q) / (n + 1.0)) ** 2 if q > 0.0 else 1.0
+            norm_fac = (2 * n + apb + 3.0) / (2 * n + apb + 1.0)
+            if ab < 0.0:
+                norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
+            ratio = math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
+            tail = math.inf
+            if ratio < 1.0:
+                pbar = k.basis.endpoint_max(n)
+                coef = pbar * pbar / k.basis.shifted_norm_sq(n)
+                tail = math.exp(-t * (n * (n + a + b + 1.0))) * coef / (1.0 - ratio)
+            best = min(best, tail)
+            if tail <= tol:
+                return n, tail
+    except DomainError as err:
+        return "DomainError", str(err)
+    return "TruncationError", (
+        f"could not certify tail <= {tol!r} at t={t!r} within {k.policy.n_max} terms "
+        f"(best bound {best!r}); t is too small for the series route")
+
+
+def _truncation_or_error(k, t):
+    try:
+        return k.truncation_index(t)
+    except (DomainError, TruncationError) as err:
+        return type(err).__name__, str(err)
+
+
+def _pair(kappa, s):
+    params = jacobi_params(leg_weight(s, kappa), kappa)
+    return params.alpha, params.beta
+
+
+REFERENCE_CASES = [
+    ((-0.5, -0.5), 1e-3),  # alpha + beta = -1: the norm factor's pole sits at degree 0
+    ((-0.5, -0.5), 0.3),
+    (_pair(0.5, 3), 2e-4),  # (31, 15) at 1239 terms
+    (_pair(6.0, 2), 1e-5),  # refused: best bound 1.72e-6 after 2000 terms
+    (_pair(0.1, 2), 1e-3),  # refused: (119, 79), best bound 1.72e-10
+    (_pair(0.05, 2), 1e-3),  # refused: |P_1622| overflows at (239, 159)
+]
+
+
+@pytest.mark.parametrize("family", TAIL_FAMILIES)
+def test_truncation_index_is_the_reference_loop_bit_for_bit(family):
+    # a seeded (alpha, beta, t) grid per family, and the named cases: the same
+    # (n_terms, tail) bit for bit, or the same error text; each kernel is asked
+    # at rising and then falling t, so its columns are read after they grew
+    rng = np.random.default_rng(100 + TAIL_FAMILIES.index(family))
+    cases = [(_kernel_family(family, rng), 10.0 ** rng.uniform(-5.0, 1.0, 6)) for _ in range(6)]
+    if family == TAIL_FAMILIES[0]:
+        cases += [(pair, np.array([t])) for pair, t in REFERENCE_CASES]
+    for pair, ts in cases:
+        k = HeatKernel(*pair)
+        for t in sorted(ts.tolist()) + sorted(ts.tolist(), reverse=True):
+            got, want = _truncation_or_error(k, t), reference_truncation(HeatKernel(*pair), t)
+            assert repr(got) == repr(want), (pair, t)
+            if isinstance(got[0], str):
+                continue
+            n_terms = got[0]
+            floor = 1e-10 * sum(reference_term_bound(k, n, t) for n in range(n_terms))
+            assert k.cancellation_floor(t, n_terms).hex() == floor.hex(), (pair, t)
+            for n in (0, 1, n_terms - 1, n_terms, 2 * n_terms + 7):
+                assert k.term_bound(n, t).hex() == reference_term_bound(k, n, t).hex(), (pair, t, n)
 
 
 def test_long_time_limit(kernel):
@@ -455,6 +536,26 @@ def test_values_is_value_bit_for_bit_after_a_slice_and_a_rebuild(kernel, monkeyp
         want = [kernel.value(rho, s, t, n_terms=n_terms).value for s, t in points]
         assert [v.hex() for v in got] == [v.hex() for v in want]
     assert built == [8, 40, 90]
+
+
+def test_columns_grow_after_sum_read_them(kernel):
+    # `_sum` divides by a view of the norm column, and an `array` that is
+    # viewed cannot grow (BufferError): after each sum the next, smaller t
+    # grows every column, and each value is bit for bit a fresh kernel's
+    rho, sigmas = 0.35, np.array([0.1, 0.6, 0.92])
+    lengths = []
+    for t in (0.05, 0.5, 2.0, 0.2, 0.01, 2e-3, 4e-4):
+        n_terms, _ = kernel.truncation_index(t)
+        fresh = HeatKernel(kernel.alpha, kernel.beta)
+        got = [kernel.value(rho, 0.6, t).value,
+               *kernel.values(rho, [(s, t) for s in sigmas.tolist()], n_terms),
+               *kernel.grid([rho], sigmas, t).ravel().tolist()]
+        want = [fresh.value(rho, 0.6, t).value,
+                *fresh.values(rho, [(s, t) for s in sigmas.tolist()], n_terms),
+                *fresh.grid([rho], sigmas, t).ravel().tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in want], t
+        lengths.append((len(kernel._nrm), len(kernel._shrink)))
+    assert lengths[-1][0] > lengths[3][0] and lengths[-1][1] > lengths[3][1]
 
 
 def test_kernel_keeps_a_bounded_number_of_tables(rng):
