@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """dataclasses.asdict's dict, built without its deep copy of every field."""
+        return {"name": self.name, "value": self.value, "tolerance": self.tolerance,
+                "passed": self.passed, "detail": self.detail}
 
 
 @dataclass
@@ -365,7 +367,7 @@ def suite_pde(kappa: float, candidate: str, n_configs: int, seed: int) -> list:
     # the partials system_residuals reads, from its own stencil at a wider step
     probe = pde.builtin_power_product({(1, 2): 0.6, (1, 3): -0.4, (2, 3): 1.3}, 3)
     cfg3 = pde.PointConfig.of(-0.7, 0.4, 1.9)
-    _, fd1, fd2 = pde._stencil(probe, cfg3.array[None], [1e-3 * cfg3.min_gap])[0]
+    _, [fd1], [fd2] = pde._stencil(probe, cfg3.array[None], [1e-3 * cfg3.min_gap], arrays=False)
     worst_stencil = _worst(
         abs(fd - exact) / max(abs(exact), 1.0)
         for k in (1, 2, 3)
@@ -550,7 +552,8 @@ def run_suite(
     }
     if name != "all":
         return runners[name]()
-    return [replace(c, name=f"{sub}.{c.name}") for sub, run in runners.items() for c in run()]
+    return [CheckResult(f"{sub}.{c.name}", c.value, c.tolerance, c.passed, c.detail)
+            for sub, run in runners.items() for c in run()]
 
 
 def build_report(command: str, params: dict, checks: list, started: float, seed: int) -> Report:

@@ -20,6 +20,9 @@ from .errors import DomainError, PreconditionError
 from .exponents import check_kappa, leg_weight
 
 STEP_FACTOR = 1e-4  # stencil step as a fraction of the minimum gap
+# rows from which a batch's jet and terms are arrays; the row loop on Python
+# floats is faster below about 9 rows at M = 2, 5 at M = 5 and 3 at M = 8
+BATCH_ROWS = 8
 
 
 def _min_gaps(X: np.ndarray) -> np.ndarray:
@@ -174,28 +177,39 @@ def _wing_pattern(M: int) -> np.ndarray:
     return pattern
 
 
-def _stencil(F, X: np.ndarray, hs: list) -> list[tuple[float, list, list]]:
+def _stencil(F, X: np.ndarray, hs: list, arrays: bool) -> tuple:
     """F and all its first and second partials at each row of X, from one F call.
 
     X is a (B, M) array of configurations and hs their B steps.  Row b owns
     1 + 4M columns of the batch: x first, then x with x_k moved by -2h, -h, +h,
-    +2h for k = 1..M.  Returns one (F, first partials, second partials) per
-    row, on Python floats.  Every equation of the system reads its partials
-    from here, and the pde suite's `stencil_vs_analytic` checks them against
-    exact partials.
+    +2h for k = 1..M.  Returns the jet (F, first partials, second partials),
+    indexed [b] and [b][k - 1]: as lists of Python floats, or with `arrays` as
+    float64 arrays of shape (B,), (B, M) and (B, M), whose elements are the
+    lists' floats bit for bit wherever the floats' / raises nothing.  Every
+    equation of the system reads its partials from here, and the pde suite's
+    `stencil_vs_analytic` checks them against exact partials.
     """
     B, M = X.shape
     n = 1 + 4 * M
+    h = np.array(hs)
     # (M, B, 1 + 4M): coordinate, row, sample
-    cols = X.T[:, :, None] + _wing_pattern(M)[:, None, :] * np.array(hs)[:, None]
-    vals = F(cols.reshape(M, B * n)).tolist()
-    out = []
+    cols = X.T[:, :, None] + _wing_pattern(M)[:, None, :] * h[:, None]
+    vals = F(cols.reshape(M, B * n))
+    if arrays:
+        vals = vals.reshape(B, n)
+        f0, wings = vals[:, 0], vals[:, 1:].reshape(B, M, 4).transpose(2, 0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats take inf
+            return (f0, findiff.first(wings, h[:, None]),
+                    findiff.second(f0[:, None], wings, h[:, None]))
+    vals = vals.tolist()
+    fs, grads, seconds = [], [], []
     for b, h in enumerate(hs):
         f0 = vals[b * n]
         wings = [vals[b * n + 1 + 4 * k : b * n + 5 + 4 * k] for k in range(M)]
-        out.append((f0, [findiff.first(w, h) for w in wings],
-                    [findiff.second(f0, w, h) for w in wings]))
-    return out
+        fs.append(f0)
+        grads.append([findiff.first(w, h) for w in wings])
+        seconds.append([findiff.second(f0, w, h) for w in wings])
+    return fs, grads, seconds
 
 
 # -- residuals ----------------------------------------------------------------
@@ -219,8 +233,11 @@ def batch_residuals(F, X, weights: WeightAssignment) -> list[list[ResidualReport
     """`system_residuals` at each row of a (B, M) array of configurations.
 
     A row is refused as PointConfig refuses it.  The B (1 + 4M) stencil
-    samples of every row go to F in one call; each row's equations are then
-    assembled on its own, exactly as `system_residuals` assembles them.
+    samples of every row go to F in one call.  Below BATCH_ROWS rows each
+    row's equations are assembled on its own on Python floats; from BATCH_ROWS
+    on, the jet and every term are float64 arrays built in the same operation
+    order, and each (row, equation) keeps its own math.fsum.  Either way every
+    row is `system_residuals` on its configuration bit for bit.
     """
     X = np.asarray(X, dtype=float)
     return _residuals(F, X, _min_gaps(X).tolist(), weights)
@@ -235,8 +252,14 @@ def _fsum(terms: list) -> float:
 
 
 def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
-    """The reports of every row of X, whose minimum gaps are `gaps`."""
-    M = X.shape[1]
+    """The reports of every row of X, whose minimum gaps are `gaps`.
+
+    A batch of BATCH_ROWS rows or more takes its jet and terms as arrays
+    (`_batch_terms`), unless a coordinate reaches 1e150 or a gap falls to
+    1e-150: there the row loop's ** and / can raise (a square that overflows,
+    a squared step or gap that underflows to 0), and the loop raises it.
+    """
+    B, M = X.shape
     if weights.iota > M:
         raise DomainError(f"iota={weights.iota} outside 1..{M}")
     hs = [STEP_FACTOR * gap for gap in gaps]
@@ -248,9 +271,20 @@ def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
     js = [j for j in range(M) if weights.homogeneous or j + 1 != weights.iota]
     names = [f"null_state[{j + 1}]" for j in js]
     names += ["ward_translation", "ward_dilation", "ward_special_conformal"]
-    rows = []
     quarter = weights.kappa / 4.0
-    for xs, (fval, grad, second), h in zip(X.tolist(), _stencil(F, X, hs), hs):
+    arrays = B >= BATCH_ROWS and float(np.abs(X).max()) < 1e150 and min(gaps) > 1e-150
+    jet = _stencil(F, X, hs, arrays)
+    if arrays:
+        groups = _batch_terms(X, *jet, np.array(ws), js, quarter)
+        scales = np.concatenate([_scales(g).reshape(B, -1) for g in groups], axis=1)
+        nulls, trans, dil, conf = (g.tolist() for g in groups)
+        return [
+            [ResidualReport(name, _fsum(terms), scale, h)
+             for name, terms, scale in zip(names, [*n, t, d, c], row_scales)]
+            for n, t, d, c, row_scales, h in zip(nulls, trans, dil, conf, scales.tolist(), hs)
+        ]
+    rows = []
+    for xs, fval, grad, second, h in zip(X.tolist(), *jet, hs):
         potentials = [-w * fval for w in ws]
         equations = []
         for j in js:
@@ -272,6 +306,36 @@ def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
             for name, terms in zip(names, equations)
         ])
     return rows
+
+
+def _batch_terms(X, fval, grad, second, ws, js, quarter):
+    """The row loop's terms as arrays, each element by the loop's own operations.
+
+    Returns the null-state terms (B, len(js), 2M - 1) and the translation
+    (B, M), dilation (B, 2M) and special conformal (B, 2M) terms, each last
+    axis in the loop's order.  Squares are libm's pow, as Python's x**2 takes
+    them: numpy's x * x differs in the last bit on about one double in a
+    thousand.
+    """
+    B, M = X.shape
+    ks = np.array([[k for k in range(M) if k != j] for j in js])  # (len(js), M - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats take inf
+        dx = X[:, ks] - X[:, js, None]
+        potentials = -ws * fval[:, None]
+        pairs = np.stack([grad[:, ks] / dx, potentials[:, ks] / np.float_power(dx, 2.0)],
+                         axis=-1)
+        nulls = np.concatenate([quarter * second[:, js, None], pairs.reshape(B, len(js), -1)],
+                               axis=-1)
+        f = fval[:, None]
+        return (nulls, grad, np.concatenate([X * grad, ws * f], axis=1),
+                np.concatenate([np.float_power(X, 2.0) * grad, 2.0 * ws * X * f], axis=1))
+
+
+def _scales(terms: np.ndarray) -> np.ndarray:
+    """max(map(abs, t)) of each last-axis row t: NaN only where t's first term is."""
+    scale = np.fmax.reduce(np.abs(terms), axis=-1)
+    scale[np.isnan(terms[..., 0])] = np.nan
+    return scale
 
 
 # -- builtin candidates ---------------------------------------------------------

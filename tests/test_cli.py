@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -350,6 +351,13 @@ def _verify_defaults(kappa: float) -> dict:
     params = jacobi_params(h, kappa)
     return dict(h=h, alpha=params.alpha, beta=params.beta, candidate="n1", n_configs=100,
                 seed=0, t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0))
+
+
+@pytest.mark.parametrize("kappa", (6.0, 2.0))
+def test_check_result_dict_is_asdict_for_every_check(kappa):
+    # the literal dict stands in for dataclasses.asdict, value for value and key for key
+    for c in checks.run_suite("all", kappa, corrupt={}, **_verify_defaults(kappa)):
+        assert list(c.to_dict().items()) == list(dataclasses.asdict(c).items())
 
 
 def _records(results, prefix: str = "") -> list:

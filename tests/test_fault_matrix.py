@@ -57,7 +57,9 @@ checks whose sets held its own miss.
 - The null-state and Ward system: pde.system_residuals_sweep on one-leg
   weights, and pde.two_point_ward_witness, the one reader of an anomalous
   weight h (WeightAssignment.weight: h ignored).  Its stencil:
-  pde.stencil_vs_analytic (the partials x (1 + 1e-7)).  n1's scale:
+  pde.stencil_vs_analytic (the partials x (1 + 1e-7)).  The sweep's array
+  assembly of a batch: pde.system_residuals_sweep alone (its first
+  translation term x (1 + 1e-5), at kappa = 2).  n1's scale:
   pde.n1_collapse_normalization (n1 x 2).
 - Collapse fits: asymptotics.n1_collapse_exponent (the slope fit),
   asymptotics.decomposition_fit (a delta_plus channel),
@@ -178,10 +180,22 @@ def _biased_slope(f):
 
 
 def _scaled_partials(f):
-    def stencil(F, X, hs):
-        return [(f0, [g * (1.0 + 1e-7) for g in grads], [s * (1.0 + 1e-7) for s in seconds])
-                for f0, grads, seconds in f(F, X, hs)]
+    def stencil(F, X, hs, arrays):
+        fs, grads, seconds = f(F, X, hs, arrays)
+        if arrays:
+            return fs, grads * (1.0 + 1e-7), seconds * (1.0 + 1e-7)
+        return (fs, [[g * (1.0 + 1e-7) for g in row] for row in grads],
+                [[s * (1.0 + 1e-7) for s in row] for row in seconds])
     return stencil
+
+
+def _scaled_first_translation_term(f):
+    def terms(*args):
+        nulls, translation, dilation, conformal = f(*args)
+        translation = translation.copy()  # the partials, which the other terms read too
+        translation[:, 0] *= 1.0 + 1e-5
+        return nulls, translation, dilation, conformal
+    return terms
 
 
 def _biased_line(f):
@@ -317,6 +331,9 @@ FAULTS = {
     "findiff.first: coefficient 8 x (1 + 1e-2)": ({}, _wrap(
         findiff, "first", lambda f: lambda w, h: f(w, h) + 8e-2 * (w[2] - w[1]) / (12.0 * h))),
     "pde._stencil: partials x (1 + 1e-7)": ({}, _wrap(pde, "_stencil", _scaled_partials)),
+    # the sweep's 100 configurations take the array assembly; every other reader is one row
+    "pde._batch_terms: first translation term x (1 + 1e-5)": ({}, _wrap(
+        pde, "_batch_terms", _scaled_first_translation_term)),
     "asymptotics._slope_fit: exponent + 1e-2": ({}, _wrap(asym, "_slope_fit", _biased_slope)),
     "findiff.line_fit: slope + 1e-2": ({}, _wrap(findiff, "line_fit", _biased_line)),
     "asymptotics.MODEL_TOL = 1": ({}, _set(asym, "MODEL_TOL", 1.0)),
@@ -487,6 +504,13 @@ MATRIX = {
     ),
     "pde._stencil: partials x (1 + 1e-7)": _both(
         "pde.stencil_vs_analytic"),
+    # n1 is constant at kappa = 6, so every translation term is 0 there
+    "pde._batch_terms: first translation term x (1 + 1e-5)": (
+        (),
+        (
+            "pde.system_residuals_sweep",
+        ),
+    ),
     "asymptotics._slope_fit: exponent + 1e-2": _both(
         "asymptotics.n1_collapse_exponent"),
     "findiff.line_fit: slope + 1e-2": _both(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -262,7 +263,7 @@ def _reference_reports(F, config, weights):
     """
     M = config.M
     h = pde.STEP_FACTOR * float(np.min(np.diff(config.array)))
-    [(fval, grads, seconds)] = pde._stencil(F, config.array[None], [h])
+    [fval], [grads], [seconds] = pde._stencil(F, config.array[None], [h], arrays=False)
 
     def report(name, terms):
         scale = max((abs(t) for t in terms), default=0.0)
@@ -435,29 +436,93 @@ def _alternating_power(M):
     return builtin_power_product({(i, j): (-1) ** (i + j) * 0.7 / (j - i) for i, j in pairs}, M)
 
 
+def _square_ulp_row(M):
+    """A configuration whose x_1 and x_2 - x_1 each square otherwise by ** than by x * x.
+
+    Python's x**2 is libm's pow, numpy's array ** 2 a square; they differ in
+    the last bit on about one double in a thousand.
+    """
+    draws = iter(np.random.default_rng(11).uniform(0.0, 1.0, size=200_000).tolist())
+    x1 = next(x for x in (-3.0 + 6.0 * u for u in draws) if x * x != x**2)
+    x2 = next(x1 + g for g in (0.3 + 1.2 * u for u in draws)
+              if (x1 + g - x1) * (x1 + g - x1) != (x1 + g - x1) ** 2)
+    return [x1, x2] + [x2 + 0.7 * k for k in range(1, M - 1)]
+
+
+def _edge_rows(M):
+    """Three configurations and the field samples to replace on each, {(k, x_k moved): value}.
+
+    A NaN at x_1 + 2h makes the first term of null_state[1] and of each Ward
+    identity NaN, and a later term of null_state[2]; +inf at x_1 + 2h and
+    x_2 + 2h with x_1 < 0 < x_2 puts +inf and -inf into ward_dilation; the
+    third row's squares differ by route (`_square_ulp_row`).
+    """
+    rows = [np.array([4.0 + 0.9 * k for k in range(M)]),
+            np.array([-0.4 + 0.8 * k for k in range(M)]),
+            np.array(_square_ulp_row(M))]
+    steps = [pde.STEP_FACTOR * np.diff(x).min() for x in rows]
+    poison = {(0, rows[0][0] + 2.0 * steps[0]): math.nan,
+              (0, rows[1][0] + 2.0 * steps[1]): math.inf,
+              (1, rows[1][1] + 2.0 * steps[1]): math.inf}
+    return rows, poison
+
+
+BATCH_SIZES = (1, 6, pde.BATCH_ROWS - 1, pde.BATCH_ROWS, 100)
+
+
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("B", BATCH_SIZES)
 @pytest.mark.parametrize("M", (2, 3, 5, 8))
-def test_batch_rows_are_system_residuals(M, weighting, rng):
+def test_batch_rows_are_system_residuals(M, B, weighting, rng):
     # every row of one batched sweep reports what system_residuals reports on
-    # that configuration alone, bit for bit, from a single F call
+    # that configuration alone, bit for bit, from a single F call, on both
+    # sides of BATCH_ROWS; the rows after the first are the edge rows
     base = _alternating_power(M)
+    edges, poison = _edge_rows(M)
     calls = []
 
     def func(xs):
         calls.append(xs.shape)
-        return base.func(xs)
+        vals = base.func(xs)
+        for (k, x), value in poison.items():
+            vals = np.where(xs[k] == x, value, vals)
+        return vals
 
     F = CandidateFunction(name="counted", func=func, arity=M)
-    X = _increasing_batch(rng, M, B=6).T
+    X = _increasing_batch(rng, M, B=B).T
+    X[1:4] = np.array(edges)[: B - 1]
     for kappa in sorted(set(KAPPA_GRID) | {0.3, 1.0, 7.99}):
         w = WEIGHTINGS[weighting](kappa, M)
         calls.clear()
         rows = batch_residuals(F, X, w)
-        assert calls == [(M, 6 * (1 + 4 * M))]
-        assert len(rows) == 6
+        assert calls == [(M, B * (1 + 4 * M))]
+        assert len(rows) == B
         for x, row in zip(X, rows):
-            want = [_bits(r) for r in system_residuals(base, PointConfig(tuple(x)), w)]
+            want = [_bits(r) for r in system_residuals(F, PointConfig(tuple(x)), w)]
             assert [_bits(r) for r in row] == want
+    if B >= 4 and weighting == "one-leg":  # the edge rows reach every case they are there for
+        reps = [{r.equation: r for r in row} for row in batch_residuals(F, X, w)]
+        assert math.isnan(reps[1]["null_state[1]"].scale)
+        assert math.isnan(reps[1]["null_state[2]"].residual)
+        assert not math.isnan(reps[1]["null_state[2]"].scale)
+        assert math.isnan(reps[2]["ward_dilation"].residual)
+        assert reps[2]["ward_dilation"].scale == math.inf
+
+
+@pytest.mark.parametrize(
+    "coords",
+    ((0.0, 1e-160), (0.0, 1e-163), (0.0, 1e160)),
+    ids=("step-squared-to-0", "gap-squared-to-0", "square-overflow"),
+)
+def test_batch_raises_as_system_residuals_does(coords):
+    # Python's / and ** raise where a squared step or gap is 0 or a square
+    # overflows; a batch of BATCH_ROWS rows with one such row raises the same
+    F, w = builtin_power_product({(1, 2): 1.0}, 2), WeightAssignment.one_leg(2.0, 2)
+    with pytest.raises(ArithmeticError) as single:
+        system_residuals(F, PointConfig(coords), w)
+    X = np.array([coords] + [(k, k + 0.5) for k in range(pde.BATCH_ROWS - 1)], dtype=float)
+    with pytest.raises(type(single.value), match=re.escape(str(single.value))):
+        batch_residuals(F, X, w)
 
 
 def _random_config(rng, M):
