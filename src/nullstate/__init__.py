@@ -29,7 +29,7 @@ from .exponents import (
     leg_weight,
     weight_floor,
 )
-from .green import OneIntervalGreen, SigmaEigenfunction, TwoIntervalGreen
+from .green import OneIntervalGreen, TwoIntervalGreen
 from .heat_kernel import (
     HeatKernel,
     KernelValue,

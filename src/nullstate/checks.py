@@ -296,8 +296,7 @@ def suite_green(kappa: float, h: float, corrupt: dict, kernels: dict) -> list:
                                     ratios=(1.5, 2.5, 4.0), tol=1e-4)
     checks.append(adjoint_check)
 
-    worst_eig = _worst(g.eigenfunction(n).equation_residual(np.linspace(0.1, 0.9, 9))
-                       for n in (0, 1, 5))
+    worst_eig = _worst(g.mode_residual(n, np.linspace(0.1, 0.9, 9)) for n in (0, 1, 5))
     checks.append(_leq("sigma_eigenfunction_residual", worst_eig, 1e-6))
 
     left = g.boundary_exponent_fit("left", rho=0.4, epsilon=0.5, eta=1.0)

@@ -137,47 +137,6 @@ def _below(delta, eta: float, f):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SigmaEigenfunction:
-    """Separable sigma-mode f(sigma) P_n(2 sigma - 1) of the adjoint operator."""
-
-    n: int
-    green: "TwoIntervalGreen"
-
-    def prefactor(self, sigma):
-        g = self.green
-        return sigma**g.exp_left * (1.0 - sigma) ** g.exp_right
-
-    def value(self, sigma):
-        return self.prefactor(sigma) * self.green.kernel.basis.eval(self.n, 2.0 * sigma - 1.0)
-
-    def derivatives(self, sigma) -> tuple:
-        """(value, d/dsigma, d^2/dsigma^2), all in closed form; sigma may be an array."""
-        g = self.green
-        basis = g.kernel.basis
-        y = 2.0 * sigma - 1.0
-        p0 = basis.eval(self.n, y)
-        p1 = 2.0 * basis.deriv(self.n, y, 1)
-        p2 = 4.0 * basis.deriv(self.n, y, 2)
-        f = self.prefactor(sigma)
-        lg1 = g.exp_left / sigma - g.exp_right / (1.0 - sigma)
-        lg2 = -g.exp_left / sigma**2 - g.exp_right / (1.0 - sigma) ** 2
-        f1 = f * lg1
-        f2 = f * (lg1 * lg1 + lg2)
-        return f * p0, f1 * p0 + f * p1, f2 * p0 + 2.0 * f1 * p1 + f * p2
-
-    def equation_residual(self, sigmas) -> float:
-        """max relative residual of [Q* + (lambda_n - 1)/(sigma(1-sigma))] on the mode."""
-        g = self.green
-        lam = eigenvalue(self.n, g.h, g.kappa)
-        sigmas = np.asarray(sigmas, dtype=float)
-        v, d1v, d2v = self.derivatives(sigmas)
-        terms = g.sigma_operator_terms(v, d1v, d2v, sigmas)
-        total = sum(terms) + (lam - 1.0) / (sigmas * (1.0 - sigmas)) * v
-        scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
-        return float(np.max(np.abs(total) / scale))
-
-
 @dataclass
 class AdjointResidual:
     residual: float
@@ -224,9 +183,6 @@ class TwoIntervalGreen:
 
     def time(self, epsilon: float, eta: float) -> float:
         return collapse_time(epsilon, eta, self.kappa)
-
-    def eigenfunction(self, n: int) -> SigmaEigenfunction:
-        return SigmaEigenfunction(n=n, green=self)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -375,6 +331,31 @@ class TwoIntervalGreen:
         for i, r, sc, q in zip(order, residual.tolist(), scale.tolist(), relative.tolist()):
             reps[i] = AdjointResidual(residual=r, scale=sc, relative=q)
         return reps if sigmas.ndim else reps[0]
+
+    def _mode_jet(self, n: int, sigma) -> tuple:
+        """(value, d/dsigma, d^2/dsigma^2) of the separable sigma-mode f(sigma) P_n(2 sigma - 1)
+        of the adjoint operator, in closed form; sigma may be an array."""
+        basis = self.kernel.basis
+        y = 2.0 * sigma - 1.0
+        p0 = basis.eval(n, y)
+        p1 = 2.0 * basis.deriv(n, y, 1)
+        p2 = 4.0 * basis.deriv(n, y, 2)
+        f = sigma**self.exp_left * (1.0 - sigma) ** self.exp_right
+        lg1 = self.exp_left / sigma - self.exp_right / (1.0 - sigma)
+        lg2 = -self.exp_left / sigma**2 - self.exp_right / (1.0 - sigma) ** 2
+        f1 = f * lg1
+        f2 = f * (lg1 * lg1 + lg2)
+        return f * p0, f1 * p0 + f * p1, f2 * p0 + 2.0 * f1 * p1 + f * p2
+
+    def mode_residual(self, n: int, sigmas) -> float:
+        """max relative residual of [Q* + (lambda_n - 1)/(sigma(1-sigma))] on mode n."""
+        lam = eigenvalue(n, self.h, self.kappa)
+        sigmas = np.asarray(sigmas, dtype=float)
+        v, d1v, d2v = self._mode_jet(n, sigmas)
+        terms = self.sigma_operator_terms(v, d1v, d2v, sigmas)
+        total = sum(terms) + (lam - 1.0) / (sigmas * (1.0 - sigmas)) * v
+        scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
+        return float(np.max(np.abs(total) / scale))
 
     # -- reproducing limit -----------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,10 +20,11 @@ from . import findiff
 from .errors import DomainError, PreconditionError
 from .exponents import check_kappa, leg_weight
 
-STEP_FACTOR = 1e-4  # stencil step as a fraction of the minimum gap
-# rows from which a batch's jet and terms are arrays; the row loop on Python
-# floats is faster below about 9 rows at M = 2, 5 at M = 5 and 3 at M = 8
-BATCH_ROWS = 8
+STEP_FACTOR = 1e-4  # stencil step as a fraction of the minimum gap; < 1/4 keeps the wings in it
+# sampled columns, B (1 + 4M), from which a batch's jet and terms are arrays;
+# the row loop on Python floats is faster below about 100 at M = 2, 5 and 8
+BATCH_COLUMNS = 100
+SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest double whose square is finite
 
 
 def _min_gaps(X: np.ndarray) -> np.ndarray:
@@ -185,9 +187,9 @@ def _stencil(F, X: np.ndarray, hs: list, arrays: bool) -> tuple:
     +2h for k = 1..M.  Returns the jet (F, first partials, second partials),
     indexed [b] and [b][k - 1]: as lists of Python floats, or with `arrays` as
     float64 arrays of shape (B,), (B, M) and (B, M), whose elements are the
-    lists' floats bit for bit wherever the floats' / raises nothing.  Every
-    equation of the system reads its partials from here, and the pde suite's
-    `stencil_vs_analytic` checks them against exact partials.
+    lists' floats bit for bit.  Every equation of the system reads its partials
+    from here, and the pde suite's `stencil_vs_analytic` checks them against
+    exact partials.
     """
     B, M = X.shape
     n = 1 + 4 * M
@@ -222,9 +224,9 @@ def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[
     kappa/4 d_j^2 F + sum_{k != j} [d_k F/(x_k - x_j) - w_k F/(x_k - x_j)^2]
     with w_k = weights.weight(k); there is none on the anomalous index unless
     h = theta_1.  Every equation reads from one shared set of 1 + 4M samples of
-    F with step STEP_FACTOR * min_gap.  Each residual is the fsum of its terms
-    (NaN if they hold both +inf and -inf), reported against the largest |term|.
-    This is `batch_residuals` on one row.
+    F with step STEP_FACTOR * min_gap.  Each residual is the sum of its terms
+    (`_fsum`), reported against the largest |term|.  This is `batch_residuals`
+    on one row, refused where it refuses a row (`_residuals`).
     """
     return _residuals(F, config.array[None], [config.min_gap], weights)[0]
 
@@ -232,47 +234,63 @@ def system_residuals(F, config: PointConfig, weights: WeightAssignment) -> list[
 def batch_residuals(F, X, weights: WeightAssignment) -> list[list[ResidualReport]]:
     """`system_residuals` at each row of a (B, M) array of configurations.
 
-    A row is refused as PointConfig refuses it.  The B (1 + 4M) stencil
-    samples of every row go to F in one call.  Below BATCH_ROWS rows each
-    row's equations are assembled on its own on Python floats; from BATCH_ROWS
-    on, the jet and every term are float64 arrays built in the same operation
-    order, and each (row, equation) keeps its own math.fsum.  Either way every
-    row is `system_residuals` on its configuration bit for bit.
+    A row is refused as PointConfig refuses it, then as `_residuals` does.
+    The B (1 + 4M) stencil samples go to F in one call.  Below BATCH_COLUMNS
+    of them the rows are assembled one by one on Python floats, from there on
+    as float64 arrays by the same operations; either way each row is
+    `system_residuals` on its configuration bit for bit.
     """
     X = np.asarray(X, dtype=float)
     return _residuals(F, X, _min_gaps(X).tolist(), weights)
 
 
 def _fsum(terms: list) -> float:
-    """math.fsum of the terms, or NaN if they hold both +inf and -inf."""
+    """The correctly rounded sum of the terms, or NaN if they hold both +inf and -inf.
+
+    math.fsum, except where a partial sum of finite terms overflows it: then
+    their exact sum in integer units of 2**-1074, rounded once.
+    """
     try:
         return math.fsum(terms)
-    except ValueError:
+    except ValueError:  # +inf and -inf
         return math.nan
+    except OverflowError:
+        if not all(map(math.isfinite, terms)):
+            return _fsum([t for t in terms if not math.isfinite(t)])
+    units = sum(n * ((1 << 1074) // d) for n, d in map(float.as_integer_ratio, terms))
+    try:
+        return units / (1 << 1074)
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
 
 
 def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
     """The reports of every row of X, whose minimum gaps are `gaps`.
 
-    A batch of BATCH_ROWS rows or more takes its jet and terms as arrays
-    (`_batch_terms`), unless a coordinate reaches 1e150 or a gap falls to
-    1e-150: there the row loop's ** and / can raise (a square that overflows,
-    a squared step or gap that underflows to 0), and the loop raises it.
+    Before F is called, the first row is refused on which the row loop's floats
+    would raise: a square of a coordinate or span that overflows (libm's pow,
+    as x**2 takes it, overflows where x * x does), or 12 h h, the second
+    partials' denominator, at 0 (so too where h or gap**2 is).  From
+    BATCH_COLUMNS sampled columns on, the jet and terms are arrays.
     """
     B, M = X.shape
     if weights.iota > M:
         raise DomainError(f"iota={weights.iota} outside 1..{M}")
-    hs = [STEP_FACTOR * gap for gap in gaps]
-    for h, gap in zip(hs, gaps):
-        if not 0.0 < 4.0 * h < gap:
+    xss, hs = X.tolist(), [STEP_FACTOR * gap for gap in gaps]
+    for xs, h, gap in zip(xss, hs, gaps):
+        lo, hi = xs[0], xs[-1]  # -lo, hi and hi - lo bound every |x_k| and |x_k - x_j|
+        if -lo > SQUARE_MAX or hi > SQUARE_MAX or hi - lo > SQUARE_MAX:
+            raise DomainError(f"x = {tuple(xs)!r} has a coordinate or span beyond "
+                              f"{SQUARE_MAX!r}, whose square overflows")
+        if 12.0 * h * h == 0.0:
             raise PreconditionError(
-                f"stencil step {h!r} must satisfy 0 < 4*step < minimum gap {gap!r}")
+                f"stencil step {h!r} of minimum gap {gap!r} gives 12*step*step = 0.0")
     ws = [weights.weight(k) for k in range(1, M + 1)]
     js = [j for j in range(M) if weights.homogeneous or j + 1 != weights.iota]
     names = [f"null_state[{j + 1}]" for j in js]
     names += ["ward_translation", "ward_dilation", "ward_special_conformal"]
     quarter = weights.kappa / 4.0
-    arrays = B >= BATCH_ROWS and float(np.abs(X).max()) < 1e150 and min(gaps) > 1e-150
+    arrays = B * (1 + 4 * M) >= BATCH_COLUMNS
     jet = _stencil(F, X, hs, arrays)
     if arrays:
         groups = _batch_terms(X, *jet, np.array(ws), js, quarter)
@@ -284,7 +302,7 @@ def _residuals(F, X: np.ndarray, gaps: list, weights: WeightAssignment) -> list:
             for n, t, d, c, row_scales, h in zip(nulls, trans, dil, conf, scales.tolist(), hs)
         ]
     rows = []
-    for xs, fval, grad, second, h in zip(X.tolist(), *jet, hs):
+    for xs, fval, grad, second, h in zip(xss, *jet, hs):
         potentials = [-w * fval for w in ws]
         equations = []
         for j in js:

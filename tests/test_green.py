@@ -412,20 +412,25 @@ def test_adjoint_requires_homogeneous_region(green):
         green.adjoint_residual(0.4, 1.0, 0.5, 0.8)
 
 
-def test_sigma_eigenfunction_residual(green):
+def test_sigma_mode_residual(green):
     sigmas = np.linspace(0.08, 0.92, 11)
     for n in (0, 1, 2, 5, 8):
-        assert green.eigenfunction(n).equation_residual(sigmas) <= 1e-6
+        assert green.mode_residual(n, sigmas) <= 1e-6
 
 
-def test_eigenfunction_derivatives_match_fd(green):
-    eig = green.eigenfunction(3)
+def test_mode_jet_derivatives_match_fd(green):
+    def value(sigma):
+        return green._mode_jet(3, sigma)[0]
+
     h = 1e-6
     for sigma in (0.3, 0.55, 0.8):
-        v, d1, d2 = eig.derivatives(sigma)
-        assert v == pytest.approx(eig.value(sigma), rel=1e-12)
-        fd1 = (eig.value(sigma + h) - eig.value(sigma - h)) / (2 * h)
+        v, d1, d2 = green._mode_jet(3, sigma)
+        f = sigma**green.exp_left * (1.0 - sigma) ** green.exp_right
+        assert v == pytest.approx(f * green.kernel.basis.eval(3, 2.0 * sigma - 1.0), rel=1e-12)
+        fd1 = (value(sigma + h) - value(sigma - h)) / (2 * h)
         assert d1 == pytest.approx(fd1, rel=1e-7, abs=1e-9)
+        fd2 = (value(sigma + 1e-4) - 2.0 * v + value(sigma - 1e-4)) / 1e-8
+        assert d2 == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
 def test_boundary_exponents(green):

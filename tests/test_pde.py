@@ -1,9 +1,12 @@
 import math
-import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullstate import (
     CandidateFunction,
@@ -407,11 +410,10 @@ def test_translation_invariance(kappa):
 
 @pytest.mark.parametrize("coords", ((0.0, 5e-324),), ids=("gap-underflow",))
 def test_stencil_leaving_domain_rejected(coords):
-    # the step STEP_FACTOR * min_gap must satisfy 0 < 4*step < min_gap: a
-    # subnormal gap rounds the step to 0 (an overflowing gap is refused by
-    # PointConfig itself)
+    # a subnormal gap rounds the step STEP_FACTOR * min_gap to 0, and 12 h h
+    # with it (an overflowing gap is refused by PointConfig itself)
     F = builtin_n1(4.0)
-    with pytest.raises(PreconditionError, match="stencil step"):
+    with pytest.raises(PreconditionError, match=r"stencil step 0\.0 .* 12\*step\*step = 0\.0"):
         system_residuals(F, PointConfig.of(*coords), WeightAssignment.one_leg(4.0, 2))
 
 
@@ -467,16 +469,23 @@ def _edge_rows(M):
     return rows, poison
 
 
-BATCH_SIZES = (1, 6, pde.BATCH_ROWS - 1, pde.BATCH_ROWS, 100)
+def _threshold_rows(M):
+    """The most rows of M points whose batch stays on floats, and one more: the fewest on arrays."""
+    rows = (pde.BATCH_COLUMNS - 1) // (1 + 4 * M)
+    return rows, rows + 1
+
+
+# rows on both sides of BATCH_COLUMNS: 11 and 12 at M = 2, 7 and 8 at M = 3,
+# 4 and 5 at M = 5, 3 and 4 at M = 8
+BATCH_SIZES = {M: sorted({1, 6, *_threshold_rows(M), 100}) for M in (2, 3, 5, 8)}
 
 
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
-@pytest.mark.parametrize("B", BATCH_SIZES)
-@pytest.mark.parametrize("M", (2, 3, 5, 8))
+@pytest.mark.parametrize("M, B", [(M, B) for M, sizes in BATCH_SIZES.items() for B in sizes])
 def test_batch_rows_are_system_residuals(M, B, weighting, rng):
     # every row of one batched sweep reports what system_residuals reports on
     # that configuration alone, bit for bit, from a single F call, on both
-    # sides of BATCH_ROWS; the rows after the first are the edge rows
+    # sides of BATCH_COLUMNS; the rows after the first are the edge rows
     base = _alternating_power(M)
     edges, poison = _edge_rows(M)
     calls = []
@@ -509,20 +518,127 @@ def test_batch_rows_are_system_residuals(M, B, weighting, rng):
         assert reps[2]["ward_dilation"].scale == math.inf
 
 
-@pytest.mark.parametrize(
-    "coords",
-    ((0.0, 1e-160), (0.0, 1e-163), (0.0, 1e160)),
-    ids=("step-squared-to-0", "gap-squared-to-0", "square-overflow"),
-)
-def test_batch_raises_as_system_residuals_does(coords):
-    # Python's / and ** raise where a squared step or gap is 0 or a square
-    # overflows; a batch of BATCH_ROWS rows with one such row raises the same
-    F, w = builtin_power_product({(1, 2): 1.0}, 2), WeightAssignment.one_leg(2.0, 2)
-    with pytest.raises(ArithmeticError) as single:
-        system_residuals(F, PointConfig(coords), w)
-    X = np.array([coords] + [(k, k + 0.5) for k in range(pde.BATCH_ROWS - 1)], dtype=float)
-    with pytest.raises(type(single.value), match=re.escape(str(single.value))):
-        batch_residuals(F, X, w)
+def _routes(monkeypatch) -> list:
+    """Records "arrays" each time a batch takes the array assembly."""
+    routes, assemble = [], pde._batch_terms
+    monkeypatch.setattr(pde, "_batch_terms", lambda *a: routes.append("arrays") or assemble(*a))
+    return routes
+
+
+@pytest.mark.parametrize("M", (2, 5, 8))
+def test_the_sampled_columns_alone_choose_the_route(M, rng, monkeypatch):
+    # just below BATCH_COLUMNS columns the rows are assembled on floats, from
+    # it on as arrays, whatever the coordinates and gaps; each row is
+    # system_residuals on its own, bit for bit, either way
+    F, w = _alternating_power(M), WeightAssignment.one_leg(KAPPA_BATCH, M)
+    routes = _routes(monkeypatch)
+    edge = _square_edges()[0]
+    tiny = 1e-158  # a gap whose 12 h h is 1.2e-323, a subnormal
+    odd_rows = [[edge * (0.99 * k / (M - 1) - 0.5) for k in range(M)],
+                [tiny * k for k in range(M)]]
+    for B in _threshold_rows(M):
+        X = _increasing_batch(rng, M, B=B).T
+        X[:2] = odd_rows
+        routes.clear()
+        rows = batch_residuals(F, X, w)
+        assert routes == ([] if B * (1 + 4 * M) < pde.BATCH_COLUMNS else ["arrays"])
+        for x, row in zip(X, rows):
+            want = [_bits(r) for r in system_residuals(F, PointConfig(tuple(x)), w)]
+            assert [_bits(r) for r in row] == want
+    assert routes == ["arrays"]
+
+
+def _square_edges() -> tuple:
+    """The largest double whose square, Python's x**2 (libm's pow), is finite, and the next."""
+    x = math.sqrt(sys.float_info.max)
+    while _square_overflows(x):
+        x = math.nextafter(x, 0.0)
+    while not _square_overflows(math.nextafter(x, math.inf)):
+        x = math.nextafter(x, math.inf)
+    return x, math.nextafter(x, math.inf)
+
+
+def _square_overflows(x) -> bool:
+    try:
+        x**2
+    except OverflowError:
+        return True
+    return False
+
+
+def _gap_edges() -> tuple:
+    """The largest gap whose step h has 12 h h = 0, findiff.second's denominator, and the next."""
+    lo, hi = 0.0, 1e-150  # doubles of one sign order as their bit patterns
+    a, b = (np.float64(v).view(np.int64).item() for v in (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        h = pde.STEP_FACTOR * np.int64(mid).view(np.float64).item()
+        a, b = (mid, b) if 12.0 * h * h == 0.0 else (a, mid)
+    gap = np.int64(a).view(np.float64).item()
+    return gap, math.nextafter(gap, math.inf)
+
+
+def _span_edges() -> tuple:
+    """(-t, x) with x + t the largest span whose square is finite, and (-t', x), t' next."""
+    x = 0.5 * _square_edges()[0]
+    t = x
+    while not _square_overflows(x + math.nextafter(t, math.inf)):
+        t = math.nextafter(t, math.inf)
+    return (-t, x), (-math.nextafter(t, math.inf), x)
+
+
+def _refusal_edges():
+    """(held, refused, error, text) at each side of both refusals, for M = 2."""
+    square, over = _square_edges()
+    gap, held_gap = _gap_edges()
+    span, wide = _span_edges()
+
+    def over_text(x):
+        return f"x = {x!r} has a coordinate or span beyond {square!r}, whose square overflows"
+
+    return {
+        # x_1 = 0.9 x_2: the span squares within range, x_2 does not
+        "coordinate": ((0.9 * square, square), (0.9 * over, over), DomainError,
+                       over_text((0.9 * over, over))),
+        "-coordinate": ((-square, -0.9 * square), (-over, -0.9 * over), DomainError,
+                        over_text((-over, -0.9 * over))),
+        "span": (span, wide, DomainError, over_text(wide)),
+        "gap": ((0.0, held_gap), (0.0, gap), PreconditionError,
+                f"stencil step {pde.STEP_FACTOR * gap!r} of minimum gap {gap!r} "
+                f"gives 12*step*step = 0.0"),
+    }
+
+
+@pytest.mark.parametrize("edge", ("coordinate", "-coordinate", "span", "gap"))
+def test_rows_the_floats_cannot_hold_are_refused_by_name(edge, monkeypatch):
+    # at the boundary double of each refusal, the held side computes, the
+    # same on both routes, and the next double is refused before F is called,
+    # with one class and text through system_residuals and through batch
+    # residuals on floats and on arrays
+    held, refused, error, text = _refusal_edges()[edge]
+    calls = []
+    base = builtin_power_product({(1, 2): 1.0}, 2)
+    F = CandidateFunction(name="counted", func=lambda xs: calls.append(1) or base.func(xs), arity=2)
+    w = WeightAssignment.one_leg(2.0, 2)
+    routes = _routes(monkeypatch)
+    want = [_bits(r) for r in system_residuals(F, PointConfig(held), w)]
+    for B in _threshold_rows(2):
+        X = np.array([(k, k + 0.5) for k in range(B)], dtype=float)
+        X[B // 2] = held
+        assert [_bits(r) for r in batch_residuals(F, X, w)[B // 2]] == want
+        X[B // 2] = refused
+        calls.clear()
+        assert _refusal(lambda: batch_residuals(F, X, w)) == (error, text)
+        assert calls == []
+    assert routes == ["arrays"]
+    assert _refusal(lambda: system_residuals(F, PointConfig(refused), w)) == (error, text)
+    assert calls == []
+
+
+def test_every_other_step_keeps_its_wings_inside_the_gap():
+    # a step h > 0 has 4h <= 4 * STEP_FACTOR * gap (1 + 2**-52) < gap, so the
+    # only step that leaves the stencil no room is 0, which 12 h h = 0 refuses
+    assert 4.0 * pde.STEP_FACTOR < 1.0
 
 
 def _random_config(rng, M):
@@ -582,7 +698,7 @@ def test_batch_refuses_a_shape_with_no_configurations(shape):
         batch_residuals(F, np.ones(shape), WeightAssignment.one_leg(4.0, 2))
 
 
-def test_batch_refuses_a_row_whose_step_leaves_the_gap():
+def test_batch_refuses_a_row_whose_step_is_0():
     # the subnormal gap rounds its step to 0; the message is system_residuals'
     F = CandidateFunction(name="never", func=lambda xs: pytest.fail("F was called"))
     X = np.array([(0.0, 1.0), (0.0, 5e-324), (2.0, 3.5)])
@@ -590,7 +706,7 @@ def test_batch_refuses_a_row_whose_step_leaves_the_gap():
     kind, text = _refusal(lambda: batch_residuals(F, X, w))
     assert kind is PreconditionError
     assert (kind, text) == _refusal(lambda: system_residuals(F, PointConfig.of(0.0, 5e-324), w))
-    assert text.startswith("stencil step 0.0 must satisfy 0 < 4*step < minimum gap 5e-324")
+    assert text == "stencil step 0.0 of minimum gap 5e-324 gives 12*step*step = 0.0"
 
 
 def test_sweep_detail_names_its_worst_configuration_and_equation():
@@ -603,20 +719,70 @@ def test_sweep_detail_names_its_worst_configuration_and_equation():
     assert reps[equation].relative == sweep.value
 
 
-def test_terms_overflowing_both_ways_give_a_nan_residual_and_a_failed_sweep():
-    # (x2 - x1)^-650 overflows, so its partials hold +inf and -inf together,
-    # which math.fsum refuses; finite term lists keep their fsum
+@pytest.mark.parametrize(
+    "spec, coords, equation",
+    (
+        # (x2 - x1)^-650 overflows, so its partials hold +inf and -inf together,
+        # which math.fsum refuses
+        ("power:1,2=-650", (-4.590264760638053, -4.270431598003818), "null_state[1]"),
+        # at -620, the 57th configuration of the seed-0 sweep gives special
+        # conformal terms [inf, -inf, 1.35e308, 1.55e308], whose finite pair
+        # overflows math.fsum's partial sum before it reaches the infinities
+        ("power:1,2=-620", (2.192197728267403, 2.5113878036956896), "ward_special_conformal"),
+    ),
+)
+def test_terms_overflowing_both_ways_give_a_nan_residual_and_a_failed_sweep(spec, coords, equation):
     kappa = 2.0
-    F = pde.resolve_candidate("power:1,2=-650", kappa, M=2)
-    reps = residuals(F, PointConfig.of(-4.590264760638053, -4.270431598003818),
-                     WeightAssignment.one_leg(kappa, 2))
-    assert math.isnan(reps["null_state[1]"].residual)
-    assert math.isnan(reps["null_state[1]"].relative)
+    F = pde.resolve_candidate(spec, kappa, M=2)
+    reps = residuals(F, PointConfig(coords), WeightAssignment.one_leg(kappa, 2))
+    assert math.isnan(reps[equation].residual)
+    assert math.isnan(reps[equation].relative)
     assert pde._fsum([1e16, 1.0, -1e16]) == math.fsum([1e16, 1.0, -1e16]) == 1.0
     assert pde._fsum([math.inf, 1.0]) == math.inf
-    sweep = checks.suite_pde(kappa, "power:1,2=-650", 100, 0)[0]
+    sweep = checks.suite_pde(kappa, spec, 100, 0)[0]
     assert sweep.name == "system_residuals_sweep"
     assert math.isnan(sweep.value) and not sweep.passed
+
+
+BIG = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    (
+        ([math.inf, -math.inf, 1.35e308, 1.55e308], math.nan),
+        ([math.nan, BIG, BIG], math.nan),
+        ([math.inf, BIG, BIG], math.inf),
+        ([BIG, BIG, -math.inf], -math.inf),
+        ([BIG, BIG], math.inf),
+        ([-BIG, -BIG], -math.inf),
+        ([1e308, 1e308, -1e308], 1e308),
+        ([BIG, BIG, -BIG, -BIG, 5e-324], 5e-324),
+        ([BIG, 2.0**970, -2.0**970], BIG),
+    ),
+)
+def test_fsum_never_raises(terms, want):
+    got = pde._fsum(terms)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _exact_sum(terms) -> float:
+    """The correctly rounded sum of finite terms, by exact rationals."""
+    exact = sum(map(Fraction, terms))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+HUGE = st.sampled_from([BIG, -BIG, 1e308, -1e308, 2.0**1023, 5e-324, -5e-324, 2.0**-1022])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FINITE | HUGE, max_size=10))
+def test_fsum_of_finite_terms_is_the_correctly_rounded_sum(terms):
+    assert pde._fsum(terms) == _exact_sum(terms)
 
 
 # -- the vertex product as the pair loop computes it: a bitwise reference --
