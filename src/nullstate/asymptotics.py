@@ -160,10 +160,15 @@ class ChannelFit:
     misfit: float  # rms residual over max |delta^(-delta_minus) F|
 
 
-def _channel_fit(eff: np.ndarray, scaled: np.ndarray, gap: float, peak: float) -> ChannelFit:
-    """The fit of scaled = A + B eff^gap, its misfit against peak = max |scaled|."""
-    A, B, stderr_A, _, rms = findiff.line_fit(eff**gap, scaled)
-    return ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / peak)
+def _channels(F, config: PointConfig, spec: CollapseSpec) -> tuple:
+    """(pair, eff, vals, peak, fit): the collapse samples, peak = max |scaled| and
+    the fit of scaled = delta^(-delta_minus) F by A + B delta^gap, misfit rms / peak."""
+    pair = spec.exponents()
+    eff, vals = _collapse_samples(F, config, spec.i)
+    scaled = vals * eff ** (-pair.delta_minus)
+    peak = float(np.maximum.reduce(np.abs(scaled)))
+    A, B, stderr_A, _, rms = findiff.line_fit(eff**pair.gap, scaled)
+    return pair, eff, vals, peak, ChannelFit(A=A, B=B, stderr_A=stderr_A, misfit=rms / peak)
 
 
 def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
@@ -173,10 +178,7 @@ def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
     known, so the fit needs any gap above zero; at gap 0 the second channel
     is delta^delta_minus log delta and DegenerateFitError is raised.
     """
-    pair = spec.exponents()
-    eff, vals = _collapse_samples(F, config, spec.i)
-    scaled = vals * eff ** (-pair.delta_minus)
-    return _channel_fit(eff, scaled, pair.gap, float(np.maximum.reduce(np.abs(scaled))))
+    return _channels(F, config, spec)[-1]
 
 
 @dataclass
@@ -195,11 +197,7 @@ def two_leg_test(F, config: PointConfig, spec: CollapseSpec) -> TwoLegResult:
     p_hat > delta_minus + (3 stderr + TWO_LEG_TOL), indeterminate if its
     stderr exceeds STDERR_MAX.
     """
-    pair = spec.exponents()
-    eff, vals = _collapse_samples(F, config, spec.i)
-    scaled = vals * eff ** (-pair.delta_minus)
-    peak = float(np.maximum.reduce(np.abs(scaled)))
-    fit = _channel_fit(eff, scaled, pair.gap, peak)
+    pair, eff, vals, peak, fit = _channels(F, config, spec)
     if fit.misfit <= MODEL_TOL:
         floor = 3.0 * fit.stderr_A + A_ROUNDOFF * peak
         return TwoLegResult(is_two_leg=abs(fit.A) <= floor, indeterminate=False, channels=fit)

@@ -216,8 +216,7 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
     rng = np.random.default_rng(seed)
     checks = []
 
-    masses = (float(np.dot(rule.weights, kernel.grid(np.array([0.37]), rule.nodes, t)[0]))
-              for t in t_list)
+    masses = (kernel.reproducing_integral(0.37, t, np.ones_like(rule.nodes), rule) for t in t_list)
     checks.append(_leq("mass_conservation", _worst(abs(m - 1.0) for m in masses), 1e-9))
 
     pts = rng.uniform(0.05, 0.95, size=(6, 2)).tolist()
@@ -230,7 +229,9 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
                        detail=f"worst at (rho, sigma, t) = {where!r}"))
 
     modes = (0, 1, 3, 6)
-    coefficients = {(rho, t): kernel.mode_coefficient(rho, t, modes, rule)
+    # P_n at the nodes in the kernel's basis, which a corrupted alpha or beta moves
+    rows = kernel.basis.eval_table(max(modes), 2.0 * rule.nodes - 1.0)[list(modes)]
+    coefficients = {(rho, t): kernel.reproducing_integral(rho, t, rows, rule)
                     for rho, t in ((0.25, 0.05), (0.7, 0.5))}
     checks.append(_leq("single_mode_decay", _worst(
         abs(coefficients[rho, t][i]
@@ -238,8 +239,9 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
         for i, n in enumerate(modes) for rho, t in coefficients), 1e-9))
 
     f = lambda s: s * (1.0 - s)
+    at_nodes = f(rule.nodes)
     # smallest t first, so the later times slice the kept table over rho = 0.5
-    errs = [abs(kernel.reproducing_integral(0.5, t, f, rule) - f(0.5))
+    errs = [abs(kernel.reproducing_integral(0.5, t, at_nodes, rule) - f(0.5))
             for t in (1e-3, 1e-2, 1e-1)][::-1]
     checks.append(_is("reproducing_error_monotone", errs[0] > errs[1] > errs[2],
                       detail=f"errors [{', '.join(f'{e:.3e}' for e in errs)}]"))
@@ -308,9 +310,9 @@ def suite_green(kappa: float, h: float, corrupt: dict, kernels: dict) -> list:
     f_exact = lambda s: s**dp1 * (1.0 - s) ** dph
     eps = 0.5
     etas = eps * np.exp(4.0 * np.array([1e-1, 1e-2, 1e-3]) / kappa)
-    rec = g.reproducing_limit(0.5, eps, f_exact, etas)
+    values = g.reproducing_limit(0.5, eps, f_exact, etas)
     # this f transforms to 1, so each value is (eps/eta)^lambda0 f(rho) exactly
-    factor_err = float(np.max(np.abs(rec.values - (eps / rec.etas) ** g.lambda0 * rec.target)))
+    factor_err = float(np.max(np.abs(values - (eps / etas) ** g.lambda0 * f_exact(0.5))))
     checks.append(_leq("reproducing_mass_identity", factor_err, 1e-9))
     return checks
 

@@ -59,9 +59,11 @@ def kpz(d: float, kappa: float) -> KpzPair:
 
     delta_pm = (kappa - 4 +- sqrt((kappa-4)^2 + 16 kappa d)) / 2 kappa.
     At the discriminant boundary d = -(kappa-4)^2/16kappa the double root is
-    returned (gap = 0) rather than raising.
+    returned (gap = 0) rather than raising.  A non-finite d is refused.
     """
     check_kappa(kappa)
+    if not math.isfinite(d):
+        raise DomainError(f"conformal weight d must be finite, got {d!r}")
     disc = (kappa - 4.0) ** 2 + 16.0 * kappa * d
     if disc < 0.0:
         raise DomainError(

@@ -144,13 +144,6 @@ class AdjointResidual:
     relative: float
 
 
-@dataclass
-class ReproducingRecord:
-    etas: np.ndarray
-    values: np.ndarray
-    target: float
-
-
 class TwoIntervalGreen:
     """G(rho, epsilon; sigma, eta) for adjacent collapsing intervals.
 
@@ -383,11 +376,11 @@ class TwoIntervalGreen:
                     f"continuously to the endpoint at {edge} (divergence exponent {slope:.3g})"
                 )
 
-    def reproducing_limit(self, rho: float, epsilon: float, f, etas) -> ReproducingRecord:
-        """Evaluate -int G(rho,eps;sigma,eta) f(sigma) / (eta sigma(1-sigma)) dsigma.
+    def reproducing_limit(self, rho: float, epsilon: float, f, etas) -> np.ndarray:
+        """-int G(rho,eps;sigma,eta) f(sigma) / (eta sigma(1-sigma)) dsigma at each eta.
 
         As eta decreases to epsilon the value converges to f(rho); the integrand
-        reduces to the kernel's reproducing integral applied to the transformed f.
+        reduces to the kernel's reproducing integral of the transformed f.
         """
         self.check_admissible(f)
         rule = gauss_jacobi_rule(QUAD_POINTS, self.kernel.basis)
@@ -403,9 +396,9 @@ class TwoIntervalGreen:
         for i in np.argsort(etas, kind="stable").tolist():
             eta = etas[i]
             t = self.time(epsilon, float(eta))
-            integral = self.kernel.reproducing_integral(rho, t, lambda s: transformed, rule)
+            integral = self.kernel.reproducing_integral(rho, t, transformed, rule)
             values[i] = (epsilon / eta) ** self.lambda0 * amp * integral
-        return ReproducingRecord(etas=etas, values=values, target=f(rho))
+        return values
 
     # -- boundary exponents ------------------------------------------------------
 

@@ -291,31 +291,23 @@ class HeatKernel:
         rate, coef = self._rate, self._coef
         return 1e-10 * sum(math.exp(-t * rate[n]) * coef[n] for n in range(n_terms))
 
-    def reproducing_integral(self, rho: float, t: float, f, rule: QuadratureRule) -> float:
-        """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma; -> f(rho) as t -> 0.
+    def reproducing_integral(self, rho: float, t: float, values, rule: QuadratureRule):
+        """int_0^1 K(rho, sigma, t) f(sigma) w(sigma) dsigma on the rule; -> f(rho) as t -> 0.
 
-        f is called once, on the array of rule nodes; a scalar result is
-        broadcast over them.
+        values holds f at the rule's nodes: one row, whose integral comes back
+        as a float, or a stack of rows, whose integrals come back as a list.
+        One kernel row over the nodes serves every row, and each integral is
+        its own dot product, so a row of a stack projects bit for bit as it
+        does alone.  f = 1 gives the mass, 1, and f = P_n(2 sigma - 1) gives
+        exp(-t mu_n) P_n(2 rho - 1).
         """
+        rows = np.asarray(values, dtype=float)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != rule.nodes.size:
+            raise DomainError(f"values must be one row or a stack of rows of {rule.nodes.size} "
+                              f"node values, got shape {rows.shape}")
         kvals = self.grid(np.array([rho]), rule.nodes, t)[0]
-        fvals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
-        return float(np.dot(rule.weights, kvals * fvals))
-
-    def mode_coefficient(self, rho: float, t: float, n, rule: QuadratureRule):
-        """Projection <K(rho, ., t), P_n>_w; equals exp(-t mu_n) P_n(2 rho - 1).
-
-        n is one degree, or a sequence of degrees whose projections come back
-        as a list.  Every degree reads one kernel row over the rule's nodes,
-        and its P_n is a row of the nodes' kept table (see `_table`), so each
-        projection is bit for bit `reproducing_integral` of P_n alone.
-        """
-        degrees = np.atleast_1d(np.asarray(n))
-        if degrees.size == 0 or degrees.dtype.kind not in "iu" or degrees.min() < 0:
-            raise DomainError(f"jacobi degrees must be integers >= 0, got {n!r}")
-        kvals = self.grid(np.array([rho]), rule.nodes, t)[0]
-        modes = self._table(int(degrees.max()) + 1, rule.nodes)[degrees]
-        out = [float(np.dot(rule.weights, kvals * p)) for p in modes]
-        return out if np.ndim(n) else out[0]
+        out = [float(np.dot(rule.weights, kvals * row)) for row in np.atleast_2d(rows)]
+        return out if rows.ndim == 2 else out[0]
 
 
 # -- sharp two-sided bound machinery ----------------------------------------

@@ -66,10 +66,9 @@ class JacobiBasis:
     _shifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise DomainError(
-                f"jacobi parameters must exceed -1, got ({self.alpha!r}, {self.beta!r})"
-            )
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not -1.0 < value < math.inf:
+                raise DomainError(f"jacobi parameter {name} must lie in (-1, inf), got {value!r}")
 
     # -- evaluation ---------------------------------------------------------
 

@@ -420,7 +420,7 @@ def parse_power_spec(spec: str, M: int | None) -> CandidateFunction:
     """Parse the compact grammar 'i,j=value;i,j=value' into a power product.
 
     The product takes M points or, if M is None, as many as its largest index;
-    a spec that names no pair is refused.
+    a spec that names no pair, or one pair twice, is refused.
     """
     mu = {}
     for piece in spec.split(";"):
@@ -430,9 +430,12 @@ def parse_power_spec(spec: str, M: int | None) -> CandidateFunction:
         try:
             key, value = piece.split("=")
             i_s, j_s = key.split(",")
-            mu[(int(i_s), int(j_s))] = float(value)
+            pair, exponent = (int(i_s), int(j_s)), float(value)
         except ValueError as exc:
             raise DomainError(f"bad exponent spec {piece!r}; expected 'i,j=value'") from exc
+        if pair in mu:
+            raise DomainError(f"exponent spec {spec!r} names the pair {pair} twice")
+        mu[pair] = exponent
     if not mu:
         raise DomainError(f"exponent spec {spec!r} names no pair; expected 'i,j=value;...'")
     if M is None:

@@ -96,7 +96,7 @@ def test_criterion_3_heat_kernel_suite():
         k = HeatKernel(alpha, beta)
         rule = gauss_jacobi_rule(120, k.basis)
         for t in (1e-3, 1e-2, 0.1, 1.0, 10.0):
-            mass = k.reproducing_integral(0.37, t, lambda s: 1.0, rule)
+            mass = k.reproducing_integral(0.37, t, np.ones_like(rule.nodes), rule)
             worst_mass = max(worst_mass, abs(mass - 1.0))
         rng = np.random.default_rng(3)
         for rho, sigma in rng.uniform(0.03, 0.97, size=(5, 2)):
@@ -119,13 +119,14 @@ def test_criterion_3_heat_kernel_suite():
             positive &= bool(k.grid(pts, pts, float(t)).min() > 0.0)
         for n in (0, 1, 3, 6):
             for rho, t in ((0.25, 0.05), (0.7, 0.5)):
-                got = k.mode_coefficient(rho, t, n, rule)
+                got = k.reproducing_integral(rho, t, k.basis.eval(n, 2 * rule.nodes - 1), rule)
                 want = math.exp(-t * k.decay_rate(n)) * k.basis.eval(n, 2 * rho - 1)
                 worst_mode = max(worst_mode, abs(got - want))
     k = HeatKernel(1.0 / 3.0, 1.0 / 3.0)
     rule = gauss_jacobi_rule(120, k.basis)
     f = lambda s: s * (1.0 - s)
-    errs = [abs(k.reproducing_integral(0.5, t, f, rule) - 0.25) for t in (1e-1, 1e-2, 1e-3)]
+    errs = [abs(k.reproducing_integral(0.5, t, f(rule.nodes), rule) - 0.25)
+            for t in (1e-1, 1e-2, 1e-3)]
     monotone = errs[0] > errs[1] > errs[2]
     ok = (worst_mass <= 1e-9 and worst_sym <= 1e-8 and worst_semi <= 1e-8 and positive
           and worst_mode <= 1e-9 and monotone and errs[2] <= 2e-2)

@@ -264,6 +264,45 @@ def test_non_finite_or_non_positive_kernel_input_is_usage_error(argv, message, t
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("verify", "green", "--kappa", "6", "--h", "nan"), "conformal weight d must be finite, got nan"),
+        (("verify", "asymptotics", "--kappa", "6", "--h", "nan"),
+         "conformal weight d must be finite, got nan"),
+        (("verify", "all", "--kappa", "6", "--h", "inf"), "conformal weight d must be finite, got inf"),
+        (("scan", "green-adjoint", "--kappa", "6", "--h", "inf"),
+         "conformal weight d must be finite, got inf"),
+        (("verify", "kernel", "--kappa", "6", "--alpha", "nan"),
+         "jacobi parameter alpha must lie in (-1, inf), got nan"),
+        (("verify", "jacobi", "--kappa", "6", "--alpha", "inf"),
+         "jacobi parameter alpha must lie in (-1, inf), got inf"),
+        (("scan", "kernel-bounds", "--kappa", "6", "--beta", "inf"),
+         "jacobi parameter beta must lie in (-1, inf), got inf"),
+        (("verify", "pde", "--kappa", "6", "--candidate", "power:1,2=1;1,2=2"),
+         "exponent spec '1,2=1;1,2=2' names the pair (1, 2) twice"),
+        (("scan", "far-pair", "--kappa", "6", "--candidate", "power:1,2=1;1,2=2"),
+         "exponent spec '1,2=1;1,2=2' names the pair (1, 2) twice"),
+    ),
+)
+def test_non_finite_weight_or_parameter_and_a_pair_named_twice_are_usage_errors(
+        argv, message, tmp_path):
+    # refused by name before any arithmetic: stderr holds the one error line,
+    # with no Traceback and no numpy RuntimeWarning
+    out_file = tmp_path / "out.csv"
+    if argv[0] == "scan":
+        argv += ("--output", str(out_file))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "nullstate.cli", *argv],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not out_file.exists()
+
+
 def test_scan_green_adjoint_names_its_worst_row(tmp_path, capsys):
     out_file = tmp_path / "adjoint.csv"
     code, out = run(capsys, "scan", "green-adjoint", "--kappa", "6", "--n-sigma", "3",

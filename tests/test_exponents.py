@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,12 @@ def test_kpz_values():
 def test_kpz_negative_discriminant():
     with pytest.raises(DomainError):
         kpz(weight_floor(3.0) - 0.01, 3.0)
+
+
+@pytest.mark.parametrize("d", (math.nan, math.inf, -math.inf))
+def test_kpz_refuses_a_non_finite_weight_by_name(d):
+    with pytest.raises(DomainError, match=f"^conformal weight d must be finite, got {d!r}$"):
+        kpz(d, 6.0)
 
 
 def test_kpz_double_root_at_floor():

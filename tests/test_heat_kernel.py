@@ -1,8 +1,11 @@
 import ast
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullstate import (
     DomainError,
@@ -246,7 +249,7 @@ def test_long_time_limit(kernel):
 def test_mass_conservation(kernel, t):
     rule = unit_rule(kernel)
     for rho in (0.0, 0.31, 1.0):
-        mass = kernel.reproducing_integral(rho, t, lambda s: 1.0, rule)
+        mass = kernel.reproducing_integral(rho, t, np.ones_like(rule.nodes), rule)
         assert abs(mass - 1.0) <= 1e-9
 
 
@@ -297,39 +300,17 @@ def test_single_mode_decay(kernel):
     rule = unit_rule(kernel)
     for n in (0, 1, 4, 7):
         for rho, t in ((0.2, 0.03), (0.65, 0.4)):
-            got = kernel.mode_coefficient(rho, t, n, rule)
+            mode = kernel.basis.eval(n, 2 * rule.nodes - 1)
+            got = kernel.reproducing_integral(rho, t, mode, rule)
             want = math.exp(-t * kernel.decay_rate(n)) * kernel.basis.eval(n, 2 * rho - 1)
             assert abs(got - want) <= 1e-9
-
-
-def test_mode_coefficients_of_degrees_are_each_degree_alone_bit_for_bit(kernel, monkeypatch):
-    rule, degrees = unit_rule(kernel), (0, 1, 3, 6, 9)
-    for rho, t in ((0.25, 0.05), (0.7, 0.5), (0.5, 1e-3)):
-        alone = [HeatKernel(kernel.alpha, kernel.beta).reproducing_integral(
-            rho, t, lambda s: kernel.basis.eval(n, 2.0 * s - 1.0), rule).hex() for n in degrees]
-        calls = []
-        truncation_index = HeatKernel.truncation_index
-        monkeypatch.setattr(HeatKernel, "truncation_index",
-                            lambda self, t: calls.append(t) or truncation_index(self, t))
-        got = kernel.mode_coefficient(rho, t, degrees, rule)
-        monkeypatch.undo()
-        assert [v.hex() for v in got] == alone
-        assert calls == [t]  # one kernel row serves every degree
-        assert kernel.mode_coefficient(rho, t, 3, rule) == got[2]
-
-
-@pytest.mark.parametrize("n", ((2, -1), -1, 2.5, (1, 2.0), ()))
-def test_mode_coefficient_refuses_a_non_natural_degree(n):
-    k = HeatKernel(1.0, 0.5)
-    with pytest.raises(DomainError, match="degree"):
-        k.mode_coefficient(0.3, 0.1, n, unit_rule(k))
 
 
 def test_single_mode_p1_closed_form():
     k = HeatKernel(0.8, 0.3)
     rule = unit_rule(k)
     t, rho = 0.2, 0.4
-    got = k.reproducing_integral(rho, t, lambda s: k.basis.eval(1, 2 * s - 1), rule)
+    got = k.reproducing_integral(rho, t, k.basis.eval(1, 2 * rule.nodes - 1), rule)
     want = math.exp(-t * (k.alpha + k.beta + 2.0)) * k.basis.eval(1, 2 * rho - 1)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -338,7 +319,8 @@ def test_reproducing_limit_quadratic():
     k = HeatKernel(1.0 / 3.0, 1.0 / 3.0)
     rule = unit_rule(k)
     f = lambda s: s * (1.0 - s)
-    errs = [abs(k.reproducing_integral(0.5, t, f, rule) - 0.25) for t in (1e-1, 1e-2, 1e-3)]
+    errs = [abs(k.reproducing_integral(0.5, t, f(rule.nodes), rule) - 0.25)
+            for t in (1e-1, 1e-2, 1e-3)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 2e-2
 
@@ -465,25 +447,35 @@ def test_bound_scan_matches_pointwise_reference(alpha, beta):
         assert within_ulps(scan.max_ratio[c], max_ratio[c])
 
 
-def test_reproducing_integral_calls_f_once_on_the_nodes(kernel):
-    rule = unit_rule(kernel)
-    t, rho = 0.05, 0.31
-    shapes = []
+@functools.cache
+def pair_rule(pair):
+    return gauss_jacobi_rule(120, JacobiBasis(*pair))
 
-    def f(s):
-        shapes.append(np.shape(s))
-        return s * (1.0 - s)
 
-    got = kernel.reproducing_integral(rho, t, f, rule)
-    assert shapes == [rule.nodes.shape]
-    n_terms, _ = kernel.truncation_index(t)
-    kvals = kernel.grid([rho], rule.nodes, t, n_terms=n_terms)[0]
-    per_node = np.array([f(s) for s in rule.nodes])
-    assert got == float(np.dot(rule.weights, kvals * per_node))
-    # a scalar result is broadcast over the nodes
-    assert kernel.reproducing_integral(rho, t, lambda s: 1.0, rule) == float(
-        np.dot(rule.weights, kvals)
-    )
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(PARAMS), rho=st.floats(0.0, 1.0), t=st.floats(1e-3, 2.0),
+       n_rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_a_stack_of_rows_projects_as_each_row_alone_bit_for_bit(pair, rho, t, n_rows, seed):
+    rule = pair_rule(pair)
+    rows = np.random.default_rng(seed).standard_normal((n_rows, rule.nodes.size))
+    kernel, calls = HeatKernel(*pair), []
+    grid = kernel.grid
+    kernel.grid = lambda *args: calls.append(args) or grid(*args)
+    got = kernel.reproducing_integral(rho, t, rows, rule)
+    assert len(calls) == 1  # one kernel row serves every row
+    alone = [HeatKernel(*pair).reproducing_integral(rho, t, row, rule) for row in rows]
+    kvals = HeatKernel(*pair).grid([rho], rule.nodes, t)[0]
+    direct = [float(np.dot(rule.weights, kvals * row)) for row in rows]
+    assert [v.hex() for v in got] == [v.hex() for v in alone] == [v.hex() for v in direct]
+    assert isinstance(alone[0], float)
+
+
+@pytest.mark.parametrize("values", (1.0, np.ones(119), np.ones((2, 2, 120))),
+                         ids=("scalar", "short-row", "3-d"))
+def test_reproducing_integral_refuses_values_off_the_nodes(values):
+    k = HeatKernel(1.0, 0.5)
+    with pytest.raises(DomainError, match="node values"):
+        k.reproducing_integral(0.3, 0.1, values, unit_rule(k))
 
 
 # -- kept Jacobi tables ------------------------------------------------------

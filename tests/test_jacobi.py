@@ -31,6 +31,15 @@ def test_negative_degree_is_domain_error(n):
         b.eval_table(n, [0.3, -0.2])
 
 
+@pytest.mark.parametrize("name", ("alpha", "beta"))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, -1.0))
+def test_basis_refuses_a_parameter_outside_minus_one_to_inf_by_name(name, value):
+    pair = {"alpha": 0.5, "beta": 1.5, name: value}
+    with pytest.raises(DomainError, match=rf"^jacobi parameter {name} must lie in \(-1, inf\), "
+                                          rf"got {value!r}$"):
+        JacobiBasis(**pair)
+
+
 def test_degree_zero_and_one():
     b = JacobiBasis(0.7, 1.9)
     assert b.eval(0, 0.123) == 1.0

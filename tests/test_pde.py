@@ -375,6 +375,12 @@ def test_power_spec_naming_no_ordered_pair_is_refused(spec):
         resolve_candidate(f"power:{spec}", 6.0)
 
 
+@pytest.mark.parametrize("spec", ("1,2=1;1,2=2", "1,2=1;2,3=0.5; 1,2 =1"))
+def test_power_spec_naming_a_pair_twice_is_refused_by_name(spec):
+    with pytest.raises(DomainError, match=r"names the pair \(1, 2\) twice"):
+        resolve_candidate(f"power:{spec}", 6.0)
+
+
 def test_pde_suite_sweeps_a_power_product_at_its_own_M():
     # the Coulomb-gas vertex product at M = 4 solves the null-state equations
     # but not the Ward identities of theta_1 weights, so the sweep fails by name
