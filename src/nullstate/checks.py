@@ -222,8 +222,12 @@ def suite_kernel(alpha: float, beta: float, t_list, corrupt: dict, seed: int,
     pts = rng.uniform(0.05, 0.95, size=(6, 2)).tolist()
     times = {t: kernel.truncation_index(t)[0] for t in (1e-2, 0.5)}
     at = [(rho, sigma, t) for rho, sigma in pts for t in times]
-    values = ((kernel.value(rho, sigma, t, n_terms=times[t]).value,
-               kernel.value(sigma, rho, t, n_terms=times[t]).value) for rho, sigma, t in at)
+    # K(sigma_i, rho_i) is the diagonal of one grid per time, each cell `value`'s float
+    rhos, sigmas = np.array(pts).T
+    swapped = {t: np.diagonal(kernel.grid(sigmas, rhos, t, n_terms)).tolist()
+               for t, n_terms in times.items()}
+    values = ((kernel.value(rho, sigma, t, n_terms=times[t]).value, swapped[t][i])
+              for i, (rho, sigma) in enumerate(pts) for t in times)
     worst_sym, where = _worst((abs(a - b) / max(abs(a), 1.0) for a, b in values), at=at)
     checks.append(_leq("symmetry", worst_sym, 1e-8,
                        detail=f"worst at (rho, sigma, t) = {where!r}"))

@@ -206,9 +206,34 @@ def cmd_scan(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _NegativeFloat:
+    """Which words that start with '-' are values, not options: every negative float.
+
+    argparse's own test takes -1 and -1.5 but reads -1e3 and -inf as unknown
+    options, so `--h -inf` would not reach the refusal that `--h=-inf` does.
+    No option name of this parser reads as a float.
+    """
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return word.startswith("-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that reads negative floats as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeFloat
+
+
 @functools.cache  # built on first use, once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullstate",
         description="Verification commands for the interval-collapse PDE toolkit.",
     )

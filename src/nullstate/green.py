@@ -392,7 +392,7 @@ class TwoIntervalGreen:
         # f need only take a scalar: it is sampled node by node, once for every eta
         transformed = np.array([self._transformed(f, s) for s in rule.nodes], dtype=float)
         # smallest eta, shortest time and most terms first: the later etas
-        # take row slices of the nodes' kept table
+        # read a prefix of each row of the nodes' kept table
         for i in np.argsort(etas, kind="stable").tolist():
             eta = etas[i]
             t = self.time(epsilon, float(eta))

@@ -140,22 +140,23 @@ class HeatKernel:
             self._shrink.append(shrink)
 
     def _table(self, n_terms: int, x) -> np.ndarray:
-        """Degrees 0..n_terms-1 of the Jacobi table at y = 2x - 1, for the points x.
+        """Degrees 0..n_terms-1 of the Jacobi table at y = 2x - 1, one row per point x.
 
         The kernel keeps the tables of its TABLES_KEPT most recently used point
-        sets.  A call that needs fewer degrees takes a row slice; one that
+        sets, point-major, so each point's degrees are one contiguous row.  A
+        call that needs fewer degrees takes a prefix of each row; one that
         needs more rebuilds the table from degree 0.
         """
         y = 2.0 * np.asarray(x, dtype=float).ravel() - 1.0
         key = y.tobytes()
         table = self._tables.pop(key, None)
-        if table is None or len(table) < n_terms:
-            table = self.basis.eval_table(n_terms - 1, y)
+        if table is None or table.shape[1] < n_terms:
+            table = np.ascontiguousarray(self.basis.eval_table(n_terms - 1, y).T)
             table.setflags(write=False)  # callers get views of it
         self._tables[key] = table
         if len(self._tables) > TABLES_KEPT:
             del self._tables[next(iter(self._tables))]
-        return table[:n_terms]
+        return table[:, :n_terms]
 
     def term_bound(self, n: int, t: float) -> float:
         """B_n = exp(-t n(n+alpha+beta+1)) Pbar_n^2 / nrm_n.
@@ -244,8 +245,9 @@ class HeatKernel:
         """K(rho, sigma, t) with n_terms terms at each (sigma, t) of points, from one table.
 
         points are (sigma, t) pairs or the rows of an (N, 2) array.  Each value
-        is bit for bit `value(rho, sigma, t, n_terms).value`: the table's
-        columns are `value`'s (both `eval_table` routes agree bit for bit).
+        is bit for bit `value(rho, sigma, t, n_terms).value`: a point's row of
+        the table is its column in `value`'s (both `eval_table` routes agree
+        bit for bit).
         The table over rho and the distinct sigmas, in increasing order, is
         kept (see `_table`).  The first time out of range, in point order, is
         refused.
@@ -260,7 +262,7 @@ class HeatKernel:
         sigmas = sorted(set(samples))
         col = dict(zip(sigmas, range(1, len(sigmas) + 1)))
         table = self._table(n_terms, [rho, *sigmas])
-        return self._sum(t[:, None], table[:, 0], table.T[[col[s] for s in samples]]).tolist()
+        return self._sum(t[:, None], table[0], table[[col[s] for s in samples]]).tolist()
 
     def grid(self, rhos, sigmas, t: float, n_terms: int | None = None) -> np.ndarray:
         """K on the product grid rhos x sigmas at one time; each cell is `value`'s float.
@@ -272,7 +274,7 @@ class HeatKernel:
         n_terms, _ = self._truncation(t, n_terms)
         tr = self._table(n_terms, rhos)
         ts = self._table(n_terms, sigmas)
-        return self._sum(t, tr.T[:, None, :], ts.T[None, :, :])
+        return self._sum(t, tr[:, None, :], ts[None, :, :])
 
     def cancellation_floor(self, t: float, n_terms: int) -> float:
         """Magnitude below which a computed kernel value is treated as unresolved.

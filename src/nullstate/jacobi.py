@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,7 @@ class JacobiBasis:
 
     alpha: float
     beta: float
-    _coeffs: list = field(default_factory=lambda: [array("d") for _ in range(4)], init=False,
+    _coeffs: list = field(default_factory=lambda: [[] for _ in range(4)], init=False,
                           repr=False, compare=False)
     _shifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -76,8 +75,9 @@ class JacobiBasis:
         """Columns a, b0, b1, c of this basis's recurrence for degrees 2..n_max.
 
         The table is built with numpy and grows by doubling, so a fresh basis
-        builds only the rows it is asked for.  It is kept as float64 (32 bytes
-        a row) and handed out as Python floats per call.
+        builds only the rows it is asked for.  It is kept as lists of Python
+        floats (128 bytes a row), boxed once as they grow, and a call gets list
+        slices, which copy pointers and box nothing.
         """
         if n_max < 0:
             raise DomainError(f"jacobi degree must be >= 0, got {n_max!r}")
@@ -85,8 +85,8 @@ class JacobiBasis:
         if have < need:
             new = _recurrence_coefficients(have + 2, max(need, 2 * have) + 2, self.alpha, self.beta)
             for column, rows in zip(self._coeffs, new):
-                column.frombytes(rows.tobytes())
-        return [column[:need].tolist() for column in self._coeffs]
+                column.extend(rows.tolist())
+        return [column[:need] for column in self._coeffs]
 
     def _rows(self, coeffs: list, n_max: int, y):
         """P_0(y), ..., P_n_max(y), one degree at a time; y is a Python float or an ndarray."""
@@ -117,7 +117,7 @@ class JacobiBasis:
             return table
         columns = table.reshape(len(table), y.size)
         for j, yj in enumerate(y.ravel().tolist()):
-            columns[:, j] = list(self._rows(coeffs, n_max, yj))
+            columns[:, j] = np.fromiter(self._rows(coeffs, n_max, yj), float, n_max + 1)
         return table
 
     def eval_explicit_sum(self, n: int, y):

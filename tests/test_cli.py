@@ -303,6 +303,32 @@ def test_non_finite_weight_or_parameter_and_a_pair_named_twice_are_usage_errors(
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("verify", "green", "--kappa", "6", "--h", "-inf"),
+         "conformal weight d must be finite, got -inf"),
+        (("verify", "kernel", "--kappa", "6", "--alpha", "-inf"),
+         "endpoint-maximum tail bounds require alpha, beta >= -1/2, "
+         "got (-inf, 0.3333333333333333)"),
+        (("verify", "kernel", "--kappa", "6", "--alpha", "-1e3"),
+         "endpoint-maximum tail bounds require alpha, beta >= -1/2, "
+         "got (-1000.0, 0.3333333333333333)"),
+        (("verify", "all", "--kappa", "-1e-3"), "kappa must lie in (0, 8), got -0.001"),
+        (("verify", "kernel", "--kappa", "6", "--t", "1e-3", "-1e-2"),
+         "kernel time must be finite and positive, got -0.01"),
+    ),
+)
+def test_a_negative_number_is_a_value_as_a_separate_word(argv, message, capsys):
+    # argparse alone reads -inf, -1e3 and -1e-3 as unknown options ("expected one
+    # argument"); each reaches the same named refusal as its --option=value form
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if argv[-2].startswith("--"):
+        assert cli.main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scan_green_adjoint_names_its_worst_row(tmp_path, capsys):
     out_file = tmp_path / "adjoint.csv"
     code, out = run(capsys, "scan", "green-adjoint", "--kappa", "6", "--n-sigma", "3",

@@ -37,8 +37,10 @@ checks whose sets held its own miss.
   (decay_rate: index n + 1), and kernel.mass_conservation at n = 0 over the t
   list, whose smallest t sums degrees 30 and up (b1 from degree 30).
   green.reproducing_mass_identity reads n = 0 through G.
-- A point value of K: kernel.symmetry and green.greenfunc_vs_greenfuncalt,
-  the pair in TWINS.
+- A point value of K: kernel.symmetry, which compares two readers of K,
+  `value` at (rho, sigma) against a `grid` cell at (sigma, rho) (value minus
+  the n = 0 mode; grid: drops the n = 0 mode), and
+  green.greenfunc_vs_greenfuncalt, which reads `value` through G.
 - K -> 1 / h_0 as t -> oo: kernel.long_time_limit (value minus the n = 0
   mode; greenfunc_vs_greenfuncalt also fails).
 - K -> delta as t -> 0: kernel.reproducing_error_monotone (t floored at 1e-2).
@@ -434,13 +436,13 @@ MATRIX = {
     "HeatKernel.value: rho + 1e-7": _both(
         "green.greenfunc_vs_greenfuncalt", "kernel.symmetry"),
     "HeatKernel.value: minus the n = 0 mode": _both(
-        "green.greenfunc_vs_greenfuncalt", "kernel.long_time_limit"),
+        "green.greenfunc_vs_greenfuncalt", "kernel.long_time_limit", "kernel.symmetry"),
     "HeatKernel._sum: x (1 + 1e-6)": _both(
         "green.greenfunc_vs_greenfuncalt", "green.reproducing_mass_identity",
         "kernel.long_time_limit", "kernel.mass_conservation", "kernel.single_mode_decay"),
     "HeatKernel.grid: drops the n = 0 mode": _both(
         "green.reproducing_mass_identity", "kernel.bound_two_sided_on_grid",
-        "kernel.mass_conservation", "kernel.single_mode_decay"),
+        "kernel.mass_conservation", "kernel.single_mode_decay", "kernel.symmetry"),
     "HeatKernel.grid: t floored at 1e-2": _both(
         "kernel.reproducing_error_monotone"),
     "HeatKernel.grid: NaN at the middle cell": _both(
@@ -554,12 +556,7 @@ MATRIX = {
 UNCOVERED = {}
 
 # (check, the check whose caught set holds its own) -> why both stay
-TWINS = {
-    ("kernel.symmetry", "green.greenfunc_vs_greenfuncalt"): (
-        "HeatKernel.value's two oracles: K against its transpose at t = 1e-2 and 0.5, and G's "
-        "factored form, which reads K, against its own series; symmetry alone fails at "
-        "kappa in [0.25, 1], where cancellation spoils values the global floor calls resolved"),
-}
+TWINS = {}
 
 
 @pytest.fixture(autouse=True)

@@ -483,7 +483,7 @@ def test_reproducing_integral_refuses_values_off_the_nodes(values):
 
 @pytest.mark.parametrize("size", (3, NARROW, NARROW + 1, 120))
 def test_shorter_eval_table_is_a_row_slice_of_a_longer_one(size, rng):
-    # a kept table serves fewer degrees by a row slice: on both routes (per-point
+    # a kept table serves fewer degrees by a prefix of its degrees: on both routes (per-point
     # floats up to NARROW points, arrays above) a row does not depend on n_max
     y = rng.uniform(-1.0, 1.0, size=size)
     longest = JacobiBasis(0.5, 1.4).eval_table(300, y)
@@ -507,7 +507,7 @@ def _count_tables(monkeypatch, basis, size=None) -> list:
 
 def test_grid_at_falling_then_rising_t_is_a_fresh_kernels_grid(kernel, monkeypatch):
     # falling t needs more degrees, which rebuilds the kept tables; rising t
-    # takes row slices of them.  Every grid is byte for byte a fresh kernel's
+    # reads a prefix of each row.  Every grid is byte for byte a fresh kernel's
     built = _count_tables(monkeypatch, kernel.basis)
     nodes = unit_rule(kernel).nodes
     rhos = np.array([0.1, 0.37, 0.9])
@@ -548,6 +548,21 @@ def test_columns_grow_after_sum_read_them(kernel):
         assert [v.hex() for v in got] == [v.hex() for v in want], t
         lengths.append((len(kernel._nrm), len(kernel._shrink)))
     assert lengths[-1][0] > lengths[3][0] and lengths[-1][1] > lengths[3][1]
+
+
+def test_kept_tables_are_point_major_and_serve_fewer_terms_by_a_prefix(kernel, monkeypatch):
+    # one contiguous row of degrees per point; a grid that needs fewer terms reads
+    # a prefix of each row, bit for bit a fresh kernel's grid
+    built = _count_tables(monkeypatch, kernel.basis)
+    rhos, sigmas = np.array([0.2, 0.7]), np.linspace(0.05, 0.95, NARROW + 6)
+    kernel.grid(rhos, sigmas, 1e-3)
+    n_terms = kernel.truncation_index(1e-3)[0]
+    assert [(t.shape, t.flags.c_contiguous) for t in kernel._tables.values()] == [
+        ((2, n_terms), True), ((NARROW + 6, n_terms), True)]
+    for t in (1e-2, 0.3):
+        fresh = HeatKernel(kernel.alpha, kernel.beta).grid(rhos, sigmas, t)
+        assert kernel.grid(rhos, sigmas, t).tobytes() == fresh.tobytes()
+    assert built == [n_terms, n_terms]
 
 
 def test_kernel_keeps_a_bounded_number_of_tables(rng):

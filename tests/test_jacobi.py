@@ -201,7 +201,8 @@ def _reference_table(alpha, beta, n_max, y):
     return table
 
 
-@pytest.mark.parametrize("shape", ((1,), (2,), (NARROW,), (NARROW + 1,), (120,), (3, 4), (6, 20)))
+@pytest.mark.parametrize("shape", ((1,), (2,), (NARROW - 1,), (NARROW,), (NARROW + 1,), (120,),
+                                   (3, 4), (4, 6), (5, 5), (6, 20)))
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 def test_eval_table_matches_reference_bitwise(alpha, beta, shape, rng):
     b = JacobiBasis(alpha, beta)
@@ -225,17 +226,21 @@ def test_eval_of_scalar_is_python_float(n):
     assert type(b.deriv(n, 0.3)) is float
 
 
-def test_coefficient_table_grows_without_changing_rows(rng):
-    y = rng.uniform(-1.0, 1.0, size=5)
+@pytest.mark.parametrize("size", (5, NARROW + 1))
+def test_coefficient_table_grows_without_changing_rows(size, rng):
+    # the coefficient lists grow in place and a table reads slices of them: every
+    # table is bit for bit a fresh basis's, on both routes
+    y = rng.uniform(-1.0, 1.0, size=size)
     b = JacobiBasis(1.0 / 3.0, 1.0 / 3.0)
-    first = b.eval_table(10, y).tobytes()
-    assert len(b._coeffs[0]) == 9  # a fresh basis builds only degrees 2..10
-    b.eval_table(12, y)
-    assert len(b._coeffs[0]) == 18  # then doubles
-    big = b.eval_table(500, y)
-    assert len(b._coeffs[0]) == 499
-    assert b.eval_table(10, y).tobytes() == first
-    assert big.tobytes() == JacobiBasis(1.0 / 3.0, 1.0 / 3.0).eval_table(500, y).tobytes()
+    # a fresh basis builds only degrees 2..10, then doubles
+    for n_max, have in ((10, 9), (12, 18), (1000, 999), (5, 999)):
+        table = b.eval_table(n_max, y)
+        assert len(b._coeffs[0]) == have
+        assert table.tobytes() == JacobiBasis(1.0 / 3.0, 1.0 / 3.0).eval_table(n_max, y).tobytes()
+    columns = jacobi._recurrence_coefficients(2, 1001, 1.0 / 3.0, 1.0 / 3.0)
+    for kept, floats in zip(b._coeffs, columns):
+        assert type(kept) is list and all(type(c) is float for c in kept)
+        assert kept == floats.tolist()
 
 
 @pytest.mark.parametrize("size", (1, NARROW + 9))
