@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """The regime map: every check of every `verify` suite over a fixed list of kappa.
 
-Each suite runs through `checks.run_suite` with the defaults of
-`nullstate verify all --kappa K` (h = theta_2 and the Jacobi pair it induces,
-candidate n1, 100 configurations, seed 0, t in 1e-3, 1e-2, 0.1, 1, 10).  The
+Each suite runs through `checks.run_suite` with the arguments that
+`nullstate verify <suite> --kappa K` resolves (`cli.suite_arguments`): h =
+theta_2 and the Jacobi pair it induces, candidate n1, 100 configurations,
+seed 0, t in 1e-3, 1e-2, 0.1, 1, 10, each where the suite reads it.  The
 CSV has one row per (kappa, check): its verdict, repr(value) and tolerance.  A
 suite that refuses a kappa with one of the package's named errors gets one
 REFUSED row, with the error, in place of its checks.  No row holds a time;
@@ -28,10 +29,9 @@ import sys
 os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
 os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
-from nullstate import checks  # noqa: E402
+from nullstate import checks, cli  # noqa: E402
 from nullstate.errors import (  # noqa: E402
     DegenerateFitError, DomainError, PreconditionError, TruncationError)
-from nullstate.exponents import jacobi_params, leg_weight  # noqa: E402
 
 NUMPY = "2.4.6"  # the numpy that wrote kappa_sweep.csv
 REFUSALS = (DomainError, PreconditionError, DegenerateFitError, TruncationError)
@@ -50,12 +50,9 @@ def kappas() -> list:
 
 def suite_rows(kappa: float, suite: str) -> list:
     """The rows of one suite at one kappa, or its one REFUSED row."""
+    args = cli.build_parser().parse_args(["verify", suite, "--kappa", repr(kappa)])
     try:
-        h = leg_weight(2, kappa)
-        params = jacobi_params(h, kappa)
-        results = checks.run_suite(
-            suite, kappa, h=h, alpha=params.alpha, beta=params.beta, candidate="n1",
-            n_configs=100, seed=0, corrupt={}, t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0))
+        results = checks.run_suite(suite, kappa, **cli.suite_arguments(args))
     except REFUSALS as exc:
         return [(repr(kappa), suite, "", "REFUSED", "", "", f"{type(exc).__name__}: {exc}")]
     return [(repr(kappa), suite, c.name, "PASS" if c.passed else "FAIL", repr(c.value),

@@ -123,37 +123,39 @@ def jacobi_pair(args, h: float) -> tuple[float, float]:
             params.beta if args.beta is None else args.beta)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def suite_arguments(args) -> dict:
+    """`checks.run_suite`'s keyword arguments from parsed `verify <suite>` arguments.
+
+    Each option the suite takes is resolved to its value (h from its spec,
+    the Jacobi pair from h where not given, the time list from --t-min where
+    --t is not given); an option it does not take is None, with seed 0 and no
+    corruption.
+    """
     opts = vars(args)  # the options of args.suite only
-    kappa = args.kappa
-    h = parse_weight(args.h, kappa) if "h" in opts else None
+    h = parse_weight(args.h, args.kappa) if "h" in opts else None
     corrupt = parse_corrupt(opts.get("corrupt"))
     alpha, beta = jacobi_pair(args, h) if "alpha" in opts else (None, None)
     t_list = None
     if "t" in opts:
         t_list = tuple(args.t) if args.t else (args.t_min, 1e-2, 0.1, 1.0, 10.0)
-    seed = opts.get("seed", 0)
-    results = checks.run_suite(
-        args.suite,
-        kappa,
-        h=h,
-        alpha=alpha,
-        beta=beta,
-        candidate=opts.get("candidate"),
-        n_configs=opts.get("configs"),
-        seed=seed,
-        corrupt=corrupt,
-        t_list=t_list,
-    )
-    params = {"suite": args.suite, "kappa": kappa}
+    return dict(h=h, alpha=alpha, beta=beta, candidate=opts.get("candidate"),
+                n_configs=opts.get("configs"), seed=opts.get("seed", 0), corrupt=corrupt,
+                t_list=t_list)
+
+
+def cmd_verify(args) -> int:
+    started = time.perf_counter()
+    opts = vars(args)
+    resolved = suite_arguments(args)
+    results = checks.run_suite(args.suite, args.kappa, **resolved)
+    params = {"suite": args.suite, "kappa": args.kappa}
     params.update((key, opts[key]) for key in ("h", "alpha", "beta", "candidate", "configs")
                   if key in opts)
-    if t_list is not None:
-        params["t_list"] = list(t_list)
+    if resolved["t_list"] is not None:
+        params["t_list"] = list(resolved["t_list"])
     if "corrupt" in opts:
-        params["corrupt"] = corrupt
-    report = checks.build_report("verify", params, results, started, seed=seed)
+        params["corrupt"] = resolved["corrupt"]
+    report = checks.build_report("verify", params, results, started, seed=resolved["seed"])
     _print_report(report, args.format, args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -206,17 +206,18 @@ class TwoIntervalGreen:
 
         Row j holds the samples of point j, which take n_terms[j] terms; the
         points that share an n_terms are adjacent, and each such run is one
-        `HeatKernel.values` call.  Each distinct eta is turned into a time once.
+        `HeatKernel.grid` call over rho and the run's samples, at per-cell
+        times.  Each distinct eta is turned into a time once.
         """
         etas = eta.ravel().tolist()
         times = {e: self.time(epsilon, e) for e in set(etas)}
-        pts = np.stack([sigma.ravel(), [times[e] for e in etas]], axis=1)
-        k, start = [], 0
+        sigmas, t = sigma.ravel(), np.array([times[e] for e in etas])
+        k, start = np.empty(sigma.size), 0
         for n, run in itertools.groupby(n_terms):
             stop = start + sigma.shape[1] * len(list(run))
-            k += self.kernel.values(rho, pts[start:stop], n)
+            k[start:stop] = self.kernel.grid([rho], sigmas[start:stop], t[None, start:stop], n)[0]
             start = stop
-        return self._factored(rho, epsilon, sigma, eta, np.reshape(k, sigma.shape))
+        return self._factored(rho, epsilon, sigma, eta, k.reshape(sigma.shape))
 
     def value_series(self, rho: float, epsilon: float, sigma: float, eta: float) -> float:
         """Direct eigenvalue series with per-mode powers (eps/eta)^lambda_n.
@@ -275,10 +276,10 @@ class TwoIntervalGreen:
         the sampled function is a fixed finite sum.  The points are checked in
         order, so the first bad one raises; each distinct lowest eta is
         truncated once.  The samples of the points that share an n_terms come
-        from one `HeatKernel.values` call, the largest n_terms first, so on a
-        product grid of sigmas and etas one kept table over rho and every
-        stencil sigma is built once and then sliced.  Each sample equals the
-        factored-form `value` at its point bit for bit, and the rest is
+        from one `HeatKernel.grid` call, the largest n_terms first, so on a
+        product grid of sigmas and etas one kept table over rho and one over
+        every stencil sigma are built once and then sliced.  Each sample
+        equals the factored-form `value` at its point bit for bit, and the rest is
         elementwise arithmetic in the order a float point takes.  The residual
         is divided by eta^2, so an eta whose square overflows or underflows is
         refused.
@@ -407,7 +408,7 @@ class TwoIntervalGreen:
 
         side="left" fits sigma -> 0 (expected dp(theta1) + 4/kappa);
         side="right" fits sigma -> 1 (expected dp(h) + 4/kappa).  The seven
-        samples share one time and come from one `HeatKernel.values` call.
+        samples share one time and come from one `HeatKernel.grid` call.
         """
         if side not in ("left", "right"):
             raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -416,8 +417,8 @@ class TwoIntervalGreen:
         self._check_point(rho, float(sigmas[0]), epsilon, eta)  # the others lie inside too
         if eta <= epsilon:
             raise DomainError("kernel vanished on the fit grid")
-        n_terms, _ = self.kernel.truncation_index(self.time(epsilon, eta))
-        vals = np.abs(self._values(rho, epsilon, sigmas[None], np.full((1, 7), eta), [n_terms])[0])
+        k = self.kernel.grid([rho], sigmas, self.time(epsilon, eta))[0]
+        vals = np.abs(self._factored(rho, epsilon, sigmas, eta, k))
         if np.any(vals == 0.0):
             raise DomainError("kernel vanished on the fit grid")
         return findiff.line_fit(np.log(s), np.log(vals))[1]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullstate import HeatKernel, checks, cli, jacobi, jacobi_params, leg_weight
+from nullstate import HeatKernel, checks, cli, jacobi
 
 
 def run(capsys, *argv):
@@ -410,18 +410,16 @@ def test_check_result_dict_keeps_its_field_order():
 # -- dispatch: one table of suites, one table of scan options ----------------------
 
 
-def _verify_defaults(kappa: float) -> dict:
+def _verify_defaults(kappa: float, suite: str = "all") -> dict:
     """run_suite's arguments for `nullstate verify <suite> --kappa K` with no other options."""
-    h = leg_weight(2, kappa)
-    params = jacobi_params(h, kappa)
-    return dict(h=h, alpha=params.alpha, beta=params.beta, candidate="n1", n_configs=100,
-                seed=0, t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0))
+    return cli.suite_arguments(
+        cli.build_parser().parse_args(["verify", suite, "--kappa", repr(kappa)]))
 
 
 @pytest.mark.parametrize("kappa", (6.0, 2.0))
 def test_check_result_dict_is_asdict_for_every_check(kappa):
     # the literal dict stands in for dataclasses.asdict, value for value and key for key
-    for c in checks.run_suite("all", kappa, corrupt={}, **_verify_defaults(kappa)):
+    for c in checks.run_suite("all", kappa, **_verify_defaults(kappa)):
         assert list(c.to_dict().items()) == list(dataclasses.asdict(c).items())
 
 
@@ -444,13 +442,13 @@ def test_run_suite_all_is_every_suite_in_order():
 @pytest.mark.parametrize("suite", checks.SUITES)
 def test_every_suite_returns_a_check(suite):
     # Report.passed is all([]), so a suite with no check would pass having checked nothing
-    assert checks.run_suite(suite, 6.0, corrupt={}, **_verify_defaults(6.0))
+    assert checks.run_suite(suite, 6.0, **_verify_defaults(6.0, suite))
 
 
 def test_reproducing_error_monotone_prints_three_decimals():
     # as bound_two_sided_on_grid prints its ratios: round-off in the last bits of
     # an error does not change the text
-    results = checks.run_suite("kernel", 6.0, corrupt={}, **_verify_defaults(6.0))
+    results = checks.run_suite("kernel", 6.0, **_verify_defaults(6.0, "kernel"))
     detail = {c.name: c.detail for c in results}["reproducing_error_monotone"]
     number = r"\d\.\d{3}e[+-]\d{2}"
     assert re.fullmatch(rf"errors \[{number}, {number}, {number}\]", detail), detail
@@ -471,10 +469,10 @@ def test_a_pair_no_kernel_takes_still_has_its_jacobi_checks(capsys):
 def test_run_suite_all_is_its_suites_bit_for_bit(kappa, corrupt):
     # the suites of `all` share one kernel per (alpha, beta); each suite alone builds its own
     args = _verify_defaults(kappa)
-    got = _records(checks.run_suite("all", kappa, corrupt=corrupt, **args))
+    got = _records(checks.run_suite("all", kappa, **{**args, "corrupt": corrupt}))
     want = [record for sub in checks.SUITES[:-1] for record in _records(checks.run_suite(
-        sub, kappa, corrupt={key: value for key, value in corrupt.items()
-                             if key in checks.SUITE_CORRUPTIONS.get(sub, ())}, **args),
+        sub, kappa, **{**args, "corrupt": {key: value for key, value in corrupt.items()
+                                           if key in checks.SUITE_CORRUPTIONS.get(sub, ())}}),
         prefix=f"{sub}.")]
     assert got == want
 
@@ -503,15 +501,15 @@ def test_no_state_outlives_a_run_suite_call(monkeypatch):
     # run match the clean one before it, or the clean run after it match neither
     kappa = 5.9
     args = _verify_defaults(kappa)
-    clean = _records(checks.run_suite("all", kappa, corrupt={}, **args))
+    clean = _records(checks.run_suite("all", kappa, **args))
     recurrence = jacobi._recurrence_coefficients
     monkeypatch.setattr(jacobi, "_recurrence_coefficients",  # b1 x (1 + 1e-4)
                         lambda *a: [col * (1.0 + 1e-4) if i == 2 else col
                                     for i, col in enumerate(recurrence(*a))])
-    faulty = _records(checks.run_suite("all", kappa, corrupt={}, **args))
+    faulty = _records(checks.run_suite("all", kappa, **args))
     monkeypatch.undo()
     assert faulty != clean
-    assert _records(checks.run_suite("all", kappa, corrupt={}, **args)) == clean
+    assert _records(checks.run_suite("all", kappa, **args)) == clean
 
 
 VERIFY_OPTIONS = {  # per suite, the options it reads and a value for each

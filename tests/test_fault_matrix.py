@@ -37,10 +37,11 @@ checks whose sets held its own miss.
   (decay_rate: index n + 1), and kernel.mass_conservation at n = 0 over the t
   list, whose smallest t sums degrees 30 and up (b1 from degree 30).
   green.reproducing_mass_identity reads n = 0 through G.
-- A point value of K: kernel.symmetry, which compares two readers of K,
+- A point value of K: kernel.symmetry, which compares the two readers of K,
   `value` at (rho, sigma) against a `grid` cell at (sigma, rho) (value minus
-  the n = 0 mode; grid: drops the n = 0 mode), and
-  green.greenfunc_vs_greenfuncalt, which reads `value` through G.
+  the n = 0 mode; grid: drops the n = 0 mode; grid: rhos + 1e-7), and
+  green.greenfunc_vs_greenfuncalt, which reads `value` through G.  G's
+  adjoint residual reads `grid` at per-cell times, its boundary fits at one.
 - K -> 1 / h_0 as t -> oo: kernel.long_time_limit (value minus the n = 0
   mode; greenfunc_vs_greenfuncalt also fails).
 - K -> delta as t -> 0: kernel.reproducing_error_monotone (t floored at 1e-2).
@@ -75,8 +76,6 @@ checks whose sets held its own miss.
 
 No row does not mean no fault.  These faults fail no `verify` check, and a
 Tier-1 test catches each:
-- HeatKernel.values at rho + 1e-7:
-  test_heat_kernel.py::test_values_is_value_bit_for_bit_after_a_slice_and_a_rebuild;
 - asymptotics.A_ROUNDOFF = 1e-3:
   test_asymptotics.py::test_two_leg_round_off_floor_is_tight;
 - HeatKernel._tail_bound x 1e-3 or x 1e3:
@@ -91,23 +90,22 @@ import numpy as np
 import pytest
 
 from nullstate import asymptotics as asym
-from nullstate import checks, exponents, findiff, green, heat_kernel, jacobi, pde
+from nullstate import checks, cli, exponents, findiff, green, heat_kernel, jacobi, pde
 
 KAPPAS = (6.0, 2.0)
 
 
 def _defaults(kappa: float) -> dict:
-    h = exponents.leg_weight(2, kappa)
-    params = exponents.jacobi_params(h, kappa)
-    return dict(h=h, alpha=params.alpha, beta=params.beta, candidate="n1", n_configs=100,
-                seed=0, t_list=(1e-3, 1e-2, 0.1, 1.0, 10.0))
+    """run_suite's arguments for `nullstate verify all --kappa K`."""
+    return cli.suite_arguments(
+        cli.build_parser().parse_args(["verify", "all", "--kappa", repr(kappa)]))
 
 
 ARGS = {kappa: _defaults(kappa) for kappa in KAPPAS}
 
 
 def failing(kappa: float, corrupt: dict) -> tuple:
-    results = checks.run_suite("all", kappa, corrupt=corrupt, **ARGS[kappa])
+    results = checks.run_suite("all", kappa, **{**ARGS[kappa], "corrupt": corrupt})
     return tuple(sorted(c.name for c in results if not c.passed))
 
 
@@ -278,7 +276,7 @@ FAULTS = {
         heat_kernel.HeatKernel, "value", lambda f: lambda self, rho, sigma, t, n_terms=None:
         dataclasses.replace(kv := f(self, rho, sigma, t, n_terms),
                             value=kv.value - 1.0 / self._nrm[0]))),
-    # the one site where `value`, `values` and `grid` sum the series
+    # the one site where `value` and `grid` sum the series
     "HeatKernel._sum: x (1 + 1e-6)": ({}, _wrap(
         heat_kernel.HeatKernel, "_sum",
         lambda f: lambda self, t, left, right: f(self, t, left, right) * (1.0 + 1e-6))),
@@ -287,9 +285,12 @@ FAULTS = {
         f(self, rhos, sigmas, t, n_terms) - 1.0 / self._nrm[0])),
     "HeatKernel.grid: t floored at 1e-2": ({}, _wrap(
         heat_kernel.HeatKernel, "grid", lambda f: lambda self, rhos, sigmas, t, n_terms=None:
-        f(self, rhos, sigmas, max(t, 1e-2), n_terms))),
+        f(self, rhos, sigmas, np.maximum(t, 1e-2), n_terms))),
     "HeatKernel.grid: NaN at the middle cell": ({}, _wrap(
         heat_kernel.HeatKernel, "grid", _nan_at(lambda size: size // 2))),
+    "HeatKernel.grid: rhos + 1e-7": ({}, _wrap(
+        heat_kernel.HeatKernel, "grid", lambda f: lambda self, rhos, sigmas, t, n_terms=None:
+        f(self, np.asarray(rhos) + 1e-7, sigmas, t, n_terms))),
     # every point of the bound scan unresolved
     "HeatKernel.cancellation_floor: x 1e12": ({}, _wrap(
         heat_kernel.HeatKernel, "cancellation_floor",
@@ -440,15 +441,26 @@ MATRIX = {
     "HeatKernel._sum: x (1 + 1e-6)": _both(
         "green.greenfunc_vs_greenfuncalt", "green.reproducing_mass_identity",
         "kernel.long_time_limit", "kernel.mass_conservation", "kernel.single_mode_decay"),
-    "HeatKernel.grid: drops the n = 0 mode": _both(
-        "green.reproducing_mass_identity", "kernel.bound_two_sided_on_grid",
-        "kernel.mass_conservation", "kernel.single_mode_decay", "kernel.symmetry"),
+    "HeatKernel.grid: drops the n = 0 mode": (
+        (
+            "green.adjoint_residual_homogeneous", "green.reproducing_mass_identity",
+            "kernel.bound_two_sided_on_grid", "kernel.mass_conservation",
+            "kernel.single_mode_decay", "kernel.symmetry",
+        ),
+        (
+            "green.reproducing_mass_identity", "kernel.bound_two_sided_on_grid",
+            "kernel.mass_conservation", "kernel.single_mode_decay", "kernel.symmetry",
+        ),
+    ),
     "HeatKernel.grid: t floored at 1e-2": _both(
         "kernel.reproducing_error_monotone"),
     "HeatKernel.grid: NaN at the middle cell": _both(
-        "green.reproducing_mass_identity", "kernel.bound_two_sided_on_grid",
-        "kernel.mass_conservation", "kernel.reproducing_error_monotone",
-        "kernel.single_mode_decay"),
+        "green.adjoint_residual_homogeneous", "green.reproducing_mass_identity",
+        "green.sigma_decay_exponent_left", "green.sigma_decay_exponent_right",
+        "kernel.bound_two_sided_on_grid", "kernel.mass_conservation",
+        "kernel.reproducing_error_monotone", "kernel.single_mode_decay"),
+    "HeatKernel.grid: rhos + 1e-7": _both(
+        "kernel.single_mode_decay", "kernel.symmetry"),
     "HeatKernel.cancellation_floor: x 1e12": _both(
         "kernel.bound_two_sided_on_grid"),
     "OneIntervalGreen.value: x (1 + 1e-6)": _both(
@@ -585,7 +597,7 @@ def test_fault_fails_exactly_its_row(name, monkeypatch):
 def test_every_fault_fails_a_check_and_every_check_has_a_fault():
     assert list(MATRIX) == list(FAULTS)
     assert all(any(row) for row in MATRIX.values())
-    names = {c.name for c in checks.run_suite("all", 6.0, corrupt={}, **ARGS[6.0])}
+    names = {c.name for c in checks.run_suite("all", 6.0, **ARGS[6.0])}
     caught = {name for row in MATRIX.values() for at_kappa in row for name in at_kappa}
     assert caught | set(UNCOVERED) == names
     assert not caught & set(UNCOVERED)
@@ -605,5 +617,5 @@ def test_no_caught_set_lies_inside_another_but_the_twins():
 
 
 def test_the_map_names_every_check():
-    names = {c.name for c in checks.run_suite("all", 6.0, corrupt={}, **ARGS[6.0])}
+    names = {c.name for c in checks.run_suite("all", 6.0, **ARGS[6.0])}
     assert {name for name in names if name not in __doc__} == set()

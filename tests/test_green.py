@@ -165,18 +165,20 @@ def test_adjoint_residual_sample_count(green, monkeypatch):
     # seven samples in sigma give g0 and both refined sigma derivatives; the
     # eta derivative takes six wing samples, the step-h/2 stencil sharing
     # its outer points eta -+ h with the step-h one.  All 13 come from one
-    # Jacobi table over rho and the seven sigmas, none through `value`
-    calls = {"value": [], "eval_table": [], "values": []}
+    # `grid` call, which reads one Jacobi table over rho and one over the
+    # seven sigmas, none through `value`
+    calls = {"value": [], "eval_table": [], "grid": []}
     _spy(monkeypatch, TwoIntervalGreen, "value", calls["value"])
     _spy(monkeypatch, JacobiBasis, "eval_table", calls["eval_table"])
-    _spy(monkeypatch, HeatKernel, "values", calls["values"])
+    _spy(monkeypatch, HeatKernel, "grid", calls["grid"])
     green.adjoint_residual(0.4, 0.5, 0.5, 1.25)
     assert calls["value"] == []
-    [(_, y)] = calls["eval_table"]
-    assert len(y) == 8 and y[0] == 2.0 * 0.4 - 1.0
-    [(_, points, _)] = calls["values"]
+    [(_, y_rho), (_, y)] = calls["eval_table"]
+    assert y_rho.tolist() == [2.0 * 0.4 - 1.0] and len(y) == 7
+    [(rhos, sigmas, times, _)] = calls["grid"]
+    points = list(zip(sigmas.tolist(), np.ravel(times).tolist()))
     centre_t = green.time(0.5, 1.25)
-    assert len(points) == 13
+    assert rhos == [0.4] and len(points) == 13
     assert sum(t == centre_t for _, t in points) == 7
     assert sum(sigma == 0.5 and t != centre_t for sigma, t in points) == 6
 
@@ -189,8 +191,9 @@ def test_adjoint_residual_sigma_stencil_leaving_domain(green, monkeypatch):
     _spy(monkeypatch, JacobiBasis, "eval_table", tables)
     for sigma in (1e-3, 1.0 - 1e-3):
         assert math.isfinite(green.adjoint_residual(0.4, 0.5, sigma, 1.25).residual)
-    assert len(tables) == 2
-    sigmas = [(y + 1.0) / 2.0 for _, ys in tables for y in ys[1:]]
+    # rho's table, kept for the second sigma, then each sigma's stencil
+    assert len(tables) == 3 and tables[0][1].tolist() == [2.0 * 0.4 - 1.0]
+    sigmas = [(y + 1.0) / 2.0 for _, ys in tables[1:] for y in ys]
     assert len(sigmas) == 14 and all(0.0 < s < 1.0 for s in sigmas)
     for sigma in (0.0, 1.0, 1.2):
         with pytest.raises(DomainError, match="rho and sigma must lie in"):
@@ -277,10 +280,10 @@ def test_adjoint_scan_matches_pointwise_reference(kappa, s):
 
 @pytest.mark.parametrize("grid", SCAN_GRIDS)
 def test_adjoint_scan_truncates_once_per_eta_and_reads_one_table(grid, monkeypatch):
-    calls = {"truncation_index": [], "values": [], "eval_table": [], "value": [], "batch": []}
+    calls = {"truncation_index": [], "grid": [], "eval_table": [], "value": [], "batch": []}
     _spy(monkeypatch, TwoIntervalGreen, "adjoint_residual", calls["batch"])
     _spy(monkeypatch, HeatKernel, "truncation_index", calls["truncation_index"])
-    _spy(monkeypatch, HeatKernel, "values", calls["values"])
+    _spy(monkeypatch, HeatKernel, "grid", calls["grid"])
     _spy(monkeypatch, JacobiBasis, "eval_table", calls["eval_table"])
     _spy(monkeypatch, TwoIntervalGreen, "value", calls["value"])
     g = TwoIntervalGreen(h=leg_weight(2, 6.0), kappa=6.0)
@@ -289,12 +292,14 @@ def test_adjoint_scan_truncates_once_per_eta_and_reads_one_table(grid, monkeypat
     [(_, _, batch_sigma, batch_eta)] = calls["batch"]  # the whole scan is one call
     assert len(batch_sigma) == len(batch_eta) == len(rows)
     assert len(calls["truncation_index"]) == len(ratios)
-    n_terms = [n for _, _, n in calls["values"]]
+    n_terms = [n for _, _, _, n in calls["grid"]]
     assert len(n_terms) == len(set(n_terms)) and n_terms == sorted(n_terms, reverse=True)
-    assert sum(len(points) for _, points, _ in calls["values"]) == 13 * len(sigmas) * len(ratios)
-    # one table over rho and every stencil sigma, built at the largest n_terms
-    [(n_max, y)] = calls["eval_table"]
-    assert n_max == n_terms[0] - 1 and len(y) == 1 + 7 * len(sigmas)
+    assert sum(len(samples) for _, samples, _, _ in calls["grid"]) == (
+        13 * len(sigmas) * len(ratios))
+    # one table over rho and one over every stencil sigma, each built at the largest n_terms
+    [(n_rho, y_rho), (n_max, y)] = calls["eval_table"]
+    assert n_rho == n_max == n_terms[0] - 1
+    assert y_rho.tolist() == [2.0 * 0.4 - 1.0] and len(y) == 7 * len(sigmas)
     assert calls["value"] == []
 
 
@@ -440,18 +445,18 @@ def test_boundary_exponents(green):
     assert abs(right - green.exp_right) <= 1e-2
 
 
-def test_boundary_exponent_fit_reads_one_values_call(green, monkeypatch):
-    # the seven samples share one time: one `HeatKernel.values` call gives them,
+def test_boundary_exponent_fit_reads_one_grid_call(green, monkeypatch):
+    # the seven samples share one time: one `HeatKernel.grid` call gives them,
     # none through `value`, and each equals `value` at its point bit for bit,
     # so the slope is the line fit of the pointwise samples exactly
     s = np.geomspace(1e-6, 1e-3, 7)
     for side, sigmas in (("left", s), ("right", 1.0 - s)):
-        calls = {"value": [], "values": []}
+        calls = {"value": [], "grid": []}
         with monkeypatch.context() as m:
             _spy(m, TwoIntervalGreen, "value", calls["value"])
-            _spy(m, HeatKernel, "values", calls["values"])
+            _spy(m, HeatKernel, "grid", calls["grid"])
             slope = green.boundary_exponent_fit(side, rho=0.4, epsilon=0.5, eta=1.0)
-        assert calls["value"] == [] and len(calls["values"]) == 1
+        assert calls["value"] == [] and len(calls["grid"]) == 1
         vals = np.abs([green.value(0.4, 0.5, sig, 1.0) for sig in sigmas.tolist()])
         assert slope == findiff.line_fit(np.log(s), np.log(vals))[1]
 

@@ -18,7 +18,7 @@ from nullstate import (
     leg_weight,
 )
 from nullstate import checks
-from nullstate.heat_kernel import TABLES_KEPT, bound_ratio_scan, gaussian_factor, lambda_envelope
+from nullstate.heat_kernel import TABLES_KEPT, bound_ratio_scan
 from nullstate.jacobi import NARROW, JacobiBasis, log_beta
 
 PARAMS = [(1.0 / 3.0, 1.0 / 3.0), (2.0, 1.0), (0.5, 1.4)]
@@ -49,7 +49,7 @@ def test_fewer_than_one_term_is_refused_by_name(alpha, beta, n_terms):
     # n_terms = 0 divided by zero in the tail bound, or blamed a jacobi degree of -1
     k = HeatKernel(alpha, beta)
     calls = (lambda: k.value(0.3, 0.4, 0.1, n_terms=n_terms),
-             lambda: k.values(0.3, [(0.4, 0.1)], n_terms),
+             lambda: k.grid([0.3], [0.4], np.array([[0.1]]), n_terms),
              lambda: k.grid([0.3], [0.4], 0.1, n_terms=n_terms))
     for call in calls:
         with pytest.raises(DomainError, match=f"^n_terms must be >= 1, got {n_terms}$"):
@@ -69,6 +69,8 @@ NOT_A_TIME = (0.0, -1.0, math.nan, math.inf)
           for t in NOT_A_TIME),
         *(pytest.param(lambda k, t=t: k.grid([0.3], [0.4], t, n_terms=10), id=f"grid-n_terms-{t}")
           for t in NOT_A_TIME),
+        *(pytest.param(lambda k, t=t: k.grid([0.3], [0.4, 0.5], np.array([0.1, t]), 10),
+                       id=f"grid-per-cell-{t}") for t in NOT_A_TIME),
         *(pytest.param(lambda k, t=t: k.cancellation_floor(t, 10), id=f"cancellation_floor-{t}")
           for t in NOT_A_TIME),
     ],
@@ -331,6 +333,21 @@ def test_collapse_time_map():
         collapse_time(0.0, 1.0, 4.0)
 
 
+def lambda_envelope(theta: float, phi: float, t: float, alpha: float, beta: float) -> float:
+    """[t + sin(th/2) sin(ph/2)]^(-a-1/2) [t + cos(th/2) cos(ph/2)]^(-b-1/2).
+
+    The scalar form of the envelope that `bound_ratio_scan` evaluates as arrays.
+    """
+    s = t + math.sin(theta / 2.0) * math.sin(phi / 2.0)
+    c = t + math.cos(theta / 2.0) * math.cos(phi / 2.0)
+    return s ** (-alpha - 0.5) * c ** (-beta - 0.5)
+
+
+def gaussian_factor(x: float, c: float, t: float) -> float:
+    """Rod heat kernel exp(-x^2 / c t) / sqrt(pi c t)."""
+    return math.exp(-x * x / (c * t)) / math.sqrt(math.pi * c * t)
+
+
 def test_envelope_coincidence_finite():
     # at t = 0 and theta = phi interior, the envelope matches its closed form
     a, b = 1.0 / 3.0, 1.0 / 3.0
@@ -519,15 +536,31 @@ def test_grid_at_falling_then_rising_t_is_a_fresh_kernels_grid(kernel, monkeypat
     assert len(built) == 3 * 4
 
 
-def test_values_is_value_bit_for_bit_after_a_slice_and_a_rebuild(kernel, monkeypatch):
-    built = _count_tables(monkeypatch, kernel.basis, size=4)  # rho and three sigmas
+def test_per_cell_times_are_value_bit_for_bit_after_a_slice_and_a_rebuild(kernel, monkeypatch):
+    # each sigma recurs at two times, and the cells read the table of the three
+    # distinct sigmas, out of order here
+    built = _count_tables(monkeypatch, kernel.basis, size=3)
     rho = 0.4
-    points = [(s, t) for s in (0.2, 0.35, 0.61) for t in (0.02, 0.05)]
+    points = [(s, t) for s in (0.35, 0.2, 0.61) for t in (0.02, 0.05)]
+    sigmas, times = np.array(points).T
     for n_terms in (8, 40, 25, 90):  # builds, rebuilds, slices, rebuilds
-        got = kernel.values(rho, points, n_terms)
+        got = kernel.grid([rho], sigmas, times[None], n_terms)[0].tolist()
         want = [kernel.value(rho, s, t, n_terms=n_terms).value for s, t in points]
         assert [v.hex() for v in got] == [v.hex() for v in want]
     assert built == [8, 40, 90]
+
+
+def test_per_cell_times_refuse_the_first_bad_time_in_cell_order_and_need_n_terms():
+    k = HeatKernel(1.0, 1.0 / 3.0)
+    times = np.array([[0.1, 0.2, -1.0], [math.nan, 0.0, 0.3]])
+    with pytest.raises(DomainError, match=r"^kernel time must be finite and positive, got -1.0$"):
+        k.grid([0.3, 0.5], [0.2, 0.4, 0.6], times, 10)
+    # a column of times broadcasts along each row, so the second row's first cell is the bad one
+    with pytest.raises(DomainError, match=r"^kernel time must be finite and positive, got inf$"):
+        k.grid([0.3, 0.5], [0.2, 0.4], np.array([[0.1], [math.inf]]), 10)
+    for t in ([0.1], np.array([[0.1, 0.2]])):
+        with pytest.raises(DomainError, match=r"^per-cell kernel times need n_terms$"):
+            k.grid([0.3], [0.4, 0.6], t)
 
 
 def test_columns_grow_after_sum_read_them(kernel):
@@ -540,10 +573,10 @@ def test_columns_grow_after_sum_read_them(kernel):
         n_terms, _ = kernel.truncation_index(t)
         fresh = HeatKernel(kernel.alpha, kernel.beta)
         got = [kernel.value(rho, 0.6, t).value,
-               *kernel.values(rho, [(s, t) for s in sigmas.tolist()], n_terms),
+               *kernel.grid([rho], sigmas, np.full((1, 3), t), n_terms).ravel().tolist(),
                *kernel.grid([rho], sigmas, t).ravel().tolist()]
         want = [fresh.value(rho, 0.6, t).value,
-                *fresh.values(rho, [(s, t) for s in sigmas.tolist()], n_terms),
+                *fresh.grid([rho], sigmas, np.full((1, 3), t), n_terms).ravel().tolist(),
                 *fresh.grid([rho], sigmas, t).ravel().tolist()]
         assert [v.hex() for v in got] == [v.hex() for v in want], t
         lengths.append((len(kernel._nrm), len(kernel._shrink)))
