@@ -11,10 +11,8 @@ model does not describe is judged by its fitted log-log exponent.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,16 +46,16 @@ _FAR_PAIR_COLUMNS = _read_only(np.tile(FAR_PAIR_LEVELS, FAR_PAIR_LEVELS.size))
 _ADJACENT_COLUMNS = _read_only(np.tile(ADJACENT_FRACTIONS, ADJACENT_EPS_LEVELS.size))
 
 
-@dataclass(frozen=True)
 class CollapseSpec:
     """Which interval collapses (x_i -> x_{i-1}) under which weight assignment."""
 
-    i: int
-    weights: WeightAssignment
+    __slots__ = ("i", "weights")
 
-    def __post_init__(self):
-        if self.i < 2:
-            raise DomainError(f"collapse index must be >= 2, got {self.i!r}")
+    def __init__(self, i: int, weights: WeightAssignment):
+        if i < 2:
+            raise DomainError(f"collapse index must be >= 2, got {i!r}")
+        self.i = i
+        self.weights = weights
 
     @property
     def effective_weight(self) -> float:
@@ -136,8 +134,7 @@ def _collapse_samples(F, config: PointConfig, i: int) -> tuple[np.ndarray, np.nd
     return eff[keep], vals[keep]
 
 
-@dataclass
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     p_hat: float
     stderr: float
 
@@ -152,8 +149,7 @@ def collapse_exponent(F, config: PointConfig, spec: CollapseSpec) -> ExponentEst
     return _slope_fit(*_collapse_samples(F, config, spec.i))
 
 
-@dataclass
-class ChannelFit:
+class ChannelFit(NamedTuple):
     A: float  # the collapse limit of delta^(-delta_minus) F
     B: float
     stderr_A: float
@@ -181,8 +177,7 @@ def collapse_channels(F, config: PointConfig, spec: CollapseSpec) -> ChannelFit:
     return _channels(F, config, spec)[-1]
 
 
-@dataclass
-class TwoLegResult:
+class TwoLegResult(NamedTuple):
     is_two_leg: bool
     indeterminate: bool
     channels: ChannelFit
@@ -221,17 +216,16 @@ def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     return findiff.line_fit(np.log(x), np.log(y))[1]
 
 
-@dataclass(eq=False)  # identity equality: arrays have no truth value to compare by
-class PairScanResult:
+class PairScanResult(NamedTuple):
     sup_ratio: float
     samples: tuple  # arrays (delta, eps, |F|, ratio), one entry per grid point
     delta_slope: float  # log-log slopes of the per-level sups, NaN if not measured
     eps_slope: float
     eps_exponent: Optional[float] = None
 
-    @functools.cached_property
+    @property
     def rows(self) -> list:
-        """(delta, eps, |F|, ratio) per grid point, as Python floats; built on first read."""
+        """(delta, eps, |F|, ratio) per grid point, as Python floats; built on each read."""
         return list(zip(*(a.tolist() for a in self.samples)))
 
     @property

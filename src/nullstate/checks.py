@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,22 +38,15 @@ SUPPORTED_CORRUPTIONS = tuple(key for keys in SUITE_CORRUPTIONS.values() for key
 REPORT_SCHEMA = 2  # version of the `verify` and `scan` report layout
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     value: float
     tolerance: float
     passed: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        """dataclasses.asdict's dict, built without its deep copy of every field."""
-        return {"name": self.name, "value": self.value, "tolerance": self.tolerance,
-                "passed": self.passed, "detail": self.detail}
 
-
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     params: dict
     checks: list
@@ -72,7 +65,7 @@ class Report:
             "seed": self.seed,
             "passed": self.passed,
             "wall_time": self.wall_time,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

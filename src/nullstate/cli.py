@@ -86,7 +86,7 @@ def cmd_exponents(args) -> int:
         "command": "exponents",
         "params": {"kappa": list(args.kappa), "smax": args.smax},
         "rows": rows,
-        "checks": [check.to_dict()],
+        "checks": [check._asdict()],
         "passed": check.passed,
         "wall_time": time.perf_counter() - started,
     }

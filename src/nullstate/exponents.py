@@ -10,7 +10,7 @@ eigenvalues lambda_n of the separated two-interval operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -41,8 +41,7 @@ def leg_weight(s: int, kappa: float) -> float:
     return s * (2.0 * s + 4.0 - kappa) / (2.0 * kappa)
 
 
-@dataclass(frozen=True)
-class KpzPair:
+class KpzPair(NamedTuple):
     """The two collapse exponents of a conformal weight and their gap."""
 
     delta_minus: float
@@ -105,8 +104,7 @@ def kpz_leg_identity_residual(s: int, kappa: float) -> tuple[float, float]:
     return res_plus, res_minus
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(NamedTuple):
     """Jacobi parameter pair (alpha, beta) = (gap(h), gap(theta_1))."""
 
     alpha: float

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import findiff
 from .errors import DomainError, PreconditionError
-from .exponents import KpzPair, delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
+from .exponents import delta_plus, eigenvalue, jacobi_params, kpz, leg_weight
 from .heat_kernel import QUAD_POINTS, HeatKernel, collapse_time
 from .jacobi import gauss_jacobi_rule
 
@@ -26,20 +26,18 @@ ADMISSIBLE_SLOPE_TOL = 0.01  # steepest endpoint divergence a reproduced f may s
 STEP_LADDER = np.array([2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4])
 
 
-@dataclass(frozen=True)
 class OneIntervalGreen:
     """J(delta, eta) for a collapsing pair of effective weight d."""
 
-    weight: float
-    kappa: float
-    pair: KpzPair = field(init=False, repr=False, compare=False)
+    __slots__ = ("kappa", "pair")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pair", kpz(self.weight, self.kappa))
+    def __init__(self, weight: float, kappa: float):
+        self.kappa = kappa
+        self.pair = kpz(weight, kappa)
         if self.pair.gap <= 0.0:
             raise DomainError(
                 f"one-interval kernel needs a positive exponent gap; "
-                f"weight {self.weight!r} is at or below the floor for kappa={self.kappa!r}"
+                f"weight {weight!r} is at or below the floor for kappa={kappa!r}"
             )
 
     @property
@@ -137,8 +135,7 @@ def _below(delta, eta: float, f):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class AdjointResidual:
+class AdjointResidual(NamedTuple):
     residual: float
     scale: float
     relative: float

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +30,14 @@ QUAD_POINTS = 120  # nodes of the Gauss-Jacobi rule the kernel integrals read
 TABLES_KEPT = 7
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(NamedTuple):
     """Series truncation contract: certified tail <= tail_tol within n_max terms."""
 
     tail_tol: float = DEFAULT_TAIL_TOL
     n_max: int = DEFAULT_N_MAX
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(NamedTuple):
     value: float
     tail_bound: float
     n_terms: int
@@ -311,8 +309,7 @@ class HeatKernel:
 # -- sharp two-sided bound machinery ----------------------------------------
 
 
-@dataclass
-class BoundScanResult:
+class BoundScanResult(NamedTuple):
     """Extremes of K / envelope over the resolvable scan grid, per constant."""
 
     c1: float

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,20 +54,19 @@ def _endpoint_value(n: int, q: float) -> float:
         raise DomainError(f"|P_{n}| at the endpoint of parameter {q!r} overflows a float") from None
 
 
-@dataclass(frozen=True)
 class JacobiBasis:
     """Parameter pair (alpha, beta) with alpha, beta > -1."""
 
-    alpha: float
-    beta: float
-    _coeffs: list = field(default_factory=lambda: [[] for _ in range(4)], init=False,
-                          repr=False, compare=False)
-    _shifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("alpha", "beta", "_coeffs", "_shifted")
 
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha: float, beta: float):
+        for name, value in (("alpha", alpha), ("beta", beta)):
             if not -1.0 < value < math.inf:
                 raise DomainError(f"jacobi parameter {name} must lie in (-1, inf), got {value!r}")
+        self.alpha = alpha
+        self.beta = beta
+        self._coeffs = [[] for _ in range(4)]
+        self._shifted = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -230,8 +229,7 @@ class JacobiBasis:
         return np.max(np.abs(res), axis=1)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss rule on [0, 1]: nodes/weights integrating g(s) s^beta (1-s)^alpha
     exactly for polynomial g of degree <= 2m - 1."""
 

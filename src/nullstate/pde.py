@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,32 +57,37 @@ def _first_bad(X: np.ndarray, ok: np.ndarray) -> tuple:
     return tuple(X[np.argmin(ok)].tolist())
 
 
-@dataclass(frozen=True)
 class PointConfig:
     """Strictly increasing coordinates x_1 < x_2 < ... < x_M.
 
-    `array` holds the coordinates as one read-only float64 array.
+    `array` holds the coordinates as one read-only float64 array.  Equality,
+    hash and repr read `coords` alone.
     """
 
-    coords: tuple
-    min_gap: float = field(init=False, repr=False, compare=False)
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("coords", "M", "min_gap", "array")
 
-    def __post_init__(self):
-        xs = np.array(self.coords, dtype=float)  # a copy: the caller's array stays writeable
-        gap = _min_gaps(xs[None]).item()
+    def __init__(self, coords):
+        xs = np.array(coords, dtype=float)  # a copy: the caller's array stays writeable
+        self.min_gap = _min_gaps(xs[None]).item()
         xs.flags.writeable = False
-        object.__setattr__(self, "coords", tuple(xs.tolist()))
-        object.__setattr__(self, "min_gap", gap)
-        object.__setattr__(self, "array", xs)
+        self.coords = tuple(xs.tolist())
+        self.M = len(self.coords)
+        self.array = xs
+
+    def __repr__(self) -> str:
+        return f"PointConfig(coords={self.coords!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @classmethod
     def of(cls, *xs) -> "PointConfig":
         return cls(tuple(xs))
-
-    @property
-    def M(self) -> int:
-        return len(self.coords)
 
     def x(self, i: int) -> float:
         """1-based coordinate access matching the math."""
@@ -92,20 +96,19 @@ class PointConfig:
         return self.coords[i - 1]
 
 
-@dataclass(frozen=True)
 class WeightAssignment:
     """theta_1 everywhere except the anomalous index iota, which carries h."""
 
-    kappa: float
-    iota: int
-    h: float
-    theta1: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("kappa", "iota", "h", "theta1")
 
-    def __post_init__(self):
-        check_kappa(self.kappa)
-        if self.iota < 1:
-            raise DomainError(f"iota must be a 1-based index, got {self.iota!r}")
-        object.__setattr__(self, "theta1", leg_weight(1, self.kappa))
+    def __init__(self, kappa: float, iota: int, h: float):
+        check_kappa(kappa)
+        if iota < 1:
+            raise DomainError(f"iota must be a 1-based index, got {iota!r}")
+        self.kappa = kappa
+        self.iota = iota
+        self.h = h
+        self.theta1 = leg_weight(1, kappa)
 
     @property
     def homogeneous(self) -> bool:
@@ -120,19 +123,20 @@ class WeightAssignment:
         return cls(kappa=kappa, iota=M, h=leg_weight(1, kappa))
 
 
-@dataclass(slots=True)  # not frozen: a frozen init costs three times as much
 class ResidualReport:
-    equation: str
-    residual: float
-    scale: float
-    step: float
+    __slots__ = ("equation", "residual", "scale", "step")
+
+    def __init__(self, equation: str, residual: float, scale: float, step: float):
+        self.equation = equation
+        self.residual = residual
+        self.scale = scale
+        self.step = step
 
     @property
     def relative(self) -> float:
         return abs(self.residual) / max(self.scale, 1e-300)
 
 
-@dataclass(frozen=True)
 class CandidateFunction:
     """An evaluable scalar field on strictly increasing configurations.
 
@@ -144,11 +148,21 @@ class CandidateFunction:
     oracles.
     """
 
-    name: str
-    func: Callable[[np.ndarray], float]
-    arity: Optional[int] = None
-    grad: Optional[Callable[[np.ndarray, int], float]] = None
-    second: Optional[Callable[[np.ndarray, int], float]] = None
+    __slots__ = ("name", "func", "arity", "grad", "second")
+
+    def __init__(
+        self,
+        name: str,
+        func: Callable[[np.ndarray], float],
+        arity: Optional[int] = None,
+        grad: Optional[Callable[[np.ndarray, int], float]] = None,
+        second: Optional[Callable[[np.ndarray, int], float]] = None,
+    ):
+        self.name = name
+        self.func = func
+        self.arity = arity
+        self.grad = grad
+        self.second = second
 
     def __call__(self, coords):
         xs = np.asarray(coords, dtype=float)

@@ -494,7 +494,7 @@ def _scan_hex(scan):
     return _hex((scan.rows, scan.sup_ratio, scan.delta_slope, scan.eps_slope, scan.eps_exponent))
 
 
-def test_pair_scan_rows_are_its_samples_zipped_on_first_read():
+def test_pair_scan_rows_are_its_samples_zipped_on_read():
     kappa = 6.0
     h = leg_weight(2, kappa)
     cfg = PointConfig.of(0.0, 1.1, 2.0, 3.3, 4.0)
@@ -502,11 +502,11 @@ def test_pair_scan_rows_are_its_samples_zipped_on_first_read():
     adj = asym.manufactured_adjacent(kappa, h, 5, iota=4)
     for scan, size in ((far_pair_bound_scan(far, cfg, WeightAssignment(kappa, 5, h), j=2), 25),
                        (adjacent_pair_bound_scan(adj, cfg, WeightAssignment(kappa, 4, h)), 63)):
-        assert "rows" not in vars(scan)
+        assert not hasattr(scan, "__dict__")  # nothing is built or kept until a read
         d, e, vals, ratio = scan.samples
         want = [(float(d[n]), float(e[n]), float(vals[n]), float(ratio[n])) for n in range(size)]
         assert type(scan.rows) is list and _hex(scan.rows) == _hex(want)
-        assert scan.rows is scan.rows
+        assert scan.rows is not scan.rows and scan.rows == scan.rows
 
 
 def _reference_channels(F, config, spec):

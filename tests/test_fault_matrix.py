@@ -84,8 +84,6 @@ Tier-1 test catches each:
   test_heat_kernel.py::test_truncation_index_is_the_reference_loop_bit_for_bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -148,7 +146,7 @@ def _scaled_field(c, make):
     """A patch of a field builder: the field's value times c."""
     def build(*args, **kwargs):
         F = make(*args, **kwargs)
-        return dataclasses.replace(F, func=lambda xs: c * F.func(xs))
+        return pde.CandidateFunction(F.name, lambda xs: c * F.func(xs), F.arity, F.grad, F.second)
     return build
 
 
@@ -274,8 +272,7 @@ FAULTS = {
         f(self, rho + 1e-7, sigma, t, n_terms))),
     "HeatKernel.value: minus the n = 0 mode": ({}, _wrap(
         heat_kernel.HeatKernel, "value", lambda f: lambda self, rho, sigma, t, n_terms=None:
-        dataclasses.replace(kv := f(self, rho, sigma, t, n_terms),
-                            value=kv.value - 1.0 / self._nrm[0]))),
+        (kv := f(self, rho, sigma, t, n_terms))._replace(value=kv.value - 1.0 / self._nrm[0]))),
     # the one site where `value` and `grid` sum the series
     "HeatKernel._sum: x (1 + 1e-6)": ({}, _wrap(
         heat_kernel.HeatKernel, "_sum",
@@ -350,8 +347,7 @@ FAULTS = {
         property(lambda self: self.delta_slope < -asym.SLOPE_TOL))),
     "asymptotics.delta_plus: the minus root": ({}, _set(asym, "delta_plus", asym.delta_minus)),
     "asymptotics.kpz: gap + 1e-2": ({}, _wrap(
-        asym, "kpz", lambda f: lambda d, kappa: dataclasses.replace(
-            f(d, kappa), gap=f(d, kappa).gap + 1e-2))),
+        asym, "kpz", lambda f: lambda d, kappa: f(d, kappa)._replace(gap=f(d, kappa).gap + 1e-2))),
     "asymptotics.manufactured_adjacent: x (1 + 1e-6)": ({}, _wrap(
         asym, "manufactured_adjacent", lambda f: _scaled_field(1.0 + 1e-6, f))),
     # the field gains a delta_plus channel 1e-4 delta^dp(d): its B grows by 1e-4

@@ -1,9 +1,11 @@
-"""Every dataclass field declared in the package is read somewhere.
+"""Every field of a record class declared in the package is read somewhere.
 
-A field counts as read when `<expr>.<field>` is loaded in the package, the
+A record class is a dataclass, a `NamedTuple` or a class that declares
+`__slots__`; its fields are its annotated class-body names, or its slots.  A
+field counts as read when `<expr>.<field>` is loaded in the package, the
 scripts, the benchmark or the tests.  Where the receiver's class is known (it
 is `self` in a method of the class, or a name bound from, or the direct
-result of, a call annotated to return a package dataclass), the read counts
+result of, a call annotated to return a package record), the read counts
 for that class only; otherwise it counts for every class declaring the name.
 A method call `x.name(...)` counts only when the receiver's class is known,
 so `results.values()` on a dict reads no field named `values`.
@@ -19,30 +21,46 @@ READERS = PACKAGE + sorted(
 )
 
 
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+    """A dataclass or a `NamedTuple`: its fields are its annotated class-body names."""
+    return (any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list)
+            or any(_name(base) == "NamedTuple" for base in node.bases))
+
+
+def _slots(node: ast.ClassDef) -> list:
+    """The `__slots__ = (...)` statements of a class body."""
+    return [stmt for stmt in node.body if isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)]
 
 
 def declared_fields(trees) -> dict:
-    """{class name: {field name: (module, line)}} for every dataclass."""
+    """{class name: {field name: (module, line)}} for every record class."""
     fields = {}
     for module, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
                 fields[node.name] = {
                     stmt.target.id: (module, stmt.lineno)
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                 }
+            elif _slots(node):
+                fields[node.name] = {
+                    name: (module, stmt.lineno)
+                    for stmt in _slots(node) for name in ast.literal_eval(stmt.value)
+                }
     return fields
 
 
 def return_types(trees, classes) -> dict:
-    """{function or method name: dataclass} where every def of that name is annotated `-> Class`."""
+    """{function or method name: record} where every def of that name is annotated `-> Class`."""
     annotated = {}
     for _, tree in trees:
         for node in ast.walk(tree):
@@ -60,7 +78,7 @@ def _callee(node):
 
 
 def _bindings(scope, returns: dict) -> dict:
-    """{name: dataclass} for the names that every binding in scope sets from
+    """{name: record} for the names that every binding in scope sets from
     a call annotated to return that class; parameters count as unknown."""
     typed = {id(n.targets[0]): returns.get(_callee(n.value)) for n in ast.walk(scope)
              if isinstance(n, ast.Assign) and len(n.targets) == 1}
@@ -137,7 +155,21 @@ def test_checker_flags_an_unread_field():
     assert unread_fields({"m": src}, {"m": src, "r": "def f(a):\n    return a.x + a.y\n"}) == []
 
 
-def test_every_dataclass_field_is_read():
+def test_checker_flags_an_unread_namedtuple_field_and_slot():
+    src = (
+        "from typing import NamedTuple\n"
+        "class N(NamedTuple):\n    a: int\n    b: int = 0\n"
+        "class S:\n    __slots__ = ('c', 'd')\n"
+        "    def __init__(self, c, d):\n        self.c = c\n        self.d = d\n"
+        "    def total(self):\n        return self.c\n"
+        "def make() -> N:\n    return N(1)\n"
+        "def use():\n    return make().a\n"
+    )
+    assert unread_fields({"m": src}, {"m": src}) == [("m", 4, "N.b"), ("m", 6, "S.d")]
+    assert unread_fields({"m": src}, {"m": src, "r": "def f(n, s):\n    return n.b + s.d\n"}) == []
+
+
+def test_every_record_field_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE}
     readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
     assert unread_fields(sources, readers) == []

@@ -1,6 +1,10 @@
-"""Every name a module imports is used in it (package modules, scripts and tests)."""
+"""Every name a module imports is used in it (package modules, scripts and tests), and
+importing the package runs no dataclass code generation."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,16 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the assertion the CI job also runs against the installed package
+NO_DATACLASSES = "import sys, nullstate, nullstate.cli; assert 'dataclasses' not in sys.modules"
+
+
+def test_package_imports_no_dataclasses():
+    # the package's records are NamedTuples and __slots__ classes, which generate no
+    # methods at import; numpy does not import dataclasses either
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_DATACLASSES], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

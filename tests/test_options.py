@@ -1,10 +1,13 @@
-"""Every defaulted parameter and dataclass field in the package has a caller outside the tests.
+"""Every defaulted parameter and record field in the package has a caller outside the tests.
 
-A parameter with a default is an option, and so is a dataclass field with a
-default that `__init__` takes.  It counts as set when a call in the package,
-the scripts or the benchmark passes it, by keyword or by position.  Calls are
-matched by name: `f(...)` and `x.f(...)` count for every def named `f`, and
-`C(...)` counts for `C.__init__` and for the fields of a dataclass `C`.  A
+A parameter with a default is an option, and so is a field with a default
+that the constructor takes, of a dataclass or a `NamedTuple`; a class that
+declares `__slots__` takes its fields through its own `__init__`, whose
+defaulted parameters are options already.  An option counts as set when a
+call in the package, the scripts or the benchmark passes it, by keyword or
+by position.  Calls are matched by name: `f(...)` and `x.f(...)` count for
+every def named `f`, and `C(...)` counts for `C.__init__` and for the fields
+of a dataclass or `NamedTuple` `C`.  A
 call to a function that passes its own `**kwargs` on to another call counts
 for that callee too, so `kernel_bound_scan(kernel, T=1.0)` sets
 `bound_ratio_scan`'s `T`.  Tests are not callers: an option only a test sets
@@ -23,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nullstate").glob("*.py"))
 CALLERS = PACKAGE + sorted(p for d in ("scripts", "bench") for p in (ROOT / d).glob("*.py"))
 
-# defaulted dataclass fields that no construction sets, kept for a reader
+# defaulted record fields that no construction sets, kept for a reader
 # outside the package: they can become constants only with a benchmark change
 UNSET_FIELDS_KEPT = {
     "TruncationPolicy.tail_tol": "bench/tracing.py keys its cache on kernel.policy",
@@ -63,8 +66,10 @@ def declared_options(tree) -> list:
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
-               for d in node.decorator_list)
+    """A dataclass or a `NamedTuple`: its fields are its annotated class-body names."""
+    return (any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list)
+            or any(_name(base) == "NamedTuple" for base in node.bases))
 
 
 def _init_false(value) -> bool:
@@ -74,9 +79,10 @@ def _init_false(value) -> bool:
 
 
 def declared_fields(tree) -> list:
-    """(line, class name, field, position) per defaulted dataclass field `__init__` takes.
+    """(line, class name, field, position) per defaulted field a record's constructor takes.
 
-    Position counts the fields `__init__` takes, in declaration order.
+    Position counts the fields the constructor takes, in declaration order.
+    A `__slots__` class has none here: its `__init__` is in `declared_options`.
     """
     found = []
     for node in ast.walk(tree):
@@ -198,6 +204,19 @@ def test_checker_flags_an_unset_field():
         ("m", 5, "P.b"), ("m", 6, "P.c"), ("m", 8, "P.e"),
     ]
     assert unset_options({"m": src}, {"m": src, "u": "P(0, 2, e='y')\nP(0, c=[])\n"}) == []
+
+
+def test_checker_flags_an_unset_namedtuple_field_and_slots_parameter():
+    src = (
+        "from typing import NamedTuple\n"
+        "class N(NamedTuple):\n    a: int\n    b: int = 1\n    c: str = 'x'\n"
+        "class S:\n    __slots__ = ('d', 'e')\n"
+        "    def __init__(self, d, e=0):\n        self.d, self.e = d, e\n"
+    )
+    assert unset_options({"m": src}, {"m": src}) == [
+        ("m", 4, "N.b"), ("m", 5, "N.c"), ("m", 8, "S.e"),
+    ]
+    assert unset_options({"m": src}, {"m": src, "u": "N(0, 2)\nN(0, c='y')\nS(1, e=2)\n"}) == []
 
 
 def test_checker_flags_an_option_with_one_value_in_use():
