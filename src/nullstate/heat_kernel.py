@@ -77,8 +77,11 @@ class HeatKernel:
     `_nrm` and `_coef` read the basis (`_ensure`) one degree at a time and
     only as far as a caller asks, since a norm or an endpoint value may
     overflow at degrees no caller certifies.  The other four are arithmetic
-    (`_extend`) and grow by doubling.  A column's numpy view (`_sum`) lives
-    for one expression only, since an `array` cannot grow while it is viewed.
+    (`_extend`) and grow by doubling.  The truncation scan (`_scan`) grows
+    them once per block of degrees and reads them and `_coef` in place; it
+    grows `_nrm` and `_coef` only to the degree it reaches.  A column's
+    numpy view (`_sum`) lives for one expression only, since an `array`
+    cannot grow while it is viewed.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -168,25 +171,52 @@ class HeatKernel:
         self._extend(n)
         return math.exp(-t * self._rate[n]) * self._coef[n]
 
-    def _tail_bound(self, n: int, t: float) -> float:
-        """Certified bound B_n / (1 - r) on sum_{m >= n} B_m; inf where r >= 1.
+    def _scan(self, t: float, first: int, last: int, tol: float) -> tuple[int, float, float]:
+        """(n, tail, best): the first degree n in first..last that certifies a tail <= tol.
 
-        r = exp(-t (2n + alpha + beta + 2)) * growth_n * shrink_n bounds
-        B_{m+1}/B_m for all m >= n and decreases in n: each factor of the term
-        ratio (eigenvalue decay, endpoint-value growth, norm shrinkage) is
-        bounded by its value at m = n, where it is largest.  Every factor but
-        t's is a column entry (see `HeatKernel`), so a call is two exps, a
-        product and a quotient; B_n is `term_bound`'s.  The norms are read
-        only where r < 1.
+        n is last if none does, tail is n's certified tail (`_tail_bound`'s
+        value, even where it is not <= tol) and best the least tail over the
+        degrees scanned.  The tail at degree n is B_n / (1 - r_n), with
+        r_n = exp(-t (2n + alpha + beta + 2)) * growth_n * shrink_n; r_n bounds
+        B_{m+1}/B_m for all m >= n and decreases in n, since each factor of the
+        term ratio (eigenvalue decay, endpoint-value growth, norm shrinkage)
+        is largest at m = n.  No tail is certified (inf) where r_n >= 1.  The
+        four arithmetic columns grow by doubling (`_extend`) once before each
+        block of degrees, and `_coef` grows (`_ensure`) only to a degree whose
+        r_n is below 1, so no norm past the degree the scan reaches is read.
         """
-        if len(self._rate) <= n:
-            self._extend(n)
-        ratio = math.exp(-t * self._step[n]) * self._growth[n] * self._shrink[n]
-        if ratio >= 1.0:
-            return math.inf
-        if len(self._coef) <= n:
-            self._ensure(n)
-        return math.exp(-t * self._rate[n]) * self._coef[n] / (1.0 - ratio)
+        exp, mt, inf = math.exp, -t, math.inf
+        step, growth, shrink, rate, coef = (
+            self._step, self._growth, self._shrink, self._rate, self._coef)
+        best = tail = inf
+        start, known = first, len(coef)
+        while start <= last:
+            self._extend(start)
+            end = min(len(rate), last + 1)
+            for n in range(start, end):
+                ratio = exp(mt * step[n]) * growth[n] * shrink[n]
+                if ratio < 1.0:
+                    if n >= known:
+                        self._ensure(n)
+                        known = n + 1
+                    tail = exp(mt * rate[n]) * coef[n] / (1.0 - ratio)
+                    if tail < best:
+                        best = tail
+                    if tail <= tol:
+                        return n, tail, best
+                else:
+                    tail = inf
+            start = end
+        return last, tail, best
+
+    def _tail_bound(self, n: int, t: float) -> float:
+        """Certified bound B_n / (1 - r_n) on sum_{m >= n} B_m; inf where r_n >= 1.
+
+        `_scan` over degree n alone, so the tail formula is written once and
+        the explicit-n_terms routes certify exactly what `truncation_index`
+        does.  The norms are read to degree n only where r_n < 1.
+        """
+        return self._scan(t, n, n, math.inf)[1]
 
     def truncation_index(self, t: float) -> tuple[int, float]:
         """Number of terms and certified tail bound for time t.
@@ -195,21 +225,16 @@ class HeatKernel:
         <= tail_tol.  Raises TruncationError if n_max is hit first (very small t).
         """
         _check_time(t)
-        tol = self.policy.tail_tol
-        best = math.inf
-        tail_bound = self._tail_bound
-        for n_terms in range(1, self.policy.n_max + 1):
-            tail = tail_bound(n_terms, t)
-            if tail < best:
-                best = tail
-            if tail <= tol:
-                return n_terms, tail
+        tol, n_max = self.policy
+        n_terms, tail, best = self._scan(t, 1, n_max, tol)
+        if tail <= tol:
+            return n_terms, tail
         raise TruncationError(
             f"could not certify tail <= {tol!r} at t={t!r} within "
-            f"{self.policy.n_max} terms (best bound {best!r}); "
+            f"{n_max} terms (best bound {best!r}); "
             "t is too small for the series route",
             achieved_bound=best,
-            n_terms=self.policy.n_max,
+            n_terms=n_max,
         )
 
     def _truncation(self, t: float, n_terms: int | None) -> tuple[int, float]:

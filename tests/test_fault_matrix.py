@@ -78,8 +78,10 @@ No row does not mean no fault.  These faults fail no `verify` check, and a
 Tier-1 test catches each:
 - asymptotics.A_ROUNDOFF = 1e-3:
   test_asymptotics.py::test_two_leg_round_off_floor_is_tight;
-- HeatKernel._tail_bound x 1e-3 or x 1e3:
+- the certified tail, written once in HeatKernel._scan, x 1e-3:
   test_heat_kernel.py::test_certified_tail_is_honest_and_first;
+- that tail x 1e3 (an honest but late truncation index):
+  test_heat_kernel.py::test_truncation_index_is_the_reference_loop_bit_for_bit;
 - a HeatKernel column (`_growth`, `_shrink`, `_step` or `_rate`) x (1 + 1e-3):
   test_heat_kernel.py::test_truncation_index_is_the_reference_loop_bit_for_bit.
 """

@@ -164,28 +164,36 @@ def test_certified_tail_is_honest_and_first(family):
             assert tail >= math.fsum(terms) * (1.0 - 1e-12), case
 
 
-def reference_truncation(k, t):
-    """`truncation_index` by per-degree arithmetic, the reference for the columns.
+def reference_tail(k, n, t):
+    """The certified tail at degree n >= 1 by per-degree arithmetic.
 
-    Every factor of the tail ratio is computed at each degree; the norms and
-    endpoint values are read only where the ratio is below 1.  Returns
-    (n_terms, tail), or the type and text of the error the loop raises.
+    Every factor of the tail ratio is computed here.  The tail is inf where
+    the ratio is >= 1, and only where it is below 1 are the norm and
+    endpoint value read.
     """
     a, b = k.alpha, k.beta
     apb, q, ab = a + b, max(a, b), a * b
+    pbar_growth = ((n + 1.0 + q) / (n + 1.0)) ** 2 if q > 0.0 else 1.0
+    norm_fac = (2 * n + apb + 3.0) / (2 * n + apb + 1.0)
+    if ab < 0.0:
+        norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
+    ratio = math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
+    if ratio >= 1.0:
+        return math.inf
+    pbar = k.basis.endpoint_max(n)
+    coef = pbar * pbar / k.basis.shifted_norm_sq(n)
+    return math.exp(-t * (n * (n + a + b + 1.0))) * coef / (1.0 - ratio)
+
+
+def reference_truncation(k, t):
+    """`truncation_index` by per-degree arithmetic, the reference for the columns.
+
+    Returns (n_terms, tail), or the type and text of the error the loop raises.
+    """
     tol, best = k.policy.tail_tol, math.inf
     try:
         for n in range(1, k.policy.n_max + 1):
-            pbar_growth = ((n + 1.0 + q) / (n + 1.0)) ** 2 if q > 0.0 else 1.0
-            norm_fac = (2 * n + apb + 3.0) / (2 * n + apb + 1.0)
-            if ab < 0.0:
-                norm_fac *= 1.0 - ab / ((n + 1.0 + a) * (n + 1.0 + b))
-            ratio = math.exp(-t * (2 * n + apb + 2.0)) * pbar_growth * norm_fac
-            tail = math.inf
-            if ratio < 1.0:
-                pbar = k.basis.endpoint_max(n)
-                coef = pbar * pbar / k.basis.shifted_norm_sq(n)
-                tail = math.exp(-t * (n * (n + a + b + 1.0))) * coef / (1.0 - ratio)
+            tail = reference_tail(k, n, t)
             best = min(best, tail)
             if tail <= tol:
                 return n, tail
@@ -222,14 +230,15 @@ REFERENCE_CASES = [
 def test_truncation_index_is_the_reference_loop_bit_for_bit(family):
     # a seeded (alpha, beta, t) grid per family, and the named cases: the same
     # (n_terms, tail) bit for bit, or the same error text; each kernel is asked
-    # at rising and then falling t, so its columns are read after they grew
+    # at falling and then rising t, so each call extends the columns a shorter
+    # call left and the later calls read the grown columns
     rng = np.random.default_rng(100 + TAIL_FAMILIES.index(family))
     cases = [(_kernel_family(family, rng), 10.0 ** rng.uniform(-5.0, 1.0, 6)) for _ in range(6)]
     if family == TAIL_FAMILIES[0]:
         cases += [(pair, np.array([t])) for pair, t in REFERENCE_CASES]
     for pair, ts in cases:
         k = HeatKernel(*pair)
-        for t in sorted(ts.tolist()) + sorted(ts.tolist(), reverse=True):
+        for t in sorted(ts.tolist(), reverse=True) + sorted(ts.tolist()):
             got, want = _truncation_or_error(k, t), reference_truncation(HeatKernel(*pair), t)
             assert repr(got) == repr(want), (pair, t)
             if isinstance(got[0], str):
@@ -239,6 +248,21 @@ def test_truncation_index_is_the_reference_loop_bit_for_bit(family):
             assert k.cancellation_floor(t, n_terms).hex() == floor.hex(), (pair, t)
             for n in (0, 1, n_terms - 1, n_terms, 2 * n_terms + 7):
                 assert k.term_bound(n, t).hex() == reference_term_bound(k, n, t).hex(), (pair, t, n)
+
+
+@pytest.mark.parametrize("pair, t, degrees", [
+    ((1.0, 1.0 / 3.0), 1e-4, (1, 120, 121, 468, 2500)),  # the ratio is below 1 from 121 on
+    ((-0.5, -0.5), 0.3, (1, 2, 40)),
+    # exp(-t mu_n) underflows to 0 where Pbar_n^2 overflows: the formula's 0 * inf is a NaN tail
+    ((159.0, 159.0), 9.550693236042829, (1, 1600, 1765)),
+])
+def test_tail_bound_is_the_reference_tail_bit_for_bit(pair, t, degrees):
+    # the explicit-n_terms route's tail; the first, highest degree grows the
+    # columns that the later ones read
+    k = HeatKernel(*pair)
+    for n in sorted(degrees, reverse=True):
+        want = reference_tail(HeatKernel(*pair), n, t)
+        assert k._tail_bound(n, t).hex() == want.hex(), (pair, t, n)
 
 
 def test_long_time_limit(kernel):
